@@ -5,194 +5,67 @@ run accumulates, per coordinate of a vector-weighted transition system.
 The package decides satisfaction for fixed parameter values, for some
 valuation, and for all valuations, and optimizes four min/max objectives
 over the valuation space.
+
+The top level exports the API that README "Library use" documents; every
+other name is imported from its submodule.
 """
 
-from .formula import (
-    And,
-    Atom,
-    FLe,
-    Formula,
-    FormulaError,
-    FragmentError,
-    GLe,
-    NegAtom,
-    Next,
-    Or,
-    ParseError,
-    Release,
-    Until,
-    always,
-    atoms,
-    chi_formula,
-    closure,
-    eliminate_parametric_always,
-    eventually,
-    expand_derived,
-    ff,
-    implies,
-    is_ff,
-    is_tt,
-    negate,
-    parse,
-    pretty_print,
-    relativize,
-    require_well_formed,
-    simplify_constants,
-    subformulas,
-    tt,
-    var_profile,
-)
-from .trace import (
-    Changepoints,
-    CostLetter,
-    CostTrace,
-    TraceError,
-    TraceEvaluator,
-    changepoints,
-    check_bounded,
-    check_spaced,
-    evaluate,
-    format_trace,
-    is_coloring_of,
-    letter,
-    make_spaced_coloring,
-    parse_trace,
-    strip_colors,
-)
-from .system import (
-    LassoPath,
-    SystemFormatError,
-    TransitionSystem,
-    canonical_lasso,
-    check_path,
-    enumerate_lassos,
-    format_system,
-    parse_system,
-    trace_of,
-    validate,
-)
-from .automata import (
-    AutomatonError,
-    BuchiAutomaton,
-    CostBuchiAutomaton,
-    PropLasso,
-    buchi_empty,
-    cost_nba,
-    find_accepting_lasso,
-    guard_holds,
-    guard_text,
-    ltl_to_nba,
-    nba_accepts_lasso,
-)
+from .automata import AutomatonError, BuchiAutomaton, ltl_to_nba
+from .formula import Formula, FormulaError, FragmentError, ParseError, parse
 from .modelcheck import (
     ColoredCostGraph,
     ExistsResult,
     FixedResult,
-    ForallResult,
     ModelCheckError,
-    bound_value,
     build_product,
     check_exists,
     check_fixed,
-    check_forall,
-    pumpable_fair_path,
-    valuation_upper_bound,
     verify_pumpable,
 )
-from .optimize import (
-    Objective,
-    OptimizeResult,
-    binary_search_threshold,
-    optimize_mc,
+from .optimize import Objective, OptimizeResult, optimize_mc
+from .system import SystemFormatError, TransitionSystem, parse_system
+from .trace import (
+    Changepoints,
+    CostTrace,
+    TraceError,
+    changepoints,
+    check_bounded,
+    check_spaced,
+    evaluate,
+    make_spaced_coloring,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "And",
-    "Atom",
     "AutomatonError",
     "BuchiAutomaton",
     "Changepoints",
     "ColoredCostGraph",
-    "CostBuchiAutomaton",
-    "CostLetter",
     "CostTrace",
     "ExistsResult",
-    "FLe",
     "FixedResult",
-    "ForallResult",
     "Formula",
     "FormulaError",
     "FragmentError",
-    "GLe",
-    "LassoPath",
     "ModelCheckError",
-    "NegAtom",
-    "Next",
     "Objective",
     "OptimizeResult",
-    "Or",
     "ParseError",
-    "PropLasso",
-    "Release",
     "SystemFormatError",
     "TraceError",
-    "TraceEvaluator",
     "TransitionSystem",
-    "Until",
-    "always",
-    "atoms",
-    "binary_search_threshold",
-    "bound_value",
-    "buchi_empty",
     "build_product",
-    "canonical_lasso",
     "changepoints",
     "check_bounded",
     "check_exists",
     "check_fixed",
-    "check_forall",
-    "check_path",
     "check_spaced",
-    "chi_formula",
-    "closure",
-    "cost_nba",
-    "eliminate_parametric_always",
-    "enumerate_lassos",
     "evaluate",
-    "eventually",
-    "expand_derived",
-    "ff",
-    "find_accepting_lasso",
-    "format_system",
-    "format_trace",
-    "guard_holds",
-    "guard_text",
-    "implies",
-    "is_coloring_of",
-    "is_ff",
-    "is_tt",
-    "letter",
     "ltl_to_nba",
     "make_spaced_coloring",
-    "nba_accepts_lasso",
-    "negate",
     "optimize_mc",
     "parse",
     "parse_system",
-    "parse_trace",
-    "pretty_print",
-    "pumpable_fair_path",
-    "relativize",
-    "require_well_formed",
-    "simplify_constants",
-    "strip_colors",
-    "subformulas",
-    "trace_of",
-    "tt",
-    "validate",
-    "valuation_upper_bound",
-    "var_profile",
     "verify_pumpable",
 ]

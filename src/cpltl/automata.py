@@ -8,7 +8,8 @@ proposition set and a cost vector, and its states carry budget remainders.
 
 Membership of ultimately periodic words is decided by building the finite
 product of an automaton with the word's slot graph and searching for a
-reachable accepting cycle (find_accepting_lasso).
+reachable accepting cycle (find_accepting_lasso).  The slot layout of
+those words (PropLasso, cost traces) is trace.Lasso.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .formula import (
     validate_coords,
     var_profile,
 )
+from .trace import Lasso
 
 # A guard is a conjunction of literals: a frozenset of (name, polarity).
 Guard = frozenset
@@ -371,15 +373,10 @@ def _trim(states, initial, transitions, accepting, alphabet) -> BuchiAutomaton:
 
 
 @dataclass(frozen=True)
-class PropLasso:
+class PropLasso(Lasso[frozenset]):
     """Ultimately periodic word of proposition sets: prefix then loop."""
 
-    prefix: tuple
-    loop: tuple
-
-    def __post_init__(self):
-        if not self.loop:
-            raise AutomatonError("lasso word needs a non-empty loop")
+    error = AutomatonError
 
     @classmethod
     def of(cls, prefix: Iterable, loop: Iterable) -> "PropLasso":
@@ -387,24 +384,6 @@ class PropLasso:
             tuple(frozenset(p) for p in prefix),
             tuple(frozenset(p) for p in loop),
         )
-
-    @property
-    def n_slots(self) -> int:
-        return len(self.prefix) + len(self.loop)
-
-    def slot(self, position: int) -> int:
-        p = len(self.prefix)
-        if position < self.n_slots:
-            return position
-        return p + (position - p) % len(self.loop)
-
-    def succ_slot(self, slot: int) -> int:
-        nxt = slot + 1
-        return nxt if nxt < self.n_slots else len(self.prefix)
-
-    def letter_at_slot(self, slot: int) -> frozenset:
-        p = len(self.prefix)
-        return self.prefix[slot] if slot < p else self.loop[slot - p]
 
 
 def find_accepting_lasso(
@@ -560,10 +539,8 @@ def buchi_empty(auto: BuchiAutomaton) -> Optional[PropLasso]:
     if found is None:
         return None
     prefix, loop = found
-    states = list(prefix) + list(loop)
     letters = []
-    for i, src in enumerate(states):
-        dst = states[i + 1] if i + 1 < len(states) else loop[0]
+    for src, dst in Lasso(tuple(prefix), tuple(loop)).steps():
         guard = None
         for g, tgt in auto.transitions[src]:
             if tgt == dst:

@@ -5,7 +5,7 @@ translate, selftest.  Results go to stdout as key=value lines; lasso
 counterexamples are printed in the trace file format so they can be fed
 back to eval-trace.  Exit codes: 0 when the property holds or an optimum
 (or unbounded supremum) was found, 1 when it fails or is infeasible, 2 on
-usage, format, or fragment errors.
+usage, format, or fragment errors and on any other error.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 from .automata import (
-    AutomatonError,
     PropLasso,
     guard_text,
     ltl_to_nba,
@@ -27,7 +26,6 @@ from .formula import (
     Atom,
     FLe,
     Formula,
-    FormulaError,
     GLe,
     NegAtom,
     Next,
@@ -41,10 +39,11 @@ from .formula import (
     pretty_print,
     relativize,
     require_well_formed,
+    validate_coords,
     var_profile,
 )
 from .modelcheck import (
-    ModelCheckError,
+    _exists_automaton,
     build_product,
     check_exists,
     check_fixed,
@@ -52,30 +51,18 @@ from .modelcheck import (
 )
 from .optimize import Objective, binary_search_threshold, optimize_mc
 from .system import (
-    SystemFormatError,
     TransitionSystem,
     enumerate_lassos,
     parse_system,
     trace_of,
 )
 from .trace import (
-    TraceError,
     check_spaced,
     evaluate,
     format_trace,
     is_coloring_of,
     make_spaced_coloring,
     parse_trace,
-)
-
-_USAGE_ERRORS = (
-    FormulaError,
-    TraceError,
-    SystemFormatError,
-    ModelCheckError,
-    AutomatonError,
-    OSError,
-    ValueError,
 )
 
 
@@ -251,8 +238,9 @@ def _cmd_translate(args) -> int:
     if system is None:
         print("error: --emit product needs --system", file=sys.stderr)
         return 2
-    auto = ltl_to_nba(phi)
-    graph = build_product(system, auto)
+    require_well_formed(phi)
+    validate_coords(phi, system.d)
+    graph = build_product(system, _exists_automaton(phi, system.d))
 
     def vertex_name(vertex) -> str:
         state, auto_state, colors = vertex
@@ -497,7 +485,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except _USAGE_ERRORS as exc:
+    except Exception as exc:
+        # Exit code 1 means "property fails"; no error may be mistaken for it.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -42,7 +42,7 @@ from .formula import (
     var_profile,
 )
 from .system import LassoPath, TransitionSystem, trace_of
-from .trace import evaluate
+from .trace import Lasso, changepoints_of, evaluate
 
 
 class ModelCheckError(RuntimeError):
@@ -229,45 +229,15 @@ def _pump_cycle(
     return head + tail[:-1]
 
 
-def _vertex_at(prefix, loop, pos: int):
-    if pos < len(prefix):
-        return prefix[pos]
-    return loop[(pos - len(prefix)) % len(loop)]
-
-
-def _coord_blocks(graph, prefix, loop, coord: int) -> list:
-    """Completed block ranges [start, end) of `coord`'s color sequence,
-    one representative per repeating class.  The unpumped tail of a path
-    whose color eventually stays constant is not a block."""
-    p, n = len(prefix), len(loop)
-    window = p + 3 * n + 2
-    bits = [
-        graph.color_bit(_vertex_at(prefix, loop, pos), coord)
-        for pos in range(window)
-    ]
-    flips = [pos for pos in range(1, window) if bits[pos] != bits[pos - 1]]
-    repeating = any(p < pos <= p + n for pos in flips)
-    points = [0] + flips
-    blocks = []
-    for j in range(len(points) - 1):
-        start, end = points[j], points[j + 1]
-        if repeating and start > p + 2 * n:
-            break
-        blocks.append((start, end))
-    return blocks
-
-
-def _block_pumped(graph, prefix, loop, coord: int, start: int, end: int) -> bool:
+def _block_pumped(graph, run: Lasso, coord: int, start: int, end: int) -> bool:
     """True when some vertex repeats inside the block with positive
     `coord`-cost between its occurrences."""
     first: dict = {}
     acc = [0]
     for pos in range(start, end):
-        v = _vertex_at(prefix, loop, pos)
+        v = run.letter(pos)
         if pos > start:
-            step = graph.cost[
-                (_vertex_at(prefix, loop, pos - 1), v)
-            ][coord - 1]
+            step = graph.cost[(run.letter(pos - 1), v)][coord - 1]
             acc.append(acc[-1] + step)
         if v in first:
             if acc[pos - start] - acc[first[v]] > 0:
@@ -332,23 +302,25 @@ def pumpable_fair_path(graph: ColoredCostGraph) -> Optional[tuple]:
 
 def _splice_pumps(graph, caps, prefix, loop) -> tuple:
     """Insert pump cycles into blocks that lack a positive repetition."""
+    run = Lasso(tuple(prefix), tuple(loop))
     p, n = len(prefix), len(loop)
     pre_ins: dict = {}
     loop_ins: dict = {}
     for coord in range(1, graph.d + 1):
-        for start, end in _coord_blocks(graph, prefix, loop, coord):
-            if _block_pumped(graph, prefix, loop, coord, start, end):
+        cut = changepoints_of(run, lambda v: graph.color_bit(v, coord))
+        for start, end in cut.blocks()[0]:
+            if _block_pumped(graph, run, coord, start, end):
                 continue
             spot = None
             for pos in range(start, end):
-                if _vertex_at(prefix, loop, pos) in caps[coord - 1]:
+                if run.letter(pos) in caps[coord - 1]:
                     spot = pos
                     break
             if spot is None:
                 raise ModelCheckError(
                     "block without a pump-capable vertex slipped through"
                 )
-            v = _vertex_at(prefix, loop, spot)
+            v = run.letter(spot)
             cycle = _pump_cycle(graph, coord, v, constant=True)
             if cycle is None:
                 cycle = _pump_cycle(graph, coord, v, constant=False)
@@ -376,20 +348,19 @@ def verify_pumpable(graph: ColoredCostGraph, prefix, loop) -> list:
     empty when the lasso is a valid fair path whose completed color blocks
     all contain a positive repetition."""
     problems = []
-    walk = list(prefix) + list(loop)
-    head = walk[0]
-    if head != graph.initial:
+    run = Lasso(tuple(prefix), tuple(loop))
+    if run.letter(0) != graph.initial:
         problems.append("path does not start at the initial vertex")
-    for i, v in enumerate(walk):
-        w = walk[i + 1] if i + 1 < len(walk) else loop[0]
+    for i, (v, w) in enumerate(run.steps()):
         if w not in graph.edges.get(v, ()):
             problems.append(f"missing edge at step {i}")
             return problems
     if not any(v in graph.accepting for v in loop):
         problems.append("loop never visits an accepting vertex")
     for coord in range(1, graph.d + 1):
-        for start, end in _coord_blocks(graph, prefix, loop, coord):
-            if not _block_pumped(graph, prefix, loop, coord, start, end):
+        cut = changepoints_of(run, lambda v: graph.color_bit(v, coord))
+        for start, end in cut.blocks()[0]:
+            if not _block_pumped(graph, run, coord, start, end):
                 problems.append(
                     f"coordinate {coord} block [{start},{end}) has no "
                     "positive repetition"

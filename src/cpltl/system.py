@@ -4,6 +4,9 @@ States carry proposition labels; edges carry d-dimensional natural cost
 vectors.  The kappa propositions mirror the costs: coordinate i of an
 edge into state v is positive exactly when kappa_i labels v, so every
 path's trace is automatically cost/kappa consistent.
+
+LassoPath takes its slot layout from trace.Lasso, like every other lasso
+in the package.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .formula import KAPPA_PREFIX, kappa_name
-from .trace import CostLetter, CostTrace
+from .trace import CostLetter, CostTrace, Lasso
 
 
 class SystemFormatError(ValueError):
@@ -178,33 +181,21 @@ def format_system(system: TransitionSystem) -> str:
 
 
 @dataclass(frozen=True)
-class LassoPath:
+class LassoPath(Lasso[str]):
     """Ultimately periodic path through a system: prefix then loop."""
 
-    prefix: tuple[str, ...]
-    loop: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.loop:
-            raise SystemFormatError("lasso loop must be non-empty")
+    error = SystemFormatError
 
     @property
     def total_length(self) -> int:
-        return len(self.prefix) + len(self.loop)
-
-    def state_at(self, position: int) -> str:
-        p = len(self.prefix)
-        if position < p:
-            return self.prefix[position]
-        return self.loop[(position - p) % len(self.loop)]
+        return self.n_slots
 
 
 def check_path(system: TransitionSystem, path: LassoPath) -> None:
-    walk = list(path.prefix) + list(path.loop)
-    if walk[0] != system.initial:
-        raise SystemFormatError(f"path starts at {walk[0]!r}, not the initial state")
-    hops = list(zip(walk, walk[1:])) + [(walk[-1], path.loop[0])]
-    for src, dst in hops:
+    start = path.letter(0)
+    if start != system.initial:
+        raise SystemFormatError(f"path starts at {start!r}, not the initial state")
+    for src, dst in path.steps():
         if (src, dst) not in system.cost:
             raise SystemFormatError(f"path uses missing edge {src}->{dst}")
 
@@ -212,11 +203,10 @@ def check_path(system: TransitionSystem, path: LassoPath) -> None:
 def trace_of(system: TransitionSystem, path: LassoPath) -> CostTrace:
     """The cost-trace a lasso path generates."""
     check_path(system, path)
-    walk = list(path.prefix) + list(path.loop)
-    letters = []
-    for idx, state in enumerate(walk):
-        nxt = walk[idx + 1] if idx + 1 < len(walk) else path.loop[0]
-        letters.append(CostLetter(system.labels[state], system.cost[(state, nxt)]))
+    letters = [
+        CostLetter(system.labels[state], system.cost[(state, nxt)])
+        for state, nxt in path.steps()
+    ]
     p = len(path.prefix)
     return CostTrace(tuple(letters[:p]), tuple(letters[p:]), system.d)
 

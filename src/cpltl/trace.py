@@ -1,4 +1,11 @@
-"""Cost-trace lassos, the reference semantics evaluator, and colorings.
+"""Lassos, cost-trace lassos, the reference semantics evaluator, and colorings.
+
+`Lasso` is the one layout of an ultimately periodic word in the package:
+cost traces here, proposition words (automata.PropLasso), system paths
+(system.LassoPath) and product witnesses (modelcheck) all map positions
+to slots through it.  `Changepoints.blocks` is the one cut of a color
+sequence into completed blocks; the coloring checks below and the
+pumpable-witness code in modelcheck both use it.
 
 A cost-trace is an ultimately periodic word of (propositions, step-cost)
 pairs; the cost vector attached to a letter is the cost of the step
@@ -11,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, ClassVar, Generic, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .formula import (
     COLOR_PREFIX,
@@ -48,17 +55,76 @@ def letter(props: Iterable[str], *cost: int) -> CostLetter:
     return CostLetter(frozenset(props), tuple(cost))
 
 
-@dataclass(frozen=True)
-class CostTrace:
-    """Lasso representation: finite prefix followed by a non-empty loop."""
+T = TypeVar("T")
 
-    prefix: tuple[CostLetter, ...]
-    loop: tuple[CostLetter, ...]
-    d: int
+
+@dataclass(frozen=True)
+class Lasso(Generic[T]):
+    """Ultimately periodic word: a finite prefix, then a non-empty loop
+    repeated forever.
+
+    Slots 0 .. n_slots-1 index prefix + loop.  Position n of the infinite
+    word is slot n inside prefix + loop, and past it the loop slot that is
+    congruent to n modulo the period.
+    """
+
+    prefix: tuple[T, ...]
+    loop: tuple[T, ...]
+
+    # Raised on an empty loop; each subclass names its module's error type.
+    error: ClassVar[type[Exception]] = ValueError
 
     def __post_init__(self) -> None:
         if not self.loop:
-            raise TraceError("loop must be non-empty")
+            raise self.error("loop must be non-empty")
+
+    @property
+    def n_slots(self) -> int:
+        return len(self.prefix) + len(self.loop)
+
+    def slot(self, position: int) -> int:
+        p = len(self.prefix)
+        if position < p:
+            return position
+        return p + (position - p) % len(self.loop)
+
+    def succ_slot(self, slot: int) -> int:
+        nxt = slot + 1
+        if nxt == self.n_slots:
+            return len(self.prefix)
+        return nxt
+
+    def letter_at_slot(self, slot: int) -> T:
+        p = len(self.prefix)
+        if slot < p:
+            return self.prefix[slot]
+        return self.loop[slot - p]
+
+    def letter(self, position: int) -> T:
+        return self.letter_at_slot(self.slot(position))
+
+    def unroll(self, n: int) -> list[T]:
+        return [self.letter(i) for i in range(n)]
+
+    def steps(self) -> list[tuple[T, T]]:
+        """(letter, successor) for each slot: every consecutive pair of the
+        infinite word, the loop seam included, exactly once."""
+        return [
+            (self.letter_at_slot(s), self.letter_at_slot(self.succ_slot(s)))
+            for s in range(self.n_slots)
+        ]
+
+
+@dataclass(frozen=True)
+class CostTrace(Lasso[CostLetter]):
+    """Lasso of cost letters over d cost coordinates."""
+
+    d: int
+
+    error = TraceError
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if self.d < 0:
             raise TraceError("dimension must be non-negative")
         for where, seq in (("prefix", self.prefix), ("loop", self.loop)):
@@ -84,31 +150,6 @@ class CostTrace:
             d = len(pool[0].cost) if pool else 0
         return cls(tuple(prefix), tuple(loop), d)
 
-    @property
-    def n_slots(self) -> int:
-        return len(self.prefix) + len(self.loop)
-
-    def slot(self, position: int) -> int:
-        p = len(self.prefix)
-        if position < p:
-            return position
-        return p + (position - p) % len(self.loop)
-
-    def succ_slot(self, slot: int) -> int:
-        nxt = slot + 1
-        if nxt == self.n_slots:
-            return len(self.prefix)
-        return nxt
-
-    def letter_at_slot(self, slot: int) -> CostLetter:
-        p = len(self.prefix)
-        if slot < p:
-            return self.prefix[slot]
-        return self.loop[slot - p]
-
-    def letter(self, position: int) -> CostLetter:
-        return self.letter_at_slot(self.slot(position))
-
     def props_at(self, position: int) -> frozenset[str]:
         return self.letter(position).props
 
@@ -120,23 +161,14 @@ class CostTrace:
         """Summed step cost over positions start..end-1; 0 when end <= start."""
         return sum(self.step_cost(n, coord) for n in range(start, end))
 
-    def unroll(self, n: int) -> list[CostLetter]:
-        return [self.letter(i) for i in range(n)]
-
 
 def kappa_violations(trace: CostTrace) -> list[str]:
-    """Cost/kappa consistency faults, empty when the trace is valid.
-
-    Checking one full period past the prefix covers every consecutive
-    pair of the infinite unrolling, including both loop seams.
-    """
+    """Cost/kappa consistency faults, empty when the trace is valid."""
     problems = []
-    for n in range(trace.n_slots):
-        cost = trace.letter_at_slot(n).cost
-        succ = trace.letter_at_slot(trace.succ_slot(n) if n + 1 == trace.n_slots else n + 1)
+    for n, (here, succ) in enumerate(trace.steps()):
         for i in range(1, trace.d + 1):
             has_kappa = kappa_name(i) in succ.props
-            if (cost[i - 1] > 0) != has_kappa:
+            if (here.cost[i - 1] > 0) != has_kappa:
                 want = "positive" if has_kappa else "zero"
                 problems.append(
                     f"step from position {n}: coordinate {i} cost must be {want} "
@@ -331,49 +363,39 @@ class Changepoints:
                 bump += self.period
         return sorted(set(q for q in points if q <= horizon))
 
+    def blocks(self) -> tuple[list[tuple[int, int]], Optional[int]]:
+        """Completed blocks as (start, next changepoint) pairs, plus the
+        tail start (None with infinitely many changepoints).
 
-def _color_holds(trace: CostTrace, position: int, coord: int) -> bool:
-    return color_name(coord) in trace.props_at(position)
+        The blocks start at the changepoints up to prefix + period.  With
+        infinitely many changepoints every later block is one of these
+        shifted by a multiple of the period, and the last one ends where
+        the first repeating changepoint recurs.
+        """
+        points = list(self.initial)
+        if self.finite:
+            return list(zip(points, points[1:])), points[-1]
+        points.append(self.repeating[0] + self.period)
+        return list(zip(points, points[1:])), None
 
 
-def changepoints(trace: CostTrace, coord: int = 1) -> Changepoints:
-    """Changepoints of the coordinate's coloring proposition.
+def changepoints_of(lasso: Lasso, bit: Callable[[object], bool]) -> Changepoints:
+    """Changepoints of the color bit that `bit` reads off each letter.
 
     Position 0 always counts.  Past position prefix+1 the letters repeat
     with the loop period, so changepoints do too.
     """
-    p, ell = len(trace.prefix), len(trace.loop)
-    window = p + ell
-    initial = [0]
-    for q in range(1, window + 1):
-        if _color_holds(trace, q, coord) != _color_holds(trace, q - 1, coord):
-            initial.append(q)
+    p, ell = len(lasso.prefix), len(lasso.loop)
+    bits = [bit(x) for x in lasso.unroll(p + ell + 1)]
+    initial = [0] + [q for q in range(1, p + ell + 1) if bits[q] != bits[q - 1]]
     repeating = tuple(q for q in initial if q > p)
     return Changepoints(tuple(initial), repeating, ell)
 
 
-def _completed_blocks(
-    trace: CostTrace, coord: int
-) -> tuple[list[tuple[int, int]], Optional[int]]:
-    """Completed blocks as (start, next changepoint) pairs, plus tail start.
-
-    With infinitely many changepoints the blocks repeat with the loop
-    period; blocks starting within prefix + period (collected one period
-    further out for completeness) cover every block cost that occurs.
-    """
-    info = changepoints(trace, coord)
-    p, ell = len(trace.prefix), len(trace.loop)
-    if info.finite:
-        points = list(info.initial)
-        blocks = list(zip(points, points[1:]))
-        return blocks, info.tail_start
-    horizon = p + 2 * ell + 1
-    points = info.up_to(horizon)
-    blocks = []
-    for a, b in zip(points, points[1:]):
-        if a <= p + ell:
-            blocks.append((a, b))
-    return blocks, None
+def changepoints(trace: CostTrace, coord: int = 1) -> Changepoints:
+    """Changepoints of the coordinate's coloring proposition."""
+    name = color_name(coord)
+    return changepoints_of(trace, lambda lt: name in lt.props)
 
 
 def _block_cost(trace: CostTrace, block: tuple[int, int], coord: int) -> int:
@@ -398,7 +420,7 @@ def check_bounded(trace: CostTrace, k: int, coord: int = 1) -> bool:
     step entering the next changepoint; the tail, present when there are
     finitely many changepoints, must have finite cost at most k.
     """
-    blocks, tail_start = _completed_blocks(trace, coord)
+    blocks, tail_start = changepoints(trace, coord).blocks()
     if any(_block_cost(trace, block, coord) > k for block in blocks):
         return False
     if tail_start is not None:
@@ -410,7 +432,7 @@ def check_bounded(trace: CostTrace, k: int, coord: int = 1) -> bool:
 
 def check_spaced(trace: CostTrace, k: int, coord: int = 1) -> bool:
     """Every completed block costs at least k; the tail is exempt."""
-    blocks, _ = _completed_blocks(trace, coord)
+    blocks, _ = changepoints(trace, coord).blocks()
     return all(_block_cost(trace, block, coord) >= k for block in blocks)
 
 

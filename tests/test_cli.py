@@ -243,3 +243,21 @@ def test_usage_errors(capsys, sys_file, trace_file):
     assert code == 2
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+def test_translate_product_is_the_exists_product(capsys, sys_file):
+    code, checked, _ = run(capsys, "check", sys_file, MC1)
+    assert code == 0
+    code, emitted, _ = run(
+        capsys, "translate", MC1, "--emit", "product", "--system", sys_file
+    )
+    assert code == 0
+    assert (emitted["vertices"], emitted["edges"]) == ("57", "140")
+    assert emitted["vertices"] == checked["product-vertices"]
+    assert emitted["edges"] == checked["product-edges"]
+
+
+def test_deep_formula_exits_with_error_not_verdict(capsys, sys_file):
+    code, _, captured = run(capsys, "check", sys_file, "X " * 3000 + "p")
+    assert code == 2
+    assert captured.err.startswith("error:")

@@ -22,6 +22,7 @@ from cpltl.trace import (
     parse_trace,
     strip_colors,
 )
+from cpltl.trace import Lasso, changepoints_of
 
 
 def test_t1_shape():
@@ -233,3 +234,45 @@ def test_format_parse_round_trip():
 def test_parse_trace_errors(text):
     with pytest.raises(TraceError):
         parse_trace(text)
+
+
+def _reduce_block(block, p, n):
+    """Shift a block that starts past the prefix back into (p, p + n]."""
+    a, b = block
+    if a <= p:
+        return block
+    shift = (a - p - 1) // n * n
+    return a - shift, b - shift
+
+
+def _brute_force_blocks(prefix, loop):
+    """Block classes and tail start from scanning p + 4n unrolled positions."""
+    p, n = len(prefix), len(loop)
+    bits = list(prefix) + list(loop) * 4
+    points = [0] + [q for q in range(1, len(bits)) if bits[q] != bits[q - 1]]
+    frozen = all(q <= p for q in points)
+    blocks = {_reduce_block(block, p, n) for block in zip(points, points[1:])}
+    return blocks, points[-1] if frozen else None
+
+
+def test_blocks_match_brute_force_unrolling():
+    rng = random.Random(2015)
+    frozen = flipping = 0
+    for _ in range(3000):
+        prefix = tuple(rng.random() < 0.5 for _ in range(rng.randint(0, 4)))
+        n = rng.randint(1, 5)
+        if rng.random() < 0.3:
+            loop = (rng.random() < 0.5,) * n
+        else:
+            loop = tuple(rng.random() < 0.5 for _ in range(n))
+        blocks, tail = changepoints_of(Lasso(prefix, loop), bool).blocks()
+        want_blocks, want_tail = _brute_force_blocks(prefix, loop)
+        reduced = [_reduce_block(block, len(prefix), n) for block in blocks]
+        assert len(set(reduced)) == len(reduced), (prefix, loop, blocks)
+        assert set(reduced) == want_blocks, (prefix, loop, blocks)
+        assert tail == want_tail, (prefix, loop, tail)
+        if tail is None:
+            flipping += 1
+        else:
+            frozen += 1
+    assert frozen > 500 and flipping > 500
