@@ -36,6 +36,7 @@ from .formula import (
     is_tt,
     pretty_print,
     simplify_constants,
+    subformulas,
     validate_coords,
     var_profile,
 )
@@ -579,16 +580,16 @@ class CostBuchiAutomaton:
         for var, value in self.valuation.items():
             if value < 0:
                 raise FormulaError(f"negative budget for {var}: {value}")
+        subs = list(subformulas(self.phi))
         self.tracked = tuple(
             sorted(
-                (
-                    f
-                    for f in closure(self.phi)
-                    if isinstance(f, (Until, FLe))
-                ),
+                (f for f in subs if isinstance(f, (Until, FLe))),
                 key=_formula_key,
             )
         )
+        # Successors are ordered by closure rank: a repr key would walk
+        # every formula again on each expansion, recursing with its depth.
+        self._rank = {f: i for i, f in enumerate(subs)}
         self._tracked_set = frozenset(self.tracked)
         self._expand_cache: dict = {}
 
@@ -639,7 +640,7 @@ class CostBuchiAutomaton:
         if hit is not None:
             return hit
         out = set()
-        stack = [(sorted(core, key=repr), set(), set(), set())]
+        stack = [(list(core), set(), set(), set())]
         while stack:
             pending, nxt, delayed, done = stack.pop()
             alive = True
@@ -732,9 +733,13 @@ class CostBuchiAutomaton:
                         frozenset(self._tracked_set - delayed),
                     )
                 )
-        result = tuple(sorted(out, key=_core_sort_key))
+        result = tuple(sorted(out, key=self._core_key))
         self._expand_cache[key] = result
         return result
+
+    def _core_key(self, entry) -> list:
+        core, _ = entry
+        return sorted((item[0], self._rank[item[1]]) + item[2:] for item in core)
 
     def _advance(self, layer: int, ok: frozenset) -> int:
         k = len(self.tracked)
@@ -775,11 +780,6 @@ class CostBuchiAutomaton:
             (0, self.initial_state()), successors, accepting
         )
         return found is not None
-
-
-def _core_sort_key(entry):
-    core, _ = entry
-    return tuple(sorted(repr(item) for item in core))
 
 
 def cost_nba(phi: Formula, valuation: Mapping, d: int) -> CostBuchiAutomaton:

@@ -1,7 +1,7 @@
 """Command line front end.
 
 Subcommands: check (exists / fixed / forall), optimize, eval-trace,
-translate, selftest.  Results go to stdout as key=value lines; lasso
+translate.  Results go to stdout as key=value lines; lasso
 counterexamples are printed in the trace file format so they can be fed
 back to eval-trace.  Exit codes: 0 when the property holds or an optimum
 (or unbounded supremum) was found, 1 when it fails or is infeasible, 2 on
@@ -11,30 +11,13 @@ usage, format, or fragment errors and on any other error.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from pathlib import Path
 
-from .automata import (
-    PropLasso,
-    guard_text,
-    ltl_to_nba,
-    nba_accepts_lasso,
-)
+from .automata import guard_text, ltl_to_nba
 from .formula import (
-    And,
-    Atom,
-    FLe,
     Formula,
-    GLe,
-    NegAtom,
-    Next,
-    Or,
-    Release,
-    Until,
     eliminate_parametric_always,
-    always,
-    eventually,
     parse,
     pretty_print,
     relativize,
@@ -49,21 +32,9 @@ from .modelcheck import (
     check_fixed,
     check_forall,
 )
-from .optimize import Objective, binary_search_threshold, optimize_mc
-from .system import (
-    TransitionSystem,
-    enumerate_lassos,
-    parse_system,
-    trace_of,
-)
-from .trace import (
-    check_spaced,
-    evaluate,
-    format_trace,
-    is_coloring_of,
-    make_spaced_coloring,
-    parse_trace,
-)
+from .optimize import Objective, optimize_mc
+from .system import TransitionSystem, parse_system, trace_of
+from .trace import evaluate, format_trace, parse_trace
 
 
 def _say(key: str, value) -> None:
@@ -262,133 +233,6 @@ def _cmd_translate(args) -> int:
     return 0
 
 
-# --- selftest -----------------------------------------------------------------
-
-
-def _random_system(rng: random.Random) -> TransitionSystem:
-    n = rng.randint(2, 3)
-    names = [f"s{i}" for i in range(n)]
-    lines = ["dim 1"]
-    kappa_flag = {name: rng.random() < 0.5 for name in names}
-    for i, name in enumerate(names):
-        props = [p for p in ("p", "q") if rng.random() < 0.5]
-        if kappa_flag[name]:
-            props.append("kappa1")
-        tag = " init" if i == 0 else ""
-        lines.append(f"state {name}{tag} : {' '.join(props)}")
-    for src in names:
-        targets = rng.sample(names, rng.randint(1, min(2, n)))
-        for dst in targets:
-            cost = rng.randint(1, 3) if kappa_flag[dst] else 0
-            lines.append(f"edge {src} {dst} : {cost}")
-    return parse_system("\n".join(lines))
-
-
-def _random_formula(
-    rng: random.Random, props, depth: int, allow_bounded: bool
-) -> Formula:
-    if depth == 0 or rng.random() < 0.25:
-        name = rng.choice(props)
-        return Atom(name) if rng.random() < 0.5 else NegAtom(name)
-    choices = ["and", "or", "next", "until", "release", "even", "alw"]
-    if allow_bounded:
-        choices += ["fle", "gle"]
-    kind = rng.choice(choices)
-
-    def sub() -> Formula:
-        return _random_formula(rng, props, depth - 1, allow_bounded)
-
-    if kind == "and":
-        return And(sub(), sub())
-    if kind == "or":
-        return Or(sub(), sub())
-    if kind == "next":
-        return Next(sub())
-    if kind == "until":
-        return Until(sub(), sub())
-    if kind == "release":
-        return Release(sub(), sub())
-    if kind == "even":
-        return eventually(sub())
-    if kind == "alw":
-        return always(sub())
-    inner = _random_formula(rng, props, depth - 1, False)
-    if kind == "fle":
-        return FLe("x", 1, inner)
-    return GLe("y", 1, inner)
-
-
-def _word_of(trace) -> PropLasso:
-    return PropLasso(
-        tuple(lt.props for lt in trace.prefix),
-        tuple(lt.props for lt in trace.loop),
-    )
-
-
-def _cmd_selftest(args) -> int:
-    rng = random.Random(args.seed)
-    failures = []
-    props = ["p", "q"]
-    for round_no in range(args.rounds):
-        system = _random_system(rng)
-        traces = [
-            trace_of(system, path) for path in enumerate_lassos(system, 4)
-        ]
-
-        for _ in range(4):
-            phi = _random_formula(rng, props, 3, allow_bounded=True)
-            names = sorted(var_profile(phi).variables)
-            valuation = {v: rng.randint(0, 4) for v in names}
-            verdict = check_fixed(system, phi, valuation)
-            if verdict.holds:
-                for t in traces:
-                    if not evaluate(t, 0, valuation, phi):
-                        failures.append(
-                            f"round {round_no}: fixed check accepted "
-                            f"{pretty_print(phi)} but a run fails it"
-                        )
-                        break
-
-        phi0 = _random_formula(rng, props, 3, allow_bounded=False)
-        auto = ltl_to_nba(phi0)
-        for t in traces[:6]:
-            want = evaluate(t, 0, {}, phi0)
-            got = nba_accepts_lasso(auto, _word_of(t))
-            if want != got:
-                failures.append(
-                    f"round {round_no}: automaton disagrees with the "
-                    f"evaluator on {pretty_print(phi0)}"
-                )
-                break
-
-        if traces:
-            base = traces[rng.randrange(len(traces))]
-            k = rng.randint(1, 4)
-            colored = make_spaced_coloring(base, k)
-            if not is_coloring_of(colored, base):
-                failures.append(f"round {round_no}: coloring altered the trace")
-            if not check_spaced(colored, k):
-                failures.append(f"round {round_no}: coloring not {k}-spaced")
-
-        threshold = rng.randint(0, 20)
-        least = binary_search_threshold(
-            lambda v: v >= threshold, 0, 20, "least"
-        )
-        greatest = binary_search_threshold(
-            lambda v: v <= threshold, 0, 20, "greatest"
-        )
-        if least != threshold or greatest != threshold:
-            failures.append(f"round {round_no}: threshold search drifted")
-
-    _say("mode", "selftest")
-    _say("seed", args.seed)
-    _say("rounds", args.rounds)
-    _say("failures", len(failures))
-    for line in failures:
-        print(f"fail: {line}")
-    return 0 if not failures else 1
-
-
 # --- entry point --------------------------------------------------------------
 
 
@@ -471,11 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--dim", type=int, default=1, help="coordinates for --emit relativized"
     )
     tr.set_defaults(run=_cmd_translate)
-
-    st = sub.add_parser("selftest", help="randomized consistency sweep")
-    st.add_argument("--seed", type=int, default=0)
-    st.add_argument("--rounds", type=int, default=25)
-    st.set_defaults(run=_cmd_selftest)
 
     return parser
 

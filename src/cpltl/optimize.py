@@ -5,9 +5,13 @@ max) with an optimization direction.  Minimization applies to formulas
 whose parameters all bound F[<=] operators: their feasible sets are upward
 closed in every variable.  Maximization applies to G[<=]-only formulas,
 whose feasible sets are downward closed.  Either way the objective reduces
-to a few monotone threshold searches against check_fixed, capped by the
-valuation bound; an exhaustive box search (exponential in the number of
-variables) is available as a cross-check and for multi-coordinate systems.
+to monotone threshold searches against check_fixed, capped by the valuation
+bound.  The permissive corner (F-budgets at the bound, G-budgets at zero)
+is checked first; when it fails the objective is infeasible.  min-min and
+max-max then search one line per variable, the other variables held at
+the corner; min-max and max-min search one line of uniform valuations.
+An exhaustive box search (exponential in the number of variables) is
+available as a cross-check and for multi-coordinate systems.
 """
 
 from __future__ import annotations
@@ -58,34 +62,27 @@ def binary_search_threshold(
                     point, or None when predicate(hi) is false.
     find='greatest': predicate goes True->False; returns the greatest true
                     point, or None when predicate(lo) is false.
-    Results are cached, so the predicate is called at most
-    ceil(log2(hi - lo + 1)) + 1 times.
+    Bisection never probes a point twice, so the predicate is called at
+    most ceil(log2(hi - lo + 1)) + 1 times.
     """
     if lo > hi:
         return None
-    cache: dict = {}
-
-    def probe(v: int) -> bool:
-        if v not in cache:
-            cache[v] = bool(predicate(v))
-        return cache[v]
-
     if find == "least":
-        if not probe(hi):
+        if not predicate(hi):
             return None
         while lo < hi:
             mid = (lo + hi) // 2
-            if probe(mid):
+            if predicate(mid):
                 hi = mid
             else:
                 lo = mid + 1
         return lo
     if find == "greatest":
-        if not probe(lo):
+        if not predicate(lo):
             return None
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if probe(mid):
+            if predicate(mid):
                 lo = mid
             else:
                 hi = mid - 1
@@ -150,98 +147,63 @@ def optimize_mc(
             empty_domain=not variables,
         )
 
-    if not variables:
-        ok = feasible({})
-        return result(OPTIMAL if ok else INFEASIBLE, 0 if ok else None,
-                      {} if ok else None, bound)
+    # min-min and max-max move one variable at a time with the others left
+    # at the permissive corner (F-budgets at the bound, G-budgets at zero);
+    # min-max and max-min move all of them as one value.
+    per_variable = objective in (Objective.MIN_MIN, Objective.MAX_MAX)
+    lines = [(x,) for x in variables] if per_variable else [tuple(variables)]
+    corner = dict.fromkeys(variables, bound if minimizing else 0)
 
-    if exhaustive:
-        cap = bound
-        if objective is Objective.MAX_MAX:
-            for var in variables:
-                cap = max(cap, _single_variable_cap(system, phi, variables, var))
-        return _box_search(objective, variables, cap, feasible, result)
+    def point(line, v: int) -> dict:
+        return {**corner, **dict.fromkeys(line, v)}
 
-    def uniform(v: int) -> dict:
-        return {x: v for x in variables}
+    def line_cap(line) -> int:
+        # Maximization pins the variables off the line to 0, which changes
+        # the formula the bound speaks about.
+        others = frozenset(variables) - set(line)
+        if minimizing or not others:
+            return bound
+        pinned = eliminate_parametric_always(phi, only_vars=others)
+        return max(bound, valuation_upper_bound(system, pinned))
 
-    if objective is Objective.MIN_MIN:
-        corner = uniform(bound)
-        if not feasible(corner):
-            return result(INFEASIBLE, None, None, bound)
-        best = None
-        witness = None
-        for x in variables:
-            def pred(v: int, _x=x) -> bool:
-                point = dict(corner)
-                point[_x] = v
-                return feasible(point)
+    if variables and exhaustive:
+        cap = max(line_cap(line) for line in lines)
+        take_min = objective in (Objective.MIN_MIN, Objective.MAX_MIN)
+        best, witness = _box_search(variables, cap, feasible, minimizing, take_min)
+        if best is None:
+            return result(INFEASIBLE, None, None, cap)
+        if not minimizing and any(feasible(point(line, cap)) for line in lines):
+            return result(UNBOUNDED, None, None, cap)
+        return result(OPTIMAL, best, witness, cap)
 
-            least = binary_search_threshold(pred, 0, bound, "least")
-            if best is None or least < best:
-                best = least
-                witness = dict(corner)
-                witness[x] = least
-        return result(OPTIMAL, best, witness, bound)
-
-    if objective is Objective.MIN_MAX:
-        least = binary_search_threshold(
-            lambda v: feasible(uniform(v)), 0, bound, "least"
-        )
-        if least is None:
-            return result(INFEASIBLE, None, None, bound)
-        return result(OPTIMAL, least, uniform(least), bound)
-
-    if objective is Objective.MAX_MIN:
-        greatest = binary_search_threshold(
-            lambda v: feasible(uniform(v)), 0, bound, "greatest"
-        )
-        if greatest is None:
-            return result(INFEASIBLE, None, None, bound)
-        if greatest == bound:
-            return result(UNBOUNDED, None, None, bound)
-        return result(OPTIMAL, greatest, uniform(greatest), bound)
-
-    # MAX_MAX: push one variable up with the others pinned at zero; the
-    # per-variable searches need their own caps because pinning changes
-    # the formula the bound speaks about.
-    if not feasible(uniform(0)):
+    if not feasible(corner):
         return result(INFEASIBLE, None, None, bound)
+    if not variables:
+        return result(OPTIMAL, 0, {}, bound)
+
+    # Every search starts at the corner, which the memo already holds.
+    find = "least" if minimizing else "greatest"
     overall_cap = bound
     best = None
     witness = None
-    for y in variables:
-        cap = max(bound, _single_variable_cap(system, phi, variables, y))
+    for line in lines:
+        cap = line_cap(line)
         overall_cap = max(overall_cap, cap)
-
-        def pred(v: int, _y=y) -> bool:
-            point = uniform(0)
-            point[_y] = v
-            return feasible(point)
-
-        greatest = binary_search_threshold(pred, 0, cap, "greatest")
-        if greatest == cap:
+        value = binary_search_threshold(
+            lambda v: feasible(point(line, v)), 0, cap, find
+        )
+        if not minimizing and value == cap:
             return result(UNBOUNDED, None, None, overall_cap)
-        if best is None or greatest > best:
-            best = greatest
-            witness = uniform(0)
-            witness[y] = greatest
+        if best is None or (value < best if minimizing else value > best):
+            best = value
+            witness = point(line, value)
     return result(OPTIMAL, best, witness, overall_cap)
 
 
-def _single_variable_cap(
-    system: TransitionSystem, phi: Formula, variables, var: str
-) -> int:
-    """Valuation bound for phi with every variable but `var` pinned to 0."""
-    others = frozenset(variables) - {var}
-    pinned = eliminate_parametric_always(phi, only_vars=others)
-    return valuation_upper_bound(system, pinned)
-
-
-def _box_search(objective, variables, cap, feasible, result) -> OptimizeResult:
-    """Scan every valuation in [0, cap]^k.  Exponential; cross-check only."""
-    minimizing = objective in (Objective.MIN_MIN, Objective.MIN_MAX)
-    take_min = objective in (Objective.MIN_MIN, Objective.MAX_MIN)
+def _box_search(variables, cap, feasible, minimizing: bool, take_min: bool):
+    """Best feasible valuation in [0, cap]^k as (value, witness), or
+    (None, None); the value aggregates with min or max.  Exponential;
+    cross-check only."""
     best = None
     witness = None
     for combo in itertools.product(range(cap + 1), repeat=len(variables)):
@@ -249,22 +211,7 @@ def _box_search(objective, variables, cap, feasible, result) -> OptimizeResult:
         if not feasible(point):
             continue
         value = min(combo) if take_min else max(combo)
-        if (
-            best is None
-            or (minimizing and value < best)
-            or (not minimizing and value > best)
-        ):
+        if best is None or (value < best if minimizing else value > best):
             best = value
             witness = point
-    if best is None:
-        return result(INFEASIBLE, None, None, cap)
-    if objective is Objective.MAX_MIN:
-        if feasible({x: cap for x in variables}):
-            return result(UNBOUNDED, None, None, cap)
-    if objective is Objective.MAX_MAX:
-        for y in variables:
-            corner = {x: 0 for x in variables}
-            corner[y] = cap
-            if feasible(corner):
-                return result(UNBOUNDED, None, None, cap)
-    return result(OPTIMAL, best, witness, cap)
+    return best, witness

@@ -186,10 +186,6 @@ class LassoPath(Lasso[str]):
 
     error = SystemFormatError
 
-    @property
-    def total_length(self) -> int:
-        return self.n_slots
-
 
 def check_path(system: TransitionSystem, path: LassoPath) -> None:
     start = path.letter(0)

@@ -349,20 +349,6 @@ class Changepoints:
     def tail_start(self) -> Optional[int]:
         return max(self.initial) if self.finite else None
 
-    def up_to(self, horizon: int) -> list[int]:
-        """All changepoints <= horizon, in order."""
-        points = sorted(set(self.initial))
-        if self.repeating:
-            base = list(self.repeating)
-            bump = self.period
-            while True:
-                fresh = [q + bump for q in base if q + bump <= horizon]
-                if not fresh:
-                    break
-                points.extend(fresh)
-                bump += self.period
-        return sorted(set(q for q in points if q <= horizon))
-
     def blocks(self) -> tuple[list[tuple[int, int]], Optional[int]]:
         """Completed blocks as (start, next changepoint) pairs, plus the
         tail start (None with infinitely many changepoints).

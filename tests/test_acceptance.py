@@ -70,13 +70,19 @@ def exists_sweep(system_pool, formula_pool):
     ]
 
 
-def exists_product(system, phi):
-    """The colored product graph behind the existence check."""
+def exists_product(system, phi, nbas):
+    """The colored product graph behind the existence check.
+
+    `nbas` memoizes the translation per target: a sweep pairs each formula
+    with every system, and the automaton does not depend on the system.
+    """
     target = And(
         negate(relativize(eliminate_parametric_always(phi), system.d)),
         chi_formula(system.d),
     )
-    return build_product(system, ltl_to_nba(target))
+    if target not in nbas:
+        nbas[target] = ltl_to_nba(target)
+    return build_product(system, nbas[target])
 
 
 # --- criterion 1 --------------------------------------------------------------
@@ -354,11 +360,12 @@ def test_criterion_06_unit_costs_reduce_to_step_bounds():
 def test_criterion_07_witnesses_verify_and_stay_short(exists_sweep):
     """Every refutation witness re-verifies and fits the pumping bound."""
     verified = 0
+    nbas = {}
     for system, phi, result in exists_sweep:
         if result.holds:
             continue
         prefix, loop = result.witness
-        graph = exists_product(system, phi)
+        graph = exists_product(system, phi, nbas)
         problems = verify_pumpable(graph, prefix, loop)
         assert problems == [], (pretty_print(phi), problems[:2])
         assert len(prefix) + len(loop) <= 4 * graph.n_vertices ** 2

@@ -215,12 +215,6 @@ def test_translate_product_needs_system(capsys, sys_file):
     assert int(pairs["vertices"]) > 0
 
 
-def test_selftest(capsys):
-    code, pairs, _ = run(capsys, "selftest", "--seed", "7", "--rounds", "3")
-    assert code == 0
-    assert pairs["failures"] == "0"
-
-
 def test_formula_from_file(capsys, sys_file, tmp_path):
     formula_file = tmp_path / "phi.txt"
     formula_file.write_text(MC1 + "\n")
@@ -261,3 +255,12 @@ def test_deep_formula_exits_with_error_not_verdict(capsys, sys_file):
     code, _, captured = run(capsys, "check", sys_file, "X " * 3000 + "p")
     assert code == 2
     assert captured.err.startswith("error:")
+
+
+def test_deep_fixed_query_answers(capsys, sys_file):
+    # the budget automaton orders its successors without walking formulas,
+    # so a 400-deep X chain gets a verdict instead of a recursion error
+    code, pairs, captured = run(capsys, "check", sys_file, "X " * 400 + "p", "--fixed")
+    assert code == 1, captured.err
+    assert pairs["holds"] == "false"
+    assert "counterexample:" in captured.out

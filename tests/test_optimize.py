@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import SYS_A_TEXT
-from cpltl.formula import FragmentError, parse
+from cpltl.formula import FragmentError, parse, var_profile
 from cpltl.modelcheck import check_fixed, valuation_upper_bound
 from cpltl.optimize import (
     Objective,
@@ -37,7 +37,7 @@ def test_binary_search_least():
         return v >= 3
 
     assert binary_search_threshold(pred, 0, 26) == 3
-    # memoized probes: at most ceil(log2(27)) + 1
+    # bisection probes each point once: at most ceil(log2(27)) + 1
     assert len(calls) <= 6
     assert binary_search_threshold(lambda v: v >= 0, 0, 26) == 0
     assert binary_search_threshold(lambda v: v >= 26, 0, 26) == 26
@@ -63,7 +63,7 @@ def test_min_min_frozen(sys_a):
     assert result.value == 3
     assert result.witness == {"x": 3}
     assert not result.empty_domain
-    assert 1 <= result.probes <= 30
+    assert result.probes == 14
     assert result.bound == valuation_upper_bound(sys_a, parse(MC1))
     # the witness is feasible and one step below is not
     assert check_fixed(sys_a, parse(MC1), result.witness).holds
@@ -83,6 +83,7 @@ def test_max_objectives_frozen(sys_a):
             2,
             {"y": 2},
         ), objective
+        assert (result.probes, result.bound) == (12, 2330), objective
         assert check_fixed(sys_a, parse("G[<=y] q"), {"y": 2}).holds
         assert not check_fixed(sys_a, parse("G[<=y] q"), {"y": 3}).holds
 
@@ -179,3 +180,103 @@ def test_result_shape(sys_a):
     assert isinstance(result, OptimizeResult)
     assert result.probes >= 1
     assert result.bound >= 1
+
+
+# p costs 2 to reach and q costs 5, so the search lines of a two-variable
+# objective have different thresholds.
+STAIRS_TEXT = """\
+dim 1
+state s0 init :
+state s1 : p kappa1
+state s2 : q kappa1
+edge s0 s1 : 2
+edge s1 s2 : 3
+edge s2 s2 : 1
+"""
+
+TWO_VARIABLE_PLANS = (
+    ("F[<=x] p & F[<=x2] q", (Objective.MIN_MIN, Objective.MIN_MAX)),
+    ("F[<=x] q & F[<=x2] p", (Objective.MIN_MIN, Objective.MIN_MAX)),
+    ("F[<=x] p | F[<=x2] q", (Objective.MIN_MIN, Objective.MIN_MAX)),
+    ("G[<=y] !p & G[<=y2] !q", (Objective.MAX_MAX, Objective.MAX_MIN)),
+    ("G[<=y] !q & G[<=y2] !p", (Objective.MAX_MAX, Objective.MAX_MIN)),
+    ("G[<=y] p | G[<=y2] q", (Objective.MAX_MAX, Objective.MAX_MIN)),
+)
+
+
+def _check_two_variable_optimum(system, phi, objective, result):
+    """Compare with a check_fixed scan over 0..12 along each search line:
+    one line per variable for min-min and max-max, the others held at the
+    permissive value (the reported bound for F, 0 for G); one line of
+    uniform valuations for min-max and max-min."""
+    variables = sorted(var_profile(phi).variables)
+    minimizing = objective in (Objective.MIN_MIN, Objective.MIN_MAX)
+    if objective in (Objective.MIN_MIN, Objective.MAX_MAX):
+        lines = [(x,) for x in variables]
+    else:
+        lines = [tuple(variables)]
+
+    def point(line, v):
+        valuation = dict.fromkeys(variables, result.bound if minimizing else 0)
+        valuation.update(dict.fromkeys(line, v))
+        return valuation
+
+    def feas(line, v):
+        return check_fixed(system, phi, point(line, v)).holds
+
+    boxes = [[v for v in range(13) if feas(line, v)] for line in lines]
+    if minimizing:
+        ends = [(box[0], line) for box, line in zip(boxes, lines) if box]
+        if ends:
+            value, line = min(ends, key=lambda end: end[0])
+            assert (result.status, result.value) == ("optimal", value)
+            assert result.witness == point(line, value)
+        elif result.status == "optimal":
+            assert result.value > 12
+        else:
+            assert result.status == "infeasible"
+        if result.status == "optimal":
+            assert check_fixed(system, phi, result.witness).holds
+            assert result.value == 0 or not any(
+                feas(line, result.value - 1) for line in lines
+            )
+        return
+    if not any(boxes):
+        assert result.status == "infeasible"
+    elif result.status == "unbounded":
+        assert list(range(13)) in boxes
+    else:
+        assert result.status == "optimal"
+        assert check_fixed(system, phi, result.witness).holds
+        assert not any(feas(line, result.value + 1) for line in lines)
+        if result.value <= 12:
+            ends = [(box[-1], line) for box, line in zip(boxes, lines) if box]
+            value, line = max(ends, key=lambda end: end[0])
+            assert result.value == value
+            assert result.witness == point(line, value)
+
+
+def test_two_variable_objectives_match_reference_scan(system_pool, sys_a):
+    stairs = parse_system(STAIRS_TEXT)
+    systems = [sys_a, stairs] + [system_pool[i] for i in (0, 9, 17)]
+    seen = set()
+    for system in systems:
+        for text, objectives in TWO_VARIABLE_PLANS:
+            phi = parse(text)
+            for objective in objectives:
+                result = optimize_mc(system, phi, objective)
+                _check_two_variable_optimum(system, phi, objective, result)
+                seen.add(result.status)
+    assert seen == {"optimal", "infeasible", "unbounded"}
+    # on the stairs each line has its own threshold
+    expected = {
+        ("F[<=x] q & F[<=x2] p", Objective.MIN_MIN): (2, "x2"),
+        ("F[<=x] q & F[<=x2] p", Objective.MIN_MAX): (5, None),
+        ("G[<=y] !q & G[<=y2] !p", Objective.MAX_MAX): (4, "y"),
+        ("G[<=y] !q & G[<=y2] !p", Objective.MAX_MIN): (1, None),
+    }
+    for (text, objective), (value, moved) in expected.items():
+        result = optimize_mc(stairs, parse(text), objective)
+        assert (result.status, result.value) == ("optimal", value)
+        if moved is not None:
+            assert result.witness[moved] == value

@@ -185,7 +185,7 @@ def test_enumerate_lassos_properties():
         seen = set()
         for path in enumerate_lassos(system, bound):
             check_path(system, path)
-            assert path.total_length <= bound
+            assert path.n_slots <= bound
             assert canonical_lasso(path.prefix, path.loop) == path
             assert path not in seen
             seen.add(path)

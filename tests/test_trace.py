@@ -147,7 +147,7 @@ def test_make_spaced_coloring_frozen():
     assert pts.repeating == (4, 8)
     assert pts.period == 8
     assert not pts.finite
-    assert pts.up_to(20) == [0, 4, 8, 12, 16, 20]
+    assert pts.blocks() == ([(0, 4), (4, 8), (8, 12)], None)
     # blocks span [0,4) and [4,8); each costs 6 through its crossing step
     assert colored.segment_cost(0, 3, 1) == 6
     assert check_spaced(colored, 4)
