@@ -34,49 +34,64 @@ class FragmentError(FormulaError):
 
 @dataclass(frozen=True)
 class Formula:
-    pass
+    # Children are built before their parents, so each node hashes its
+    # field tuple once, with the value the dataclass hash would give, and
+    # hashing stays O(1) however deep the tree is.
+    def __post_init__(self):
+        fields = tuple(getattr(self, name) for name in self.__match_args__)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """Frozen dataclass node that keeps the hash stored at construction."""
+    cls = dataclass(frozen=True)(cls)
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_node
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class NegAtom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Next(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Until(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Release(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class FLe(Formula):
     """Eventually within cost bound: some position with accumulated
     cost (in `coord`) at most the value of `var` satisfies the child."""
@@ -86,7 +101,7 @@ class FLe(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class GLe(Formula):
     """Always within cost bound: every position with accumulated
     cost (in `coord`) at most the value of `var` satisfies the child."""
@@ -288,6 +303,20 @@ def eliminate_parametric_always(
         eliminate_parametric_always(phi.left, only_vars),
         eliminate_parametric_always(phi.right, only_vars),
     )
+
+
+def drop_cost_bounds(phi: Formula) -> Formula:
+    """Read every F[<=x] psi as F psi and every G[<=y] psi as G psi."""
+    if isinstance(phi, (Atom, NegAtom)):
+        return phi
+    if isinstance(phi, FLe):
+        return eventually(drop_cost_bounds(phi.child))
+    if isinstance(phi, GLe):
+        return always(drop_cost_bounds(phi.child))
+    if isinstance(phi, Next):
+        return Next(drop_cost_bounds(phi.child))
+    kind = type(phi)
+    return kind(drop_cost_bounds(phi.left), drop_cost_bounds(phi.right))
 
 
 def relativize(phi: Formula, d: int) -> Formula:

@@ -8,15 +8,17 @@ formula fails for every valuation exactly when this product contains a fair
 path whose color blocks can all be pumped to arbitrarily high cost.
 
 check_fixed decides a single valuation directly with a budget automaton and
-returns a lasso counterexample when the formula fails.  check_forall reduces
-the universal question to one corner valuation given by a computable bound.
+returns a lasso counterexample when the formula fails.  check_forall decides
+the universal question without a budget (forall_holds): it model checks the
+formula with its cost bounds dropped, and only a failing verdict searches
+for a counterexample, at budgets 0, 1, 2, 4, ... up to a computable bound.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from .automata import (
     BuchiAutomaton,
@@ -34,6 +36,7 @@ from .formula import (
     FragmentError,
     chi_formula,
     color_name,
+    drop_cost_bounds,
     eliminate_parametric_always,
     negate,
     relativize,
@@ -528,12 +531,49 @@ def check_fixed(
     return FixedResult(holds=False, counterexample=path, explored=explored)
 
 
+def budget_ladder(cap: int) -> Iterator[int]:
+    """The galloping probe sequence 0, 1, 2, 4, ... below cap, then cap."""
+    yield 0
+    value = 1
+    while value < cap:
+        yield value
+        value *= 2
+    if cap > 0:
+        yield cap
+
+
+def forall_holds(system: TransitionSystem, phi: Formula) -> bool:
+    """Does phi hold on every run for every valuation, with all parameters
+    on G[<=] operators?  Decided without a budget: exactly when phi with
+    every G[<=y] read as G holds, plain LTL model checking.
+
+    Why.  The formula fails for some valuation a exactly when some run
+    satisfies the F-only formula !phi at a.  At a fixed a that is an
+    omega-regular property, so a lasso has it whenever any run does.  On a
+    lasso, F[<=x] psi implies F psi; conversely, by induction over !phi,
+    if the lasso satisfies !phi with every F[<=x] read as F, then the cost
+    from a position to the nearest witness of each F is bounded over all
+    positions, because a lasso has finitely many distinct suffixes, and
+    since F-only formulas only get easier as budgets grow, the lasso
+    satisfies !phi at the largest of these costs.  So some valuation fails
+    exactly when some lasso satisfies !phi read without bounds.  The
+    colored product with "positive cost infinitely often implies color
+    flips infinitely often" as a fairness condition decides the same
+    question; on a lasso that condition costs nothing, so neither the
+    colors nor the fairness check are needed.
+    """
+    return check_fixed(system, drop_cost_bounds(phi), {}).holds
+
+
 def check_forall(system: TransitionSystem, phi: Formula) -> ForallResult:
     """Does phi hold on every run for every valuation?
 
-    Only meaningful when all parameters bound G-style operators; those are
-    hardest to satisfy at large budgets, and budgets beyond the computed
-    bound are indistinguishable, so the single corner valuation decides.
+    Only meaningful when all parameters bound G-style operators.  The
+    verdict is budget-free (forall_holds).  A counterexample comes from
+    check_fixed at the uniform valuations 0, 1, 2, 4, ..., the last capped
+    at the bound.  On a fixed trace a G-only formula only gets harder to
+    satisfy as the budget grows, so the first failing lasso also fails at
+    the corner valuation, where it is re-checked.
     """
     profile = require_well_formed(phi)
     if profile.var_f:
@@ -541,10 +581,26 @@ def check_forall(system: TransitionSystem, phi: Formula) -> ForallResult:
             "universal parameter check supports G-bounded parameters only"
         )
     bound = valuation_upper_bound(system, phi)
-    corner = {var: bound for var in sorted(profile.var_g)}
-    inner = check_fixed(system, phi, corner)
+    variables = sorted(profile.var_g)
+    corner = dict.fromkeys(variables, bound)
+    if forall_holds(system, phi):
+        return ForallResult(
+            holds=True, bound=bound, corner=corner, counterexample=None
+        )
+    for value in budget_ladder(bound):
+        inner = check_fixed(system, phi, dict.fromkeys(variables, value))
+        if not inner.holds:
+            break
+    else:
+        raise ModelCheckError(
+            "formula holds at the corner although some valuation fails"
+        )
+    if evaluate(trace_of(system, inner.counterexample), 0, corner, phi):
+        raise ModelCheckError(
+            "counterexample satisfies the formula at the corner"
+        )
     return ForallResult(
-        holds=inner.holds,
+        holds=False,
         bound=bound,
         corner=corner,
         counterexample=inner.counterexample,

@@ -5,12 +5,16 @@ max) with an optimization direction.  Minimization applies to formulas
 whose parameters all bound F[<=] operators: their feasible sets are upward
 closed in every variable.  Maximization applies to G[<=]-only formulas,
 whose feasible sets are downward closed.  Either way the objective reduces
-to monotone threshold searches against check_fixed, capped by the valuation
-bound.  The permissive corner (F-budgets at the bound, G-budgets at zero)
-is checked first; when it fails the objective is infeasible.  min-min and
-max-max then search one line per variable, the other variables held at
-the corner; min-max and max-min search one line of uniform valuations.
-An exhaustive box search (exponential in the number of variables) is
+to monotone threshold searches against check_fixed.  The permissive corner
+(F-budgets at the valuation bound, G-budgets at zero) is checked first;
+when it fails the objective is infeasible.  min-min and max-max then search
+one line per variable, the other variables held at the corner; min-max and
+max-min search one line of uniform valuations.  A maximization line is
+unbounded exactly when the formula, with the variables off the line pinned
+at zero, holds for every valuation, which modelcheck decides without a
+budget.  Each search gallops 0, 1, 2, 4, ... and bisects the last gap, so
+its probes grow with the logarithm of the optimum, not of the bound.  An
+exhaustive box search (exponential in the number of variables) is
 available as a cross-check and for multi-coordinate systems.
 """
 
@@ -27,7 +31,13 @@ from .formula import (
     eliminate_parametric_always,
     require_well_formed,
 )
-from .modelcheck import check_fixed, valuation_upper_bound
+from .modelcheck import (
+    ModelCheckError,
+    budget_ladder,
+    check_fixed,
+    forall_holds,
+    valuation_upper_bound,
+)
 from .system import TransitionSystem
 
 
@@ -90,6 +100,32 @@ def binary_search_threshold(
     raise ValueError(f"find must be 'least' or 'greatest', got {find!r}")
 
 
+def gallop_threshold(
+    predicate: Callable, cap: int, find: str = "least"
+) -> Optional[int]:
+    """binary_search_threshold on [0, cap], found by galloping.
+
+    Probes 0, 1, 2, 4, ... (the last one capped at cap) until the predicate
+    changes, then bisects the last gap, so no probe lies above twice the
+    threshold plus one.  The bisection asks the gap's ends again; pass a
+    memoized predicate.
+    """
+    if find not in ("least", "greatest"):
+        raise ValueError(f"find must be 'least' or 'greatest', got {find!r}")
+    least = find == "least"
+    previous = None
+    for value in budget_ladder(cap):
+        if predicate(value) == least:
+            if least:
+                start = 0 if previous is None else previous + 1
+                return binary_search_threshold(predicate, start, value, find)
+            if previous is None:
+                return None
+            return binary_search_threshold(predicate, previous, value - 1, find)
+        previous = value
+    return None if least else cap
+
+
 def optimize_mc(
     system: TransitionSystem,
     phi: Formula,
@@ -137,12 +173,12 @@ def optimize_mc(
             memo[key] = check_fixed(system, phi, valuation).holds
         return memo[key]
 
-    def result(status, value, witness, cap) -> OptimizeResult:
+    def result(status, value, witness) -> OptimizeResult:
         return OptimizeResult(
             status=status,
             value=value,
             witness=witness,
-            bound=cap,
+            bound=bound,
             probes=probes,
             empty_domain=not variables,
         )
@@ -157,47 +193,40 @@ def optimize_mc(
     def point(line, v: int) -> dict:
         return {**corner, **dict.fromkeys(line, v)}
 
-    def line_cap(line) -> int:
-        # Maximization pins the variables off the line to 0, which changes
-        # the formula the bound speaks about.
-        others = frozenset(variables) - set(line)
-        if minimizing or not others:
-            return bound
-        pinned = eliminate_parametric_always(phi, only_vars=others)
-        return max(bound, valuation_upper_bound(system, pinned))
-
     if variables and exhaustive:
-        cap = max(line_cap(line) for line in lines)
         take_min = objective in (Objective.MIN_MIN, Objective.MAX_MIN)
-        best, witness = _box_search(variables, cap, feasible, minimizing, take_min)
+        best, witness = _box_search(variables, bound, feasible, minimizing, take_min)
         if best is None:
-            return result(INFEASIBLE, None, None, cap)
-        if not minimizing and any(feasible(point(line, cap)) for line in lines):
-            return result(UNBOUNDED, None, None, cap)
-        return result(OPTIMAL, best, witness, cap)
+            return result(INFEASIBLE, None, None)
+        if not minimizing and any(feasible(point(line, bound)) for line in lines):
+            return result(UNBOUNDED, None, None)
+        return result(OPTIMAL, best, witness)
 
     if not feasible(corner):
-        return result(INFEASIBLE, None, None, bound)
+        return result(INFEASIBLE, None, None)
     if not variables:
-        return result(OPTIMAL, 0, {}, bound)
+        return result(OPTIMAL, 0, {})
 
-    # Every search starts at the corner, which the memo already holds.
     find = "least" if minimizing else "greatest"
-    overall_cap = bound
     best = None
     witness = None
     for line in lines:
-        cap = line_cap(line)
-        overall_cap = max(overall_cap, cap)
-        value = binary_search_threshold(
-            lambda v: feasible(point(line, v)), 0, cap, find
-        )
-        if not minimizing and value == cap:
-            return result(UNBOUNDED, None, None, overall_cap)
+        if not minimizing:
+            # The variables off the line stay at 0, which the rewrite of
+            # their G[<=] operators states exactly.
+            others = frozenset(variables) - set(line)
+            pinned = eliminate_parametric_always(phi, only_vars=others)
+            if forall_holds(system, pinned):
+                return result(UNBOUNDED, None, None)
+        value = gallop_threshold(lambda v: feasible(point(line, v)), bound, find)
+        if not minimizing and value == bound:
+            raise ModelCheckError(
+                "search line feasible at the bound but not for every value"
+            )
         if best is None or (value < best if minimizing else value > best):
             best = value
             witness = point(line, value)
-    return result(OPTIMAL, best, witness, overall_cap)
+    return result(OPTIMAL, best, witness)
 
 
 def _box_search(variables, cap, feasible, minimizing: bool, take_min: bool):

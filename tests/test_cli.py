@@ -264,3 +264,12 @@ def test_deep_fixed_query_answers(capsys, sys_file):
     assert code == 1, captured.err
     assert pairs["holds"] == "false"
     assert "counterexample:" in captured.out
+
+
+def test_deep_fixed_query_answers_at_800(capsys, sys_file):
+    # formula nodes hash once, at construction, so putting an 800-deep
+    # X chain into a set does not recurse through the chain
+    code, pairs, captured = run(capsys, "check", sys_file, "X " * 800 + "p", "--fixed")
+    assert code == 1, captured.err
+    assert pairs["holds"] == "false"
+    assert "counterexample:" in captured.out

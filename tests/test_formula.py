@@ -1,5 +1,6 @@
 """Formula layer: parser, printer, negation, closure, rewrites."""
 
+import dataclasses
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from cpltl.formula import (
     atoms,
     chi_formula,
     closure,
+    drop_cost_bounds,
     eliminate_parametric_always,
     expand_derived,
     ff,
@@ -161,6 +163,25 @@ def test_eliminate_parametric_always_shape():
     assert got2 == And(Atom("a"), Next(Release(kappa2, Or(kappa2, Atom("a")))))
     plain = parse("G (q -> F[<=x] p)")
     assert eliminate_parametric_always(plain) == plain
+
+
+def test_node_hash_is_the_field_tuple_hash(formula_pool):
+    # the dataclass hash, so set orders (and the automata built from them)
+    # do not change when the hash is stored
+    for phi in formula_pool:
+        for node in subformulas(phi):
+            fields = tuple(getattr(node, f.name) for f in dataclasses.fields(node))
+            assert hash(node) == hash(fields)
+    deep = Atom("p")
+    for _ in range(5000):
+        deep = Next(deep)
+    assert deep in {deep}
+    assert len(list(subformulas(deep))) == 5001
+
+
+def test_drop_cost_bounds():
+    got = drop_cost_bounds(parse("G[<=y] (p -> X F[<=x@2] q) & q U G[<=z] p"))
+    assert got == parse("G (p -> X F q) & q U G p")
 
 
 def test_eliminate_matches_zero_budget_semantics():

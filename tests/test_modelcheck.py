@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     SYS_A_TEXT,
     box_valuations,
+    build_system,
     oracle_holds,
     random_system,
 )
@@ -132,6 +133,56 @@ def test_check_forall(sys_a):
     wide = check_forall(sys_a, parse("G[<=y] (q | p)"))
     assert wide.holds
     assert wide.counterexample is None
+
+
+FORALL_TEXTS = (
+    "G[<=y] q",
+    "G[<=y] (p | q)",
+    "G (p -> G[<=y] q)",
+    "G[<=y] q & G[<=z] p",
+    "p U G[<=y] q",
+    "F G[<=y] q",
+)
+
+
+def _assert_forall_agrees(system, phi, corner_check=True):
+    """check_forall against the oracle and, unless the bound is too large
+    for it, the check at the corner valuation that it replaced."""
+    result = check_forall(system, phi)
+    assert result.corner == dict.fromkeys(sorted(result.corner), result.bound)
+    if corner_check:
+        assert result.holds == check_fixed(system, phi, result.corner).holds
+    at_cap = dict.fromkeys(result.corner, 32)
+    assert result.holds == oracle_holds(system, phi, at_cap)
+    if not result.holds:
+        trace = trace_of(system, result.counterexample)
+        assert not evaluate(trace, 0, result.corner, phi)
+    return result
+
+
+def test_forall_matches_corner_check(system_pool):
+    verdicts = []
+    for system in system_pool[:40]:
+        for text in FORALL_TEXTS:
+            verdicts.append(_assert_forall_agrees(system, parse(text)).holds)
+    # At d = 2 the bound exceeds 10^5, so only the oracle judges.
+    rng = random.Random(4242)
+    for _ in range(8):
+        system = random_system(rng, max_states=3, d=2)
+        for text in ("G[<=y@2] q", "G[<=y] q & G[<=z@2] p"):
+            result = _assert_forall_agrees(system, parse(text), corner_check=False)
+            verdicts.append(result.holds)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+    # A zero-cost loop on s0 and a cost-1 detour through s1: F G[<=y] q
+    # holds at y = 0 (the detour lies beyond every zero-cost window) and
+    # fails from y = 1 on (s0 s1)^w.  The budget-free verdict must read
+    # G[<=y] as G, not as the window at 0.
+    detour = build_system([{"q"}, {"p", "kappa1"}], {(0, 0): 0, (0, 1): 1, (1, 0): 0})
+    phi = parse("F G[<=y] q")
+    assert check_fixed(detour, phi, {"y": 0}).holds
+    assert not check_fixed(detour, phi, {"y": 1}).holds
+    assert not _assert_forall_agrees(detour, phi).holds
 
 
 def test_check_forall_rejects_eventually_parameters(sys_a):

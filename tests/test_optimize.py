@@ -3,12 +3,14 @@
 import pytest
 
 from conftest import SYS_A_TEXT
+from cpltl import modelcheck, optimize
 from cpltl.formula import FragmentError, parse, var_profile
-from cpltl.modelcheck import check_fixed, valuation_upper_bound
+from cpltl.modelcheck import check_fixed, check_forall, valuation_upper_bound
 from cpltl.optimize import (
     Objective,
     OptimizeResult,
     binary_search_threshold,
+    gallop_threshold,
     optimize_mc,
 )
 from cpltl.system import TransitionSystem, parse_system
@@ -57,13 +59,31 @@ def test_binary_search_edges():
         binary_search_threshold(lambda v: True, 0, 3, find="middle")
 
 
+def test_gallop_threshold():
+    for threshold in (0, 1, 2, 3, 5, 8, 13, 26):
+        calls = []
+
+        def pred(v):
+            calls.append(v)
+            return v >= threshold
+
+        assert gallop_threshold(pred, 26) == threshold
+        assert max(calls) <= 2 * threshold + 1
+        assert gallop_threshold(lambda v: v <= threshold, 26, "greatest") == threshold
+    assert gallop_threshold(lambda v: False, 26) is None
+    assert gallop_threshold(lambda v: v <= -1, 26, "greatest") is None
+    assert gallop_threshold(lambda v: True, 0) == 0
+    with pytest.raises(ValueError):
+        gallop_threshold(lambda v: True, 3, find="middle")
+
+
 def test_min_min_frozen(sys_a):
     result = optimize_mc(sys_a, parse(MC1), Objective.MIN_MIN)
     assert result.status == "optimal"
     assert result.value == 3
     assert result.witness == {"x": 3}
     assert not result.empty_domain
-    assert result.probes == 14
+    assert result.probes == 6
     assert result.bound == valuation_upper_bound(sys_a, parse(MC1))
     # the witness is feasible and one step below is not
     assert check_fixed(sys_a, parse(MC1), result.witness).holds
@@ -83,7 +103,7 @@ def test_max_objectives_frozen(sys_a):
             2,
             {"y": 2},
         ), objective
-        assert (result.probes, result.bound) == (12, 2330), objective
+        assert (result.probes, result.bound) == (5, 2330), objective
         assert check_fixed(sys_a, parse("G[<=y] q"), {"y": 2}).holds
         assert not check_fixed(sys_a, parse("G[<=y] q"), {"y": 3}).holds
 
@@ -280,3 +300,53 @@ def test_two_variable_objectives_match_reference_scan(system_pool, sys_a):
         assert (result.status, result.value) == ("optimal", value)
         if moved is not None:
             assert result.witness[moved] == value
+
+
+def test_probes_gallop_below_the_bound(monkeypatch, system_pool, sys_a):
+    """Bounded max-max and max-min searches probe nothing above twice the
+    optimum plus one; check_forall calls check_fixed at the bound only
+    when the gallop gets there."""
+    probed = []
+
+    def recording(system, phi, valuation):
+        probed.append(dict(valuation))
+        return check_fixed(system, phi, valuation)
+
+    monkeypatch.setattr(optimize, "check_fixed", recording)
+    # q for the first 12 units of cost, then p for good
+    far = parse_system(
+        "dim 1\nstate s0 init : q\nstate s1 : q kappa1\nstate s2 : q kappa1\n"
+        "state s3 : p kappa1\nedge s0 s1 : 5\nedge s1 s2 : 6\nedge s2 s3 : 2\n"
+        "edge s3 s3 : 1\n"
+    )
+    systems = [sys_a, far, parse_system(STAIRS_TEXT), *system_pool]
+    texts = ("G[<=y] q", "G[<=y] (p | q)", "G[<=y] !q & G[<=y2] !p", "G[<=y] p | G[<=y2] q")
+    optima = 0
+    for system in systems:
+        for text in texts:
+            for objective in (Objective.MAX_MAX, Objective.MAX_MIN):
+                probed.clear()
+                result = optimize_mc(system, parse(text), objective)
+                assert result.probes == len(probed)
+                if result.status == "optimal":
+                    optima += 1
+                    top = max(v for valuation in probed for v in valuation.values())
+                    assert top <= 2 * result.value + 1, (text, objective, probed)
+                elif result.status == "infeasible":
+                    assert probed == [dict.fromkeys(probed[0], 0)]
+                else:
+                    # the dual, not a probe at the bound, found the
+                    # unbounded line
+                    assert all(result.bound not in v.values() for v in probed)
+    assert optima >= 30
+
+    monkeypatch.setattr(modelcheck, "check_fixed", recording)
+    for system in systems:
+        for text in ("G[<=y] q", "G[<=y] (p | q)", "G (p -> G[<=y] q)", "p U G[<=y] q"):
+            probed.clear()
+            result = check_forall(system, parse(text))
+            at_bound = [v for v in probed if result.bound in v.values()]
+            if at_bound:
+                # only as the gallop's last rung, after every smaller one held
+                assert at_bound == probed[-1:]
+                assert len(probed) >= 2 and max(probed[-2].values()) * 2 >= result.bound
