@@ -14,6 +14,7 @@ those words (PropLasso, cost traces) is trace.Lasso.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -31,7 +32,7 @@ from .formula import (
     Release,
     Until,
     atoms,
-    closure,
+    children,
     is_ff,
     is_tt,
     pretty_print,
@@ -103,8 +104,111 @@ def _single_state_nba(alphabet: frozenset, universal: bool) -> BuchiAutomaton:
     )
 
 
-def _formula_key(phi: Formula) -> str:
-    return repr(phi)
+def _interned(phi: Formula) -> tuple:
+    """phi with equal subformulas shared as one object, and every node's
+    `repr` text.  Both are built bottom-up, without recursion, so set and
+    dict lookups hit on identity and a deep formula needs no deep stack."""
+    text: dict = {}
+    canon: dict = {}
+    stack = [phi]
+    while stack:
+        node = stack[-1]
+        if id(node) in text:
+            stack.pop()
+            continue
+        todo = [c for c in children(node) if id(c) not in text]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        names = node.__match_args__
+        values = [getattr(node, name) for name in names]
+        fields = ", ".join(
+            f"{name}={text[id(v)] if isinstance(v, Formula) else repr(v)}"
+            for name, v in zip(names, values)
+        )
+        key = f"{type(node).__qualname__}({fields})"
+        text[id(node)] = key
+        if key not in canon:
+            shared = [
+                canon[text[id(v)]] if isinstance(v, Formula) else v
+                for v in values
+            ]
+            same = all(a is b for a, b in zip(shared, values))
+            canon[key] = node if same else type(node)(*shared)
+    return canon[text[id(phi)]], {node: key for key, node in canon.items()}
+
+
+# Expansion rules of the tableau.
+_TT, _FF, _LIT, _NEXT, _AND, _OR, _UNTIL, _RELEASE = range(8)
+_RULE = {Next: _NEXT, And: _AND, Or: _OR, Until: _UNTIL, Release: _RELEASE}
+
+
+def _rules(nodes: Sequence, index: Mapping) -> list:
+    """Per closure node, by index: (rule, a, b).  A literal's `a` is the
+    index of the opposite literal (-1 when it does not occur); Next has its
+    child in `a`; the binary connectives their arms in `a` and `b`."""
+    rules = []
+    for f in nodes:
+        if is_tt(f):
+            rules.append((_TT, -1, -1))
+        elif is_ff(f):
+            rules.append((_FF, -1, -1))
+        elif isinstance(f, Atom):
+            rules.append((_LIT, index.get(NegAtom(f.name), -1), -1))
+        elif isinstance(f, NegAtom):
+            rules.append((_LIT, index.get(Atom(f.name), -1), -1))
+        elif isinstance(f, Next):
+            rules.append((_NEXT, index[f.child], -1))
+        elif type(f) in _RULE:
+            rules.append((_RULE[type(f)], index[f.left], index[f.right]))
+        else:
+            rules.append((None, -1, -1))
+    return rules
+
+
+def _expand(seed: list, rules: Sequence, nodes: Sequence) -> list:
+    """The distinct cores (old, next) that a seed expands into, in the order
+    the depth-first expansion completes them."""
+    cores: dict = {}
+    pending = [(seed, set(), set())]
+    while pending:
+        new, old, nxt = pending.pop()
+        alive = True
+        while new:
+            f = new.pop()
+            if f in old:
+                continue
+            kind, a, b = rules[f]
+            if kind == _TT:
+                continue
+            if kind == _FF or (kind == _LIT and a in old):
+                alive = False
+                break
+            old.add(f)
+            if kind == _NEXT:
+                nxt.add(a)
+            elif kind == _AND:
+                new.append(a)
+                new.append(b)
+            elif kind == _OR:
+                pending.append((new + [b], set(old), set(nxt)))
+                new.append(a)
+            elif kind == _UNTIL:
+                pending.append((new + [a], set(old), nxt | {f}))
+                new.append(b)
+            elif kind == _RELEASE:
+                pending.append((new + [b], set(old), nxt | {f}))
+                new.append(a)
+                new.append(b)
+            elif kind is None:
+                raise FormulaError(
+                    "cost-bounded operator reached the plain translation: "
+                    + pretty_print(nodes[f])
+                )
+        if alive:
+            cores[(frozenset(old), frozenset(nxt))] = None
+    return list(cores)
 
 
 def ltl_to_nba(phi: Formula) -> BuchiAutomaton:
@@ -126,78 +230,45 @@ def ltl_to_nba(phi: Formula) -> BuchiAutomaton:
         return _single_state_nba(alphabet, universal=True)
     if is_ff(phi):
         return _single_state_nba(alphabet, universal=False)
+    phi, keys = _interned(phi)
+    # Closure nodes are numbered in `repr` order, so sorting a set of
+    # indices orders its formulas by their `repr` text.
+    nodes = sorted(keys, key=keys.__getitem__)
+    index = {f: i for i, f in enumerate(nodes)}
+    rules = _rules(nodes, index)
 
-    # Tableau nodes: parallel lists of (old, nxt) cores and incoming sets.
-    # Source -1 denotes the run start.
+    # Tableau nodes: parallel lists of old-sets and incoming sets, numbered
+    # by their (old, nxt) cores.  Source -1 denotes the run start.  A node's successors depend only on
+    # its next-set, so each distinct next-set is expanded once; a new
+    # node's successors are walked before its parent's remaining ones,
+    # which fixes the node numbering.
     node_old: list = []
-    node_next: list = []
     node_incoming: list = []
     by_core: dict = {}
-    pending = [({-1}, [phi], set(), set())]
-    while pending:
-        incoming, new, old, nxt = pending.pop()
-        alive = True
-        while new:
-            f = new.pop()
-            if f in old or is_tt(f):
+    expanded: dict = {}
+
+    def successors(nxt: frozenset) -> list:
+        cores = expanded.get(nxt)
+        if cores is None:
+            cores = expanded[nxt] = _expand(sorted(nxt), rules, nodes)
+        return cores
+
+    walk = [(-1, iter(successors(frozenset((index[phi],)))))]
+    while walk:
+        src, todo = walk[-1]
+        for core in todo:
+            idx = by_core.get(core)
+            if idx is not None:
+                node_incoming[idx].add(src)
                 continue
-            if is_ff(f):
-                alive = False
-                break
-            if isinstance(f, Atom):
-                if NegAtom(f.name) in old:
-                    alive = False
-                    break
-                old.add(f)
-            elif isinstance(f, NegAtom):
-                if Atom(f.name) in old:
-                    alive = False
-                    break
-                old.add(f)
-            elif isinstance(f, Next):
-                old.add(f)
-                nxt.add(f.child)
-            elif isinstance(f, And):
-                old.add(f)
-                new.append(f.left)
-                new.append(f.right)
-            elif isinstance(f, Or):
-                old.add(f)
-                pending.append((set(incoming), new + [f.right], set(old), set(nxt)))
-                new.append(f.left)
-            elif isinstance(f, Until):
-                old.add(f)
-                pending.append(
-                    (set(incoming), new + [f.left], set(old), set(nxt) | {f})
-                )
-                new.append(f.right)
-            elif isinstance(f, Release):
-                old.add(f)
-                pending.append(
-                    (set(incoming), new + [f.right], set(old), set(nxt) | {f})
-                )
-                new.append(f.left)
-                new.append(f.right)
-            else:
-                raise FormulaError(
-                    "cost-bounded operator reached the plain translation: "
-                    + pretty_print(f)
-                )
-        if not alive:
-            continue
-        core = (frozenset(old), frozenset(nxt))
-        idx = by_core.get(core)
-        if idx is not None:
-            node_incoming[idx] |= incoming
-            continue
-        idx = len(node_old)
-        by_core[core] = idx
-        node_old.append(core[0])
-        node_next.append(core[1])
-        node_incoming.append(set(incoming))
-        pending.append(
-            ({idx}, sorted(core[1], key=_formula_key), set(), set())
-        )
+            idx = len(node_old)
+            by_core[core] = idx
+            node_old.append(core[0])
+            node_incoming.append({src})
+            walk.append((idx, iter(successors(core[1]))))
+            break
+        else:
+            walk.pop()
 
     n = len(node_old)
     if n == 0:
@@ -205,38 +276,39 @@ def ltl_to_nba(phi: Formula) -> BuchiAutomaton:
 
     guards = []
     for old in node_old:
-        lits = set()
-        for f in old:
-            if isinstance(f, Atom):
-                lits.add((f.name, True))
-            elif isinstance(f, NegAtom):
-                lits.add((f.name, False))
-        guards.append(frozenset(lits))
+        guards.append(
+            frozenset(
+                (nodes[f].name, isinstance(nodes[f], Atom))
+                for f in old
+                if rules[f][0] == _LIT
+            )
+        )
 
-    out_edges: dict = {src: set() for src in range(-1, n)}
+    # Every edge into node r carries r's guard, so a node's out-edges are
+    # its successor nodes, listed in ascending order.
+    out_sets: dict = {src: set() for src in range(-1, n)}
     for r in range(n):
         for q in node_incoming[r]:
-            out_edges[q].add((guards[r], r))
+            out_sets[q].add(r)
+    out_nodes = {q: sorted(targets) for q, targets in out_sets.items()}
 
     # If some node behaves exactly like the run start, use it as the initial
     # state instead of keeping a separate start state.
     init_node = -1
     for r in range(n):
-        if out_edges[r] == out_edges[-1]:
+        if out_nodes[r] == out_nodes[-1]:
             init_node = r
             break
 
-    untils = sorted(
-        (f for f in closure(phi) if isinstance(f, Until)), key=_formula_key
-    )
+    untils = [(f, b) for f, (kind, _, b) in enumerate(rules) if kind == _UNTIL]
     k = len(untils)
     fsets = []
-    for f in untils:
+    for f, right in untils:
         fsets.append(
             frozenset(
                 r
                 for r in range(n)
-                if f not in node_old[r] or f.right in node_old[r]
+                if f not in node_old[r] or right in node_old[r]
             )
         )
 
@@ -255,33 +327,26 @@ def ltl_to_nba(phi: Formula) -> BuchiAutomaton:
             return True
         return layer == 0 and node in fsets[0]
 
-    def edge_sort_key(edge):
-        guard, target = edge
-        return (target, tuple(sorted(guard)))
-
     start = (init_node, 0)
     names: dict = {start: "q0"}
     order = [start]
     queue = deque([start])
-    meta_edges: dict = {}
+    transitions: dict = {}
     while queue:
         meta = queue.popleft()
         node, layer = meta
         succ_layer = next_layer(node, layer)
         edges = []
-        for guard, target in sorted(out_edges[node], key=edge_sort_key):
+        for target in out_nodes[node]:
             succ = (target, succ_layer)
-            if succ not in names:
-                names[succ] = f"q{len(names)}"
+            name = names.get(succ)
+            if name is None:
+                name = names[succ] = f"q{len(names)}"
                 order.append(succ)
                 queue.append(succ)
-            edges.append((guard, succ))
-        meta_edges[meta] = tuple(edges)
+            edges.append((guards[target], name))
+        transitions[names[meta]] = tuple(edges)
 
-    transitions = {
-        names[meta]: tuple((g, names[succ]) for g, succ in meta_edges[meta])
-        for meta in order
-    }
     accepting = frozenset(names[meta] for meta in order if meta_accepting(meta))
     return _trim(
         tuple(names[meta] for meta in order),
@@ -434,52 +499,62 @@ def find_accepting_lasso(
     return path[:-1], loop
 
 
+# Low value of a node whose component is complete (see _tarjan).
+_FINISHED = sys.maxsize
+
+
 def _tarjan(order: Sequence, adj: Mapping) -> tuple:
-    """Iterative Tarjan SCC. Returns (node -> component id, cyclic flags)."""
-    index: dict = {}
+    """Iterative Tarjan SCC. Returns (node -> component id, cyclic flags).
+
+    Each DFS frame holds its node, an iterator over the node's successors
+    and the node's index.  A finished node's low value is set past every
+    index, so it never lowers another's and no on-stack set is needed.
+    """
     low: dict = {}
-    onstack: set = set()
+    lookup = low.get
     stack: list = []
     sccid: dict = {}
     cyclic: list = []
-    counter = 0
     for root in order:
-        if root in index:
+        if root in low:
             continue
-        work = [(root, 0)]
+        low[root] = len(low)
+        stack.append(root)
+        work = [(root, iter(adj[root]), low[root])]
         while work:
-            node, ci = work.pop()
-            if ci == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                onstack.add(node)
-            else:
-                prev = adj[node][ci - 1]
-                low[node] = min(low[node], low[prev])
-            children = adj[node]
-            descended = False
-            for j in range(ci, len(children)):
-                w = children[j]
-                if w not in index:
-                    work.append((node, j + 1))
-                    work.append((w, 0))
-                    descended = True
+            node, children, number = work[-1]
+            here = low[node]
+            for w in children:
+                reach = lookup(w)
+                if reach is None:
+                    low[node] = here
+                    low[w] = reach = len(low)
+                    stack.append(w)
+                    work.append((w, iter(adj[w]), reach))
                     break
-                if w in onstack:
-                    low[node] = min(low[node], index[w])
-            if descended:
-                continue
-            if low[node] == index[node]:
-                comp = []
-                while True:
+                if reach < here:
+                    here = reach
+            else:
+                work.pop()
+                low[node] = here
+                if work:
+                    parent = work[-1][0]
+                    if here < low[parent]:
+                        low[parent] = here
+                if here != number:
+                    continue
+                comp = len(cyclic)
+                w = stack.pop()
+                low[w] = _FINISHED
+                sccid[w] = comp
+                if w == node:
+                    cyclic.append(node in adj[node])
+                    continue
+                while w != node:
                     w = stack.pop()
-                    onstack.discard(w)
-                    sccid[w] = len(cyclic)
-                    comp.append(w)
-                    if w == node:
-                        break
-                cyclic.append(len(comp) > 1 or comp[0] in adj[comp[0]])
+                    low[w] = _FINISHED
+                    sccid[w] = comp
+                cyclic.append(True)
     return sccid, cyclic
 
 
@@ -574,7 +649,7 @@ class CostBuchiAutomaton:
 
     def __init__(self, phi: Formula, valuation: Mapping, d: int):
         validate_coords(phi, d)
-        self.phi = simplify_constants(phi)
+        self.phi, keys = _interned(simplify_constants(phi))
         self.valuation = dict(valuation)
         self.d = d
         for var, value in self.valuation.items():
@@ -584,7 +659,7 @@ class CostBuchiAutomaton:
         self.tracked = tuple(
             sorted(
                 (f for f in subs if isinstance(f, (Until, FLe))),
-                key=_formula_key,
+                key=keys.__getitem__,
             )
         )
         # Successors are ordered by closure rank: a repr key would walk

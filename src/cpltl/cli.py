@@ -228,7 +228,7 @@ def _cmd_translate(args) -> int:
         print(f"vertex {vertex_name(vertex)}{mark}")
     for vertex in graph.vertices:
         for succ in graph.edges[vertex]:
-            shown = " ".join(str(c) for c in graph.cost[(vertex, succ)])
+            shown = " ".join(str(c) for c in graph.step(vertex, succ))
             print(f"edge {vertex_name(vertex)} {vertex_name(succ)} : {shown}")
     return 0
 

@@ -61,13 +61,15 @@ class ColoredCostGraph:
 
     Vertices are (system state, automaton state, color set); the automaton
     reads the state label extended by the colors, and every subset of colors
-    may be picked for the successor.  Edge costs come from the system.
+    may be picked for the successor.  The graph keeps no cost table: an
+    edge's cost is the system's cost between the two vertices' states
+    (`step`).
     """
 
     initial: tuple
     vertices: tuple
     edges: dict
-    cost: dict
+    system_cost: dict
     accepting: frozenset
     colors: tuple
     d: int
@@ -78,6 +80,10 @@ class ColoredCostGraph:
 
     def n_edges(self) -> int:
         return sum(len(self.edges[v]) for v in self.vertices)
+
+    def step(self, v, w) -> tuple:
+        """Cost vector of the edge v -> w."""
+        return self.system_cost[(v[0], w[0])]
 
     def color_bit(self, vertex, coord: int) -> bool:
         return self.colors[coord - 1] in vertex[2]
@@ -92,40 +98,60 @@ def build_product(
         subsets.append(
             frozenset(colors[i] for i in range(system.d) if mask >> i & 1)
         )
+    # The (automaton state, colors) pairs of a vertex's successors depend
+    # only on its automaton state and letter, so they are worked out once
+    # per such pair, and each guard once per letter.
+    letters: dict = {}
+    holds: dict = {}
+    moves: dict = {}
+
+    def moves_of(state, q, chosen) -> tuple:
+        letter = letters.get((state, chosen))
+        if letter is None:
+            letter = letters[(state, chosen)] = system.labels[state] | chosen
+        found = moves.get((q, letter))
+        if found is None:
+            targets = {}
+            for guard, dst in auto.transitions[q]:
+                ok = holds.get((guard, letter))
+                if ok is None:
+                    ok = holds[(guard, letter)] = guard_holds(guard, letter)
+                if ok:
+                    targets[dst] = None
+            found = tuple((q2, picked) for q2 in targets for picked in subsets)
+            moves[(q, letter)] = found
+        return found
+
+    successors = {
+        state: tuple(dict.fromkeys(system.successors(state)))
+        for state in system.states
+    }
     initial = (system.initial, auto.initial, frozenset())
     edges: dict = {}
-    cost: dict = {}
     order = [initial]
     seen = {initial}
     queue = deque([initial])
     while queue:
         vertex = queue.popleft()
         state, q, chosen = vertex
-        letter = system.labels[state] | chosen
-        targets = [
-            dst
-            for guard, dst in auto.transitions[q]
-            if guard_holds(guard, letter)
-        ]
-        out = []
-        for succ in system.successors(state):
-            step = system.cost[(state, succ)]
-            for q2 in targets:
-                for picked in subsets:
-                    w = (succ, q2, picked)
-                    out.append(w)
-                    cost[(vertex, w)] = step
-                    if w not in seen:
-                        seen.add(w)
-                        order.append(w)
-                        queue.append(w)
-        edges[vertex] = tuple(dict.fromkeys(out))
+        step = moves_of(state, q, chosen)
+        out = tuple(
+            (succ, q2, picked)
+            for succ in successors[state]
+            for q2, picked in step
+        )
+        for w in out:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+                queue.append(w)
+        edges[vertex] = out
     accepting = frozenset(v for v in order if v[1] in auto.accepting)
     return ColoredCostGraph(
         initial=initial,
         vertices=tuple(order),
         edges=edges,
-        cost=cost,
+        system_cost=system.cost,
         accepting=accepting,
         colors=colors,
         d=system.d,
@@ -140,23 +166,21 @@ def _capable_sets(graph: ColoredCostGraph) -> list:
     positive-cost cycle (candidates for pumping a block)."""
     caps = []
     for coord in range(1, graph.d + 1):
-        adj = {
-            v: tuple(
-                w
-                for w in graph.edges[v]
-                if graph.color_bit(w, coord) == graph.color_bit(v, coord)
-            )
-            for v in graph.vertices
-        }
+        color = graph.colors[coord - 1]
+        adj = {}
+        for v in graph.vertices:
+            side = color in v[2]
+            adj[v] = tuple(w for w in graph.edges[v] if (color in w[2]) == side)
         sccid, _ = _tarjan(graph.vertices, adj)
         marked = set()
         for v in graph.vertices:
+            comp = sccid[v]
+            if comp in marked:
+                continue
             for w in adj[v]:
-                if (
-                    sccid[w] == sccid[v]
-                    and graph.cost[(v, w)][coord - 1] > 0
-                ):
-                    marked.add(sccid[v])
+                if sccid[w] == comp and graph.step(v, w)[coord - 1] > 0:
+                    marked.add(comp)
+                    break
         caps.append(
             frozenset(v for v in graph.vertices if sccid[v] in marked)
         )
@@ -209,7 +233,7 @@ def _pump_cycle(
         (a, b)
         for a in members
         for b in adj[a]
-        if b in members and graph.cost[(a, b)][coord - 1] > 0
+        if b in members and graph.step(a, b)[coord - 1] > 0
     ]
     if not candidates:
         return None
@@ -240,7 +264,7 @@ def _block_pumped(graph, run: Lasso, coord: int, start: int, end: int) -> bool:
     for pos in range(start, end):
         v = run.letter(pos)
         if pos > start:
-            step = graph.cost[(run.letter(pos - 1), v)][coord - 1]
+            step = graph.step(run.letter(pos - 1), v)[coord - 1]
             acc.append(acc[-1] + step)
         if v in first:
             if acc[pos - start] - acc[first[v]] > 0:
@@ -262,33 +286,32 @@ def pumpable_fair_path(graph: ColoredCostGraph) -> Optional[tuple]:
     """
     caps = _capable_sets(graph)
     d = graph.d
-
-    def start_flags(v):
-        return tuple(v in caps[i] for i in range(d))
+    bits = {v: tuple(c in v[2] for c in graph.colors) for v in graph.vertices}
+    capable = {v: tuple(v in cap for cap in caps) for v in graph.vertices}
 
     def successors(node):
         v, flags = node
+        here = bits[v]
         out = []
         for w in graph.edges[v]:
-            legal = True
+            there = bits[w]
+            pump = capable[w]
             nxt = []
             for i in range(d):
-                flip = graph.color_bit(v, i + 1) != graph.color_bit(w, i + 1)
-                if flip:
+                if here[i] != there[i]:
                     if not flags[i]:
-                        legal = False
                         break
-                    nxt.append(w in caps[i])
+                    nxt.append(pump[i])
                 else:
-                    nxt.append(flags[i] or w in caps[i])
-            if legal:
+                    nxt.append(flags[i] or pump[i])
+            else:
                 out.append((w, tuple(nxt)))
         return out
 
     def accepting(node) -> bool:
         return node[0] in graph.accepting
 
-    initial = (graph.initial, start_flags(graph.initial))
+    initial = (graph.initial, capable[graph.initial])
     found = find_accepting_lasso(initial, successors, accepting)
     if found is None:
         return None

@@ -1,5 +1,6 @@
 """Buchi automata: translation, emptiness, budget acceptors."""
 
+import hashlib
 import random
 
 import pytest
@@ -15,7 +16,15 @@ from cpltl.automata import (
     ltl_to_nba,
     nba_accepts_lasso,
 )
-from cpltl.formula import FormulaError, parse
+from cpltl.formula import (
+    And,
+    FormulaError,
+    chi_formula,
+    eliminate_parametric_always,
+    negate,
+    parse,
+    relativize,
+)
 from cpltl.trace import CostTrace, evaluate, letter
 
 
@@ -158,3 +167,56 @@ def test_cost_acceptor_dimension_mismatch():
 def test_prop_lasso_needs_loop():
     with pytest.raises(AutomatonError):
         PropLasso.of([{"p"}], [])
+
+
+def exists_target(text: str):
+    """The formula check_exists translates for `text` over one coordinate."""
+    phi = eliminate_parametric_always(parse(text))
+    return And(negate(relativize(phi, 1)), chi_formula(1))
+
+
+def pin(auto: BuchiAutomaton) -> tuple:
+    """Sizes and a digest of the sorted transitions and accepting set."""
+    trans = sorted((src, tuple(sorted(g)), dst) for src, g, dst in auto.edges())
+    text = repr((trans, sorted(auto.accepting)))
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    return auto.n_states, auto.n_edges(), len(auto.accepting), digest
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        (lambda: exists_target("G (q -> F[<=x] p)"),
+         (237, 1026, 25, "befb8a78468a69b4")),
+        (lambda: exists_target("X G (q -> F[<=x] p)"),
+         (249, 1110, 24, "eeae77964ee1be68")),
+        (lambda: exists_target("G[<=y] q"),
+         (97, 358, 18, "cc43eead65d42cf9")),
+        (lambda: exists_target("F G (q -> F[<=x] p)"),
+         (382, 3596, 21, "f4f9fc57ae54bbae")),
+        (lambda: exists_target("F[<=x] p | F[<=x] q"),
+         (555, 3024, 61, "fd65a7c697cff43d")),
+        (lambda: chi_formula(1), (43, 128, 9, "affcdcb59eed672a")),
+        (lambda: chi_formula(2), (679, 5072, 81, "6447a9b6b9fdccfc")),
+    ],
+    ids=["lift", "next-lift", "g-bounded", "fg-lift", "two-f", "chi1", "chi2"],
+)
+def test_translation_is_pinned(make, expected):
+    # The exists automata, state names included, as the tableau built them
+    # when it expanded every node's next-set anew; the README's bound=5690
+    # rests on lift's 237 states.
+    assert pin(ltl_to_nba(make())) == expected
+
+
+def test_translation_does_not_depend_on_sharing():
+    for text in ("G (q -> F p)", "p U (q R X !p)", "G F p & F G !q"):
+        shared = parse(text)
+        separate = ltl_to_nba(And(parse(text), parse(text)))
+        joined = ltl_to_nba(And(shared, shared))
+        assert separate.states == joined.states
+        assert separate.transitions == joined.transitions
+        assert separate.accepting == joined.accepting
+    left = exists_target("G (q -> F[<=x] p)")
+    right = exists_target("G (q -> F[<=x] p)")
+    assert left is not right
+    assert pin(ltl_to_nba(And(left, right))) == pin(ltl_to_nba(And(left, left)))

@@ -1,5 +1,7 @@
 """Command line interface: verdict exit codes and key=value output."""
 
+import hashlib
+
 import pytest
 
 from conftest import SYS_A_TEXT, T1_TEXT
@@ -251,6 +253,26 @@ def test_translate_product_is_the_exists_product(capsys, sys_file):
     assert emitted["edges"] == checked["product-edges"]
 
 
+def test_translate_product_output_is_pinned(capsys, sys_file, sys_a):
+    code, _, captured = run(
+        capsys, "translate", MC1, "--emit", "product", "--system", sys_file
+    )
+    assert code == 0
+    lines = captured.out.splitlines()
+    assert len(lines) == 202
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()
+    assert digest == (
+        "2aba74a3fbfaccac81fe9288c21920da2a1aca053dcf9b67465430e3a7395e47"
+    )
+    # every edge costs what the system charges between the two states
+    edges = [line.split() for line in lines if line.startswith("edge ")]
+    assert len(edges) == 140
+    for _, src, dst, colon, *cost in edges:
+        assert colon == ":"
+        step = (src.split("|")[0], dst.split("|")[0])
+        assert tuple(int(c) for c in cost) == sys_a.cost[step]
+
+
 def test_deep_formula_exits_with_error_not_verdict(capsys, sys_file):
     code, _, captured = run(capsys, "check", sys_file, "X " * 3000 + "p")
     assert code == 2
@@ -273,3 +295,13 @@ def test_deep_fixed_query_answers_at_800(capsys, sys_file):
     assert code == 1, captured.err
     assert pairs["holds"] == "false"
     assert "counterexample:" in captured.out
+
+
+def test_deep_exists_query_answers(capsys, sys_file):
+    # the exists translation interns the formula and builds its sort keys
+    # bottom-up, so a 400-deep X chain gets a verdict, not a recursion error
+    code, pairs, captured = run(capsys, "check", sys_file, "X " * 400 + "p")
+    assert code == 1, captured.err
+    assert pairs["mode"] == "exists"
+    assert pairs["holds"] == "false"
+    assert "witness-prefix:" in captured.out
