@@ -32,10 +32,12 @@ from .formula import (
     Release,
     Until,
     atoms,
-    children,
+    fold,
     is_ff,
     is_tt,
     pretty_print,
+    rebuild,
+    repr_step,
     simplify_constants,
     subformulas,
     validate_coords,
@@ -106,37 +108,17 @@ def _single_state_nba(alphabet: frozenset, universal: bool) -> BuchiAutomaton:
 
 def _interned(phi: Formula) -> tuple:
     """phi with equal subformulas shared as one object, and every node's
-    `repr` text.  Both are built bottom-up, without recursion, so set and
-    dict lookups hit on identity and a deep formula needs no deep stack."""
-    text: dict = {}
+    `repr` text, so that set and dict lookups hit on identity."""
     canon: dict = {}
-    stack = [phi]
-    while stack:
-        node = stack[-1]
-        if id(node) in text:
-            stack.pop()
-            continue
-        todo = [c for c in children(node) if id(c) not in text]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        names = node.__match_args__
-        values = [getattr(node, name) for name in names]
-        fields = ", ".join(
-            f"{name}={text[id(v)] if isinstance(v, Formula) else repr(v)}"
-            for name, v in zip(names, values)
-        )
-        key = f"{type(node).__qualname__}({fields})"
-        text[id(node)] = key
+
+    def step(node: Formula, kids: list) -> tuple:
+        key = repr_step(node, [text for _, text in kids])
         if key not in canon:
-            shared = [
-                canon[text[id(v)]] if isinstance(v, Formula) else v
-                for v in values
-            ]
-            same = all(a is b for a, b in zip(shared, values))
-            canon[key] = node if same else type(node)(*shared)
-    return canon[text[id(phi)]], {node: key for key, node in canon.items()}
+            canon[key] = rebuild(node, [shared for shared, _ in kids])
+        return canon[key], key
+
+    phi, _ = fold(phi, step)
+    return phi, {node: key for key, node in canon.items()}
 
 
 # Expansion rules of the tableau.

@@ -8,7 +8,7 @@ F[<=x] and G[<=y] bound accumulated *cost* (per coordinate), not time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, TypeVar
 
 # Reserved internal atom backing tt/ff.  The "$" keeps it out of the
 # identifier namespace, so user formulas can never collide with it.
@@ -32,11 +32,15 @@ class FragmentError(FormulaError):
     """Formula lies outside the fragment an operation requires."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Formula:
-    # Children are built before their parents, so each node hashes its
-    # field tuple once, with the value the dataclass hash would give, and
-    # hashing stays O(1) however deep the tree is.
+    """A syntax-tree node.
+
+    Children are built before their parents, so each node hashes its field
+    tuple once, with the value the dataclass hash would give.  Hashing,
+    equality and `repr` never recurse, so a formula may nest to any depth.
+    """
+
     def __post_init__(self):
         fields = tuple(getattr(self, name) for name in self.__match_args__)
         object.__setattr__(self, "_hash", hash(fields))
@@ -44,12 +48,35 @@ class Formula:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Formula):
+            return NotImplemented
+        # Pairs already matched are skipped, so two equal formulas that
+        # share subterms are compared in time linear in their node count.
+        matched: set = set()
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b or (id(a), id(b)) in matched:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            matched.add((id(a), id(b)))
+            for name in a.__match_args__:
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(x, Formula):
+                    pairs.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __repr__(self) -> str:
+        return fold(self, repr_step)
+
 
 def _node(cls):
-    """Frozen dataclass node that keeps the hash stored at construction."""
-    cls = dataclass(frozen=True)(cls)
-    cls.__hash__ = Formula.__hash__
-    return cls
+    """Frozen dataclass node that keeps Formula's hash, equality and repr."""
+    return dataclass(frozen=True, eq=False, repr=False)(cls)
 
 
 @_node
@@ -159,33 +186,27 @@ def implies(left: Formula, right: Formula) -> Formula:
     return Or(negate(left), right)
 
 
+_DUAL = {And: Or, Or: And, Next: Next, Until: Release, Release: Until, FLe: GLe, GLe: FLe}
+
+
 def negate(phi: Formula) -> Formula:
     """Dual of a formula: swaps And/Or, Until/Release, F[<=]/G[<=] and
     flips literals.  An involution that preserves closure size."""
-    if is_tt(phi):
+    return fold(phi, _negate_step)
+
+
+def _negate_step(node: Formula, kids: list) -> Formula:
+    if is_tt(node):
         return ff()
-    if is_ff(phi):
+    if is_ff(node):
         return tt()
-    if isinstance(phi, Atom):
-        return NegAtom(phi.name)
-    if isinstance(phi, NegAtom):
-        return Atom(phi.name)
-    if isinstance(phi, And):
-        return Or(negate(phi.left), negate(phi.right))
-    if isinstance(phi, Or):
-        return And(negate(phi.left), negate(phi.right))
-    if isinstance(phi, Next):
-        return Next(negate(phi.child))
-    if isinstance(phi, Until):
-        return Release(negate(phi.left), negate(phi.right))
-    if isinstance(phi, Release):
-        return Until(negate(phi.left), negate(phi.right))
-    if isinstance(phi, FLe):
-        return GLe(phi.var, phi.coord, negate(phi.child))
-    if isinstance(phi, GLe):
-        return FLe(phi.var, phi.coord, negate(phi.child))
-    msg = f"not a formula node: {phi!r}"
-    raise FormulaError(msg)
+    if isinstance(node, Atom):
+        return NegAtom(node.name)
+    if isinstance(node, NegAtom):
+        return Atom(node.name)
+    if isinstance(node, (FLe, GLe)):
+        return _DUAL[type(node)](node.var, node.coord, *kids)
+    return _DUAL[type(node)](*kids)
 
 
 def children(phi: Formula) -> tuple[Formula, ...]:
@@ -193,7 +214,65 @@ def children(phi: Formula) -> tuple[Formula, ...]:
         return ()
     if isinstance(phi, (Next, FLe, GLe)):
         return (phi.child,)
-    return (phi.left, phi.right)
+    if isinstance(phi, (And, Or, Until, Release)):
+        return (phi.left, phi.right)
+    msg = f"not a formula node: {phi!r}"
+    raise FormulaError(msg)
+
+
+T = TypeVar("T")
+
+
+def fold(phi: Formula, step: Callable[[Formula, list], T]) -> T:
+    """Bottom-up value of a formula: `step(node, kids)` for each node, where
+    `kids` holds the values of the node's `children`, in order.
+
+    The walk keeps its own stack, so no nesting depth reaches Python's
+    recursion limit, and it is memoized by node identity: a subformula
+    object that several parents share is stepped once, however many paths
+    lead to it.  The rewrites, the printer, `repr`, the interning in
+    `automata` and the trace evaluator all go through here.
+    """
+    done: dict[int, T] = {}
+    # Entries are (node, None) before the node's children are pushed and
+    # (node, children) once they are; a node's children are all done by
+    # the time its second entry is popped.
+    stack: list = [(phi, None)]
+    while stack:
+        node, kids = stack.pop()
+        if kids is None:
+            if id(node) in done:
+                continue
+            kids = children(node)
+            if kids:
+                stack.append((node, kids))
+                for c in kids:
+                    if id(c) not in done:
+                        stack.append((c, None))
+                continue
+        done[id(node)] = step(node, [done[id(c)] for c in kids])
+    return done[id(phi)]
+
+
+def rebuild(node: Formula, kids: list) -> Formula:
+    """`node` with its children replaced by `kids`; `node` itself when
+    they are the same objects."""
+    if all(k is c for k, c in zip(kids, children(node))):
+        return node
+    if isinstance(node, (FLe, GLe)):
+        return type(node)(node.var, node.coord, *kids)
+    return type(node)(*kids)
+
+
+def repr_step(node: Formula, kids: list) -> str:
+    """The dataclass `repr` of a node, given its children's: the step that
+    `Formula.__repr__` folds."""
+    kid_text = iter(kids)
+    fields = ", ".join(
+        f"{name}={next(kid_text) if isinstance(value, Formula) else repr(value)}"
+        for name, value in ((name, getattr(node, name)) for name in node.__match_args__)
+    )
+    return f"{type(node).__qualname__}({fields})"
 
 
 def subformulas(phi: Formula) -> Iterable[Formula]:
@@ -286,37 +365,28 @@ def eliminate_parametric_always(
     fixed valuations.  `only_vars` restricts the rewrite to a subset of
     the G-variables.
     """
-    if isinstance(phi, (Atom, NegAtom)):
-        return phi
-    if isinstance(phi, GLe) and (only_vars is None or phi.var in only_vars):
-        body = eliminate_parametric_always(phi.child, only_vars)
-        costly = Atom(kappa_name(phi.coord))
-        return And(body, Next(Release(costly, Or(costly, body))))
-    if isinstance(phi, Next):
-        return Next(eliminate_parametric_always(phi.child, only_vars))
-    if isinstance(phi, FLe):
-        return FLe(phi.var, phi.coord, eliminate_parametric_always(phi.child, only_vars))
-    if isinstance(phi, GLe):
-        return GLe(phi.var, phi.coord, eliminate_parametric_always(phi.child, only_vars))
-    kind = type(phi)
-    return kind(
-        eliminate_parametric_always(phi.left, only_vars),
-        eliminate_parametric_always(phi.right, only_vars),
-    )
+
+    def step(node: Formula, kids: list) -> Formula:
+        if isinstance(node, GLe) and (only_vars is None or node.var in only_vars):
+            (body,) = kids
+            costly = Atom(kappa_name(node.coord))
+            return And(body, Next(Release(costly, Or(costly, body))))
+        return rebuild(node, kids)
+
+    return fold(phi, step)
 
 
 def drop_cost_bounds(phi: Formula) -> Formula:
     """Read every F[<=x] psi as F psi and every G[<=y] psi as G psi."""
-    if isinstance(phi, (Atom, NegAtom)):
-        return phi
-    if isinstance(phi, FLe):
-        return eventually(drop_cost_bounds(phi.child))
-    if isinstance(phi, GLe):
-        return always(drop_cost_bounds(phi.child))
-    if isinstance(phi, Next):
-        return Next(drop_cost_bounds(phi.child))
-    kind = type(phi)
-    return kind(drop_cost_bounds(phi.left), drop_cost_bounds(phi.right))
+    return fold(phi, _drop_cost_step)
+
+
+def _drop_cost_step(node: Formula, kids: list) -> Formula:
+    if isinstance(node, FLe):
+        return eventually(*kids)
+    if isinstance(node, GLe):
+        return always(*kids)
+    return rebuild(node, kids)
 
 
 def relativize(phi: Formula, d: int) -> Formula:
@@ -333,27 +403,22 @@ def relativize(phi: Formula, d: int) -> Formula:
         if color_name(i) in used:
             msg = f"formula already uses coloring proposition {color_name(i)}"
             raise FormulaError(msg)
-    return _relativize(phi)
+    return fold(phi, _relativize_step)
 
 
-def _relativize(phi: Formula) -> Formula:
-    if isinstance(phi, (Atom, NegAtom)):
-        return phi
-    if isinstance(phi, GLe):
+def _relativize_step(node: Formula, kids: list) -> Formula:
+    if isinstance(node, GLe):
         msg = "relativize expects G[<=] to be eliminated first"
         raise FormulaError(msg)
-    if isinstance(phi, FLe):
-        body = _relativize(phi.child)
-        pos = Atom(color_name(phi.coord))
-        neg = NegAtom(color_name(phi.coord))
+    if isinstance(node, FLe):
+        (body,) = kids
+        pos = Atom(color_name(node.coord))
+        neg = NegAtom(color_name(node.coord))
         return And(
             Or(neg, Until(pos, Until(neg, body))),
             Or(pos, Until(neg, Until(pos, body))),
         )
-    if isinstance(phi, Next):
-        return Next(_relativize(phi.child))
-    kind = type(phi)
-    return kind(_relativize(phi.left), _relativize(phi.right))
+    return rebuild(node, kids)
 
 
 def chi_formula(d: int) -> Formula:
@@ -424,50 +489,38 @@ def simplify_constants(phi: Formula) -> Formula:
     as the left arm of a Release (the F/G encodings), or is itself tt/ff.
     Semantics-preserving; automaton constructions rely on the shape.
     """
-    if is_tt(phi) or is_ff(phi) or isinstance(phi, (Atom, NegAtom)):
-        return phi
-    if isinstance(phi, Next):
-        child = simplify_constants(phi.child)
+    return fold(phi, _simplify_step)
+
+
+def _simplify_step(node: Formula, kids: list) -> Formula:
+    if is_tt(node) or is_ff(node) or isinstance(node, (Atom, NegAtom)):
+        return node
+    if isinstance(node, (Next, FLe, GLe)):
+        (child,) = kids
         if is_tt(child) or is_ff(child):
             return child
-        return Next(child)
-    if isinstance(phi, (FLe, GLe)):
-        child = simplify_constants(phi.child)
-        if is_tt(child) or is_ff(child):
-            return child
-        return type(phi)(phi.var, phi.coord, child)
-    left = simplify_constants(phi.left)
-    right = simplify_constants(phi.right)
-    if isinstance(phi, And):
+        return rebuild(node, kids)
+    left, right = kids
+    if isinstance(node, And):
         if is_ff(left) or is_ff(right):
             return ff()
         if is_tt(left):
             return right
         if is_tt(right):
             return left
-        return And(left, right)
-    if isinstance(phi, Or):
+    elif isinstance(node, Or):
         if is_tt(left) or is_tt(right):
             return tt()
         if is_ff(left):
             return right
         if is_ff(right):
             return left
-        return Or(left, right)
-    if isinstance(phi, Until):
-        if is_tt(right) or is_ff(right):
+    elif isinstance(node, Until):
+        if is_tt(right) or is_ff(right) or is_ff(left):
             return right
-        if is_ff(left):
-            return right
-        return Until(left, right)
-    if isinstance(phi, Release):
-        if is_tt(right) or is_ff(right):
-            return right
-        if is_tt(left):
-            return right
-        return Release(left, right)
-    msg = f"not a formula node: {phi!r}"
-    raise FormulaError(msg)
+    elif is_tt(right) or is_ff(right) or is_tt(left):  # Release
+        return right
+    return rebuild(node, kids)
 
 
 # --- pretty printing ------------------------------------------------------
@@ -481,72 +534,56 @@ _PREC_OR = 20
 
 def pretty_print(phi: Formula) -> str:
     """Concrete syntax that parses back to the same tree."""
-    text, _ = _pp(phi)
-    return text
+    return _operand(fold(phi, _pp), 0)
 
 
-def _bracket(var: str, coord: int, rel: str = "<=") -> str:
-    if coord == 1:
-        return f"[{rel}{var}]"
-    return f"[{rel}{var}@{coord}]"
+_INFIX = {
+    Until: ("U", _PREC_UNTIL),
+    Release: ("R", _PREC_UNTIL),
+    And: ("&", _PREC_AND),
+    Or: ("|", _PREC_OR),
+}
 
 
-def _pp(phi: Formula) -> tuple[str, int]:
-    if is_tt(phi):
+def _pp(node: Formula, kids: list) -> Optional[tuple[str, int]]:
+    """(text, precedence) of a node, or None for the reserved truth atom,
+    which prints only as part of tt or ff."""
+    if is_tt(node):
         return "tt", _PREC_ATOM
-    if is_ff(phi):
+    if is_ff(node):
         return "ff", _PREC_ATOM
-    if isinstance(phi, Atom):
-        if phi.name == TRUTH_PROP:
-            msg = "reserved truth atom cannot be printed outside tt/ff"
-            raise FormulaError(msg)
-        return phi.name, _PREC_ATOM
-    if isinstance(phi, NegAtom):
-        if phi.name == TRUTH_PROP:
-            msg = "reserved truth atom cannot be printed outside tt/ff"
-            raise FormulaError(msg)
-        return f"!{phi.name}", _PREC_UNARY
-    if isinstance(phi, Until) and is_tt(phi.left):
-        return f"F {_pp_child(phi.right, _PREC_UNARY)}", _PREC_UNARY
-    if isinstance(phi, Release) and is_ff(phi.left):
-        return f"G {_pp_child(phi.right, _PREC_UNARY)}", _PREC_UNARY
-    if isinstance(phi, Next):
-        return f"X {_pp_child(phi.child, _PREC_UNARY)}", _PREC_UNARY
-    if isinstance(phi, FLe):
-        return f"F{_bracket(phi.var, phi.coord)} {_pp_child(phi.child, _PREC_UNARY)}", _PREC_UNARY
-    if isinstance(phi, GLe):
-        return f"G{_bracket(phi.var, phi.coord)} {_pp_child(phi.child, _PREC_UNARY)}", _PREC_UNARY
-    if isinstance(phi, Until):
-        left = _pp_left_assoc_guard(phi.left, _PREC_UNTIL)
-        right = _pp_child(phi.right, _PREC_UNTIL)
-        return f"{left} U {right}", _PREC_UNTIL
-    if isinstance(phi, Release):
-        left = _pp_left_assoc_guard(phi.left, _PREC_UNTIL)
-        right = _pp_child(phi.right, _PREC_UNTIL)
-        return f"{left} R {right}", _PREC_UNTIL
-    if isinstance(phi, And):
-        left = _pp_child(phi.left, _PREC_AND)
-        right = _pp_left_assoc_guard(phi.right, _PREC_AND)
-        return f"{left} & {right}", _PREC_AND
-    if isinstance(phi, Or):
-        left = _pp_child(phi.left, _PREC_OR)
-        right = _pp_left_assoc_guard(phi.right, _PREC_OR)
-        return f"{left} | {right}", _PREC_OR
-    msg = f"not a formula node: {phi!r}"
-    raise FormulaError(msg)
+    if isinstance(node, (Atom, NegAtom)):
+        if node.name == TRUTH_PROP:
+            return None
+        if isinstance(node, Atom):
+            return node.name, _PREC_ATOM
+        return f"!{node.name}", _PREC_UNARY
+    if isinstance(node, Until) and is_tt(node.left):
+        return f"F {_operand(kids[1], _PREC_UNARY)}", _PREC_UNARY
+    if isinstance(node, Release) and is_ff(node.left):
+        return f"G {_operand(kids[1], _PREC_UNARY)}", _PREC_UNARY
+    if isinstance(node, Next):
+        return f"X {_operand(kids[0], _PREC_UNARY)}", _PREC_UNARY
+    if isinstance(node, (FLe, GLe)):
+        op = "F" if isinstance(node, FLe) else "G"
+        at = "" if node.coord == 1 else f"@{node.coord}"
+        return f"{op}[<={node.var}{at}] {_operand(kids[0], _PREC_UNARY)}", _PREC_UNARY
+    symbol, prec = _INFIX[type(node)]
+    # U and R associate to the right, & and | to the left: an operand of
+    # the same precedence on the other side needs parentheses.
+    right_assoc = prec == _PREC_UNTIL
+    left = _operand(kids[0], prec + right_assoc)
+    right = _operand(kids[1], prec + (not right_assoc))
+    return f"{left} {symbol} {right}", prec
 
 
-def _pp_child(phi: Formula, parent_prec: int) -> str:
-    text, prec = _pp(phi)
-    if prec < parent_prec:
-        return f"({text})"
-    return text
-
-
-def _pp_left_assoc_guard(phi: Formula, parent_prec: int) -> str:
-    # Same-precedence operand on the non-associating side needs parens.
-    text, prec = _pp(phi)
-    if prec <= parent_prec:
+def _operand(printed: Optional[tuple[str, int]], min_prec: int) -> str:
+    """An operand's text, parenthesized below the precedence `min_prec`."""
+    if printed is None:
+        msg = "reserved truth atom cannot be printed outside tt/ff"
+        raise FormulaError(msg)
+    text, prec = printed
+    if prec < min_prec:
         return f"({text})"
     return text
 
@@ -630,12 +667,14 @@ class _Parser:
         return phi
 
     def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek().kind == "->":
+        operands = [self.disjunction()]
+        while self.peek().kind == "->":
             self.advance()
-            right = self.implication()
-            return expand_derived("->", (left, right))
-        return left
+            operands.append(self.disjunction())
+        phi = operands.pop()
+        while operands:
+            phi = expand_derived("->", (operands.pop(), phi))
+        return phi
 
     def disjunction(self) -> Formula:
         phi = self.conjunction()
@@ -652,40 +691,44 @@ class _Parser:
         return phi
 
     def until_chain(self) -> Formula:
-        left = self.unary()
-        token = self.peek()
-        if token.kind == "ident" and token.text in ("U", "R"):
-            self.advance()
-            param = self.maybe_bracket()
-            right = self.until_chain()
+        operands = [self.unary()]
+        operators = []
+        while self.peek().kind == "ident" and self.peek().text in ("U", "R"):
+            operators.append((self.advance().text, self.maybe_bracket()))
+            operands.append(self.unary())
+        # U and R associate to the right: combine from the last operand.
+        phi = operands.pop()
+        while operators:
+            op, param = operators.pop()
+            left = operands.pop()
             if param is None:
-                return Until(left, right) if token.text == "U" else Release(left, right)
-            rel, var, coord = param
-            op = f"{token.text}{rel}"
-            return expand_derived(op, (left, right), var=var, coord=coord)
-        return left
+                phi = (Until if op == "U" else Release)(left, phi)
+            else:
+                phi = expand_derived(op + param[0], (left, phi), var=param[1], coord=param[2])
+        return phi
 
     def unary(self) -> Formula:
+        # A chain of prefix operators is read in a loop and applied
+        # innermost first, so it may be any length.
+        prefix = []
         token = self.peek()
-        if token.kind == "!":
+        while token.kind == "!" or (token.kind == "ident" and token.text in ("X", "F", "G")):
             self.advance()
-            return negate(self.unary())
-        if token.kind == "ident" and token.text == "X":
-            self.advance()
-            return Next(self.unary())
-        if token.kind == "ident" and token.text in ("F", "G"):
-            self.advance()
-            param = self.maybe_bracket()
-            child = self.unary()
-            if param is None:
-                return expand_derived(token.text, (child,))
-            rel, var, coord = param
-            if rel == "<=":
-                if token.text == "F":
-                    return FLe(var, coord, child)
-                return GLe(var, coord, child)
-            return expand_derived(f"{token.text}>", (child,), var=var, coord=coord)
-        return self.atom()
+            prefix.append((token.text, self.maybe_bracket() if token.text in ("F", "G") else None))
+            token = self.peek()
+        phi = self.atom()
+        for op, param in reversed(prefix):
+            if op == "!":
+                phi = negate(phi)
+            elif op == "X":
+                phi = Next(phi)
+            elif param is None:
+                phi = expand_derived(op, (phi,))
+            elif param[0] == "<=":
+                phi = (FLe if op == "F" else GLe)(param[1], param[2], phi)
+            else:
+                phi = expand_derived(op + ">", (phi,), var=param[1], coord=param[2])
+        return phi
 
     def maybe_bracket(self) -> Optional[tuple[str, str, int]]:
         if self.peek().kind != "[":
@@ -740,6 +783,12 @@ def parse(text: str) -> Formula:
 
     Grammar, loosest to tightest: ->, |, &, U/R (right-associative),
     unary (! X F G and the bracketed cost-bounded forms), atoms.
-    `kappa` abbreviates `kappa1`.
+    `kappa` abbreviates `kappa1`.  Operator chains may be any length;
+    parentheses nest by recursive descent, so their depth is bounded by
+    Python's recursion limit, and deeper nesting is a ParseError.
     """
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("parentheses nested too deeply", parser.peek().pos) from None

@@ -33,9 +33,8 @@ from .formula import (
     Release,
     Until,
     color_name,
+    fold,
     kappa_name,
-    max_coord,
-    var_profile,
 )
 
 Valuation = Mapping[str, int]
@@ -183,20 +182,28 @@ def kappa_violations(trace: CostTrace) -> list[str]:
 class TraceEvaluator:
     """Reference evaluator over a lasso for a fixed valuation.
 
-    Truth of any subformula at a position depends only on the position's
-    slot, so results are memoized per (node, slot) and, for the budgeted
-    operators, per (node, slot, spent) with the spent cost capped one
-    past the bound.  Temporal operators walk the deterministic slot
-    chain iteratively; a revisit closes the only reachable cycle, where
-    least-fixpoint operators (U, F[<=]) default to false and
-    greatest-fixpoint operators (R, G[<=]) default to true.
+    Truth at a position depends only on the position's slot, so `holds`
+    folds the formula into one truth vector over the slots per distinct
+    subformula.  U, R, F[<=] and G[<=] take their value at the first slot,
+    at or after each slot, where their arguments settle them; one settled
+    nowhere on the loop is false for U and F[<=] and true for R and G[<=].
+    Evaluation takes time linear in the closure size times the number of
+    slots, whatever the bounds.
     """
 
     def __init__(self, trace: CostTrace, valuation: Valuation, strict: bool = False):
         self.trace = trace
         self.valuation = dict(valuation)
         self.strict = strict
-        self._memo: dict = {}
+        self._letters = trace.prefix + trace.loop
+        self._props = [lt.props for lt in self._letters]
+        n, p = len(self._letters), len(trace.prefix)
+        self._succ = [*range(1, n), p]
+        # U, R, F[<=] and G[<=] are computed backward over the slots:
+        # twice round the loop, so that its last slots see the values at
+        # its start, then once over the prefix.  Slots are first set to
+        # the value they keep if nothing on the loop settles them.
+        self._backward = [*range(n - 1, p - 1, -1)] * 2 + [*range(p - 1, -1, -1)]
 
     def _bound(self, var: str) -> int:
         if var in self.valuation:
@@ -211,107 +218,49 @@ class TraceEvaluator:
         return 0
 
     def holds(self, phi: Formula, position: int = 0) -> bool:
-        coord = max_coord(phi)
-        if coord > self.trace.d:
-            msg = f"formula uses coordinate {coord}, trace has dimension {self.trace.d}"
-            raise TraceError(msg)
-        if self.strict:
-            for var in var_profile(phi).variables:
-                self._bound(var)
-        return self._eval(phi, self.trace.slot(position))
+        return fold(phi, self._truth)[self.trace.slot(position)]
 
-    def _eval(self, phi: Formula, slot: int) -> bool:
+    def _truth(self, phi: Formula, kids: list) -> list[bool]:
+        """The truth vector of `phi` over the slots, from its children's."""
         if isinstance(phi, Atom):
-            return phi.name in self.trace.letter_at_slot(slot).props
+            return [phi.name in props for props in self._props]
         if isinstance(phi, NegAtom):
-            return phi.name not in self.trace.letter_at_slot(slot).props
+            return [phi.name not in props for props in self._props]
         if isinstance(phi, And):
-            return self._eval(phi.left, slot) and self._eval(phi.right, slot)
+            return [a and b for a, b in zip(*kids)]
         if isinstance(phi, Or):
-            return self._eval(phi.left, slot) or self._eval(phi.right, slot)
+            return [a or b for a, b in zip(*kids)]
         if isinstance(phi, Next):
-            return self._eval(phi.child, self.trace.succ_slot(slot))
-        if isinstance(phi, Until):
-            return self._fixpoint_walk(phi, slot, default=False)
-        if isinstance(phi, Release):
-            return self._fixpoint_walk(phi, slot, default=True)
-        if isinstance(phi, FLe):
-            return self._budget_walk(phi, slot, default=False)
-        if isinstance(phi, GLe):
-            return self._budget_walk(phi, slot, default=True)
-        msg = f"not a formula node: {phi!r}"
-        raise TraceError(msg)
-
-    def _fixpoint_walk(self, phi: Formula, slot: int, default: bool) -> bool:
-        memo = self._memo
-        chain: list[int] = []
-        on_chain: set[int] = set()
-        cur = slot
-        while True:
-            key = (phi, cur)
-            if key in memo:
-                value = memo[key]
-                break
-            if cur in on_chain:
-                value = default
-                break
-            if not default:
-                # Until: right now, or (left now and until at successor).
-                if self._eval(phi.right, cur):
-                    memo[key] = value = True
-                    break
-                if not self._eval(phi.left, cur):
-                    memo[key] = value = False
-                    break
-            else:
-                # Release: right always required until left discharges it.
-                if not self._eval(phi.right, cur):
-                    memo[key] = value = False
-                    break
-                if self._eval(phi.left, cur):
-                    memo[key] = value = True
-                    break
-            chain.append(cur)
-            on_chain.add(cur)
-            cur = self.trace.succ_slot(cur)
-        for visited in chain:
-            memo[(phi, visited)] = value
-        return value
-
-    def _budget_walk(self, phi: Formula, slot: int, default: bool) -> bool:
+            (child,) = kids
+            return [child[t] for t in self._succ]
+        succ, n = self._succ, len(self._letters)
+        if isinstance(phi, (Until, Release)):
+            # U waits for its successor's value where its left argument
+            # holds and its right one fails, R where its left one fails and
+            # its right one holds; elsewhere either takes the right one's.
+            left, right = kids
+            until = isinstance(phi, Until)
+            value = [not until] * n
+            for s in self._backward:
+                if left[s] == until and right[s] != until:
+                    value[s] = value[succ[s]]
+                else:
+                    value[s] = right[s]
+            return value
+        # The cost of reaching the first slot where the child holds
+        # (F[<=]) or fails (G[<=]), infinite if it never does, compared
+        # with the bound.
+        if phi.coord > self.trace.d:
+            msg = f"formula uses coordinate {phi.coord}, trace has dimension {self.trace.d}"
+            raise TraceError(msg)
+        eventually = isinstance(phi, FLe)
+        (child,) = kids
+        step = [lt.cost[phi.coord - 1] for lt in self._letters]
+        cost = [math.inf] * n
+        for s in self._backward:
+            cost[s] = 0 if child[s] == eventually else step[s] + cost[succ[s]]
         bound = self._bound(phi.var)
-        coord = phi.coord
-        memo = self._memo
-        chain: list[tuple[int, int]] = []
-        on_chain: set[tuple[int, int]] = set()
-        cur = (slot, 0)
-        while True:
-            key = (phi, cur)
-            if key in memo:
-                value = memo[key]
-                break
-            if cur in on_chain:
-                value = default
-                break
-            here, spent = cur
-            if spent > bound:
-                # Window exhausted: nothing left to find, nothing left to check.
-                memo[key] = value = default
-                break
-            child = self._eval(phi.child, here)
-            if not default and child:
-                memo[key] = value = True
-                break
-            if default and not child:
-                memo[key] = value = False
-                break
-            chain.append(cur)
-            on_chain.add(cur)
-            spent_next = min(spent + self.trace.letter_at_slot(here).cost[coord - 1], bound + 1)
-            cur = (self.trace.succ_slot(here), spent_next)
-        for visited in chain:
-            memo[(phi, visited)] = value
-        return value
+        return [(c <= bound) == eventually for c in cost]
 
 
 def evaluate(

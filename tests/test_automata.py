@@ -150,10 +150,10 @@ def test_cost_acceptor_matches_evaluator():
             f_vars=("x",),
             g_vars=("y",),
         )
-        val = {"x": rng.randint(0, 4), "y": rng.randint(0, 4)}
+        val = {"x": rng.randint(0, 12), "y": rng.randint(0, 12)}
         auto = cost_nba(phi, val, d)
         for _ in range(3):
-            trace = random_trace(rng, d=d)
+            trace = random_trace(rng, d=d, max_prefix=5, max_loop=6)
             want = evaluate(trace, 0, val, phi)
             assert auto.accepts_trace(trace) is want, (phi, val, trace)
 

@@ -274,9 +274,19 @@ def test_translate_product_output_is_pinned(capsys, sys_file, sys_a):
 
 
 def test_deep_formula_exits_with_error_not_verdict(capsys, sys_file):
-    code, _, captured = run(capsys, "check", sys_file, "X " * 3000 + "p")
+    # parentheses nest by recursive descent, so 3000 of them are a parse
+    # error, never a verdict
+    code, _, captured = run(capsys, "check", sys_file, "(" * 3000 + "p" + ")" * 3000)
     assert code == 2
-    assert captured.err.startswith("error:")
+    assert captured.err.startswith("error: parentheses nested too deeply")
+
+
+def test_deep_fixed_query_answers_at_3000(capsys, sys_file):
+    # prefix chains parse in a loop and every formula walk is iterative
+    code, pairs, captured = run(capsys, "check", sys_file, "X " * 3000 + "p", "--fixed")
+    assert code == 1, captured.err
+    assert pairs["holds"] == "false"
+    assert "counterexample:" in captured.out
 
 
 def test_deep_fixed_query_answers(capsys, sys_file):

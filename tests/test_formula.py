@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import time
 
 import pytest
 
@@ -177,6 +178,52 @@ def test_node_hash_is_the_field_tuple_hash(formula_pool):
         deep = Next(deep)
     assert deep in {deep}
     assert len(list(subformulas(deep))) == 5001
+    # equality compares fields, not just stored hashes: in CPython
+    # hash(-1) == hash(-2), so these two nodes hash alike
+    twins = FLe("x", -1, Atom("p")), FLe("x", -2, Atom("p"))
+    assert hash(twins[0]) == hash(twins[1])
+    assert twins[0] != twins[1]
+
+
+def test_deep_formulas_parse_compare_and_print():
+    text = "X " * 3000 + "p"
+    deep = parse(text)
+    assert deep == parse(text)
+    assert deep != parse("X " * 2999 + "q")
+    assert negate(negate(deep)) == deep
+    assert parse(pretty_print(deep)) == deep
+    assert repr(deep).startswith("Next(child=Next(child=")
+    until_chain = parse(" U ".join(["p"] * 3000))
+    assert parse(pretty_print(until_chain)) == until_chain
+    implications = Atom("p")
+    for _ in range(2999):
+        implications = Or(NegAtom("p"), implications)
+    assert parse(" -> ".join(["p"] * 3000)) == implications
+
+
+def test_prefix_chains_apply_innermost_first():
+    assert parse("X ! F[<=x] p") == Next(GLe("x", 1, NegAtom("p")))
+    assert parse("! X G[<=y@2] p") == Next(FLe("y", 2, NegAtom("p")))
+    assert parse("F G[>y] X p") == parse("F (G[>y] (X p))")
+    assert parse("! ! ! p") == NegAtom("p")
+
+
+def test_parenthesis_depth_is_a_parse_error():
+    assert parse("(" * 100 + "p" + ")" * 100) == Atom("p")
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse("(" * 3000 + "p" + ")" * 3000)
+
+
+def test_rewrites_visit_shared_subterms_once():
+    # relativizing F[<=x] and eliminating G[<=y] both use the rewritten
+    # body twice, so these chains have 2^16 paths through 16 levels
+    f_chain = relativize(parse("F[<=x] " * 16 + "p"), 1)
+    g_chain = eliminate_parametric_always(parse("G[<=y] " * 16 + "p"))
+    for phi in (f_chain, g_chain):
+        start = time.perf_counter()
+        neg = simplify_constants(negate(phi))
+        assert time.perf_counter() - start < 1.0
+        assert negate(neg) == phi
 
 
 def test_drop_cost_bounds():

@@ -78,6 +78,16 @@ def test_counterexample_replays(sys_a):
     assert not evaluate(trace, 0, {"x": 2}, phi)
 
 
+def test_deep_fixed_query_answers_twice(sys_a):
+    # the second query finds the first one's automaton in the cache, which
+    # compares two distinct 3000-deep formulas for equality
+    text = "X " * 3000 + "p"
+    first = check_fixed(sys_a, parse(text), {})
+    second = check_fixed(sys_a, parse(text), {})
+    assert not first.holds and not second.holds
+    assert first.counterexample == second.counterexample
+
+
 def test_check_fixed_matches_oracle_smoke():
     rng = random.Random(414)
     texts = ("F[<=x] p", "G[<=y] q", MC1, "p U q", "F[<=x] p & G[<=y] q")

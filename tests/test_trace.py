@@ -1,6 +1,7 @@
 """Cost traces: representation, evaluation, colorings."""
 
 import random
+import time
 
 import pytest
 
@@ -115,6 +116,21 @@ def test_evaluate_budgeted():
     mc1 = parse("G (q -> F[<=x] p)")
     assert evaluate(t1, 0, {"x": 3}, mc1)
     assert not evaluate(t1, 0, {"x": 2}, mc1)
+
+
+def test_evaluate_time_does_not_grow_with_the_bound():
+    loop = (letter(["q", "kappa1"], 1), letter(["q", "kappa1"], 1))
+    start = time.perf_counter()
+    assert evaluate(CostTrace((), loop, 1), 0, {"y": 10**6}, parse("G[<=y] q"))
+    assert time.perf_counter() - start < 1.0
+    # p only at the end of a 3001-slot loop, one cost unit per step
+    long_loop = (letter(["q", "kappa1"], 1),) * 3000 + (letter(["p", "kappa1"], 1),)
+    trace = CostTrace((), long_loop, 1)
+    phi = parse("G (q -> F[<=y] p)")
+    start = time.perf_counter()
+    assert evaluate(trace, 0, {"y": 3000}, phi)
+    assert not evaluate(trace, 0, {"y": 2999}, phi)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_evaluate_positions_follow_slots():
