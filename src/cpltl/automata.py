@@ -17,7 +17,7 @@ from __future__ import annotations
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .formula import (
     And,
@@ -481,30 +481,34 @@ def find_accepting_lasso(
     return path[:-1], loop
 
 
-# Low value of a node whose component is complete (see _tarjan).
+# Low value of a node whose component is complete (see _sccs).
 _FINISHED = sys.maxsize
 
 
-def _tarjan(order: Sequence, adj: Mapping) -> tuple:
-    """Iterative Tarjan SCC. Returns (node -> component id, cyclic flags).
+def _sccs(roots: Iterable, successors: Callable) -> Iterator:
+    """Iterative Tarjan SCC over the nodes reachable from `roots`.
 
-    Each DFS frame holds its node, an iterator over the node's successors
+    Yields (members, cyclic) as each component completes, in reverse
+    topological order; `cyclic` is True when the component has an edge
+    (more than one member, or a self-loop).  The graph is spanned on the
+    fly by `successors`, so a caller that stops early explores no further.
+
+    Each DFS frame holds its node, its successors, an iterator over them
     and the node's index.  A finished node's low value is set past every
     index, so it never lowers another's and no on-stack set is needed.
     """
     low: dict = {}
     lookup = low.get
     stack: list = []
-    sccid: dict = {}
-    cyclic: list = []
-    for root in order:
+    for root in roots:
         if root in low:
             continue
         low[root] = len(low)
         stack.append(root)
-        work = [(root, iter(adj[root]), low[root])]
+        out = successors(root)
+        work = [(root, out, iter(out), low[root])]
         while work:
-            node, children, number = work[-1]
+            node, out, children, number = work[-1]
             here = low[node]
             for w in children:
                 reach = lookup(w)
@@ -512,7 +516,8 @@ def _tarjan(order: Sequence, adj: Mapping) -> tuple:
                     low[node] = here
                     low[w] = reach = len(low)
                     stack.append(w)
-                    work.append((w, iter(adj[w]), reach))
+                    out = successors(w)
+                    work.append((w, out, iter(out), reach))
                     break
                 if reach < here:
                     here = reach
@@ -525,18 +530,25 @@ def _tarjan(order: Sequence, adj: Mapping) -> tuple:
                         low[parent] = here
                 if here != number:
                     continue
-                comp = len(cyclic)
-                w = stack.pop()
-                low[w] = _FINISHED
-                sccid[w] = comp
-                if w == node:
-                    cyclic.append(node in adj[node])
-                    continue
-                while w != node:
+                members = []
+                while True:
                     w = stack.pop()
                     low[w] = _FINISHED
-                    sccid[w] = comp
-                cyclic.append(True)
+                    members.append(w)
+                    if w == node:
+                        break
+                yield members, len(members) > 1 or node in out
+
+
+def _tarjan(order: Sequence, adj: Mapping) -> tuple:
+    """SCCs of the graph `adj` over `order`. Returns (node -> component id,
+    cyclic flag per component id)."""
+    sccid: dict = {}
+    cyclic: list = []
+    for comp, (members, has_edge) in enumerate(_sccs(order, adj.__getitem__)):
+        for w in members:
+            sccid[w] = comp
+        cyclic.append(has_edge)
     return sccid, cyclic
 
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from functools import cached_property
+from typing import Callable, Iterator, Mapping, Optional
 
 from .automata import (
     BuchiAutomaton,
@@ -27,7 +28,7 @@ from .automata import (
     find_accepting_lasso,
     guard_holds,
     ltl_to_nba,
-    _tarjan,
+    _sccs,
 )
 from .formula import (
     And,
@@ -61,25 +62,59 @@ class ColoredCostGraph:
 
     Vertices are (system state, automaton state, color set); the automaton
     reads the state label extended by the colors, and every subset of colors
-    may be picked for the successor.  The graph keeps no cost table: an
-    edge's cost is the system's cost between the two vertices' states
-    (`step`).
+    may be picked for the successor.  `vertices` lists them in breadth-first
+    order from the initial vertex, and a vertex's position there is its id.
+    Per id, `succ` holds the successor ids in edge order, `color` a bitmask
+    with bit c-1 set when coordinate c's color is chosen, and `accept`
+    whether the automaton state is accepting.  The views on vertex tuples,
+    `edges`, `accepting` and `index` (vertex -> id), are built on first use.
+    The graph keeps no cost table: an edge's cost is the system's cost
+    between the two vertices' states (`step`; `positive` holds which
+    coordinates of each state pair's cost are positive).
     """
 
-    initial: tuple
     vertices: tuple
-    edges: dict
+    succ: list
+    color: list
+    accept: list
     system_cost: dict
-    accepting: frozenset
     colors: tuple
     d: int
+
+    @property
+    def initial(self) -> tuple:
+        return self.vertices[0]
 
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
 
     def n_edges(self) -> int:
-        return sum(len(self.edges[v]) for v in self.vertices)
+        return sum(map(len, self.succ))
+
+    @cached_property
+    def edges(self) -> dict:
+        vertices = self.vertices
+        return {
+            v: tuple(vertices[j] for j in out)
+            for v, out in zip(vertices, self.succ)
+        }
+
+    @cached_property
+    def accepting(self) -> frozenset:
+        return frozenset(v for v, ok in zip(self.vertices, self.accept) if ok)
+
+    @cached_property
+    def index(self) -> dict:
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def positive(self) -> dict:
+        """(state, state) -> bitmask of the coordinates with positive cost."""
+        return {
+            pair: sum(1 << i for i, c in enumerate(vec) if c > 0)
+            for pair, vec in self.system_cost.items()
+        }
 
     def step(self, v, w) -> tuple:
         """Cost vector of the edge v -> w."""
@@ -92,109 +127,142 @@ class ColoredCostGraph:
 def build_product(
     system: TransitionSystem, auto: BuchiAutomaton
 ) -> ColoredCostGraph:
-    colors = tuple(color_name(i) for i in range(1, system.d + 1))
-    subsets = []
-    for mask in range(1 << system.d):
-        subsets.append(
-            frozenset(colors[i] for i in range(system.d) if mask >> i & 1)
+    d = system.d
+    width = 1 << d
+    colors = tuple(color_name(i) for i in range(1, d + 1))
+    subsets = [
+        frozenset(colors[i] for i in range(d) if mask >> i & 1)
+        for mask in range(width)
+    ]
+    # A vertex is keyed by the integer (state * |Q| + automaton state) *
+    # width + color mask.  The (automaton state, colors) parts of a
+    # vertex's successors depend only on its automaton state and letter, so
+    # they are worked out once per such pair, and each guard once per letter.
+    auto_states = auto.states
+    auto_index = {q: k for k, q in enumerate(auto_states)}
+    stride = len(auto_states) * width
+    states = system.states
+    state_index = {s: k for k, s in enumerate(states)}
+    letters = {
+        state: [system.labels[state] | chosen for chosen in subsets]
+        for state in states
+    }
+    bases = {
+        state: tuple(
+            state_index[t] * stride
+            for t in dict.fromkeys(system.successors(state))
         )
-    # The (automaton state, colors) pairs of a vertex's successors depend
-    # only on its automaton state and letter, so they are worked out once
-    # per such pair, and each guard once per letter.
-    letters: dict = {}
+        for state in states
+    }
     holds: dict = {}
     moves: dict = {}
 
-    def moves_of(state, q, chosen) -> tuple:
-        letter = letters.get((state, chosen))
-        if letter is None:
-            letter = letters[(state, chosen)] = system.labels[state] | chosen
-        found = moves.get((q, letter))
-        if found is None:
-            targets = {}
-            for guard, dst in auto.transitions[q]:
-                ok = holds.get((guard, letter))
-                if ok is None:
-                    ok = holds[(guard, letter)] = guard_holds(guard, letter)
-                if ok:
-                    targets[dst] = None
-            found = tuple((q2, picked) for q2 in targets for picked in subsets)
-            moves[(q, letter)] = found
-        return found
-
-    successors = {
-        state: tuple(dict.fromkeys(system.successors(state)))
-        for state in system.states
-    }
-    initial = (system.initial, auto.initial, frozenset())
-    edges: dict = {}
-    order = [initial]
-    seen = {initial}
-    queue = deque([initial])
-    while queue:
-        vertex = queue.popleft()
-        state, q, chosen = vertex
-        step = moves_of(state, q, chosen)
-        out = tuple(
-            (succ, q2, picked)
-            for succ in successors[state]
-            for q2, picked in step
+    def moves_of(q, letter) -> tuple:
+        targets = {}
+        for guard, dst in auto.transitions[q]:
+            ok = holds.get((guard, letter))
+            if ok is None:
+                ok = holds[(guard, letter)] = guard_holds(guard, letter)
+            if ok:
+                targets[dst] = None
+        return tuple(
+            auto_index[q2] * width + picked
+            for q2 in targets
+            for picked in range(width)
         )
-        for w in out:
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-                queue.append(w)
-        edges[vertex] = out
-    accepting = frozenset(v for v in order if v[1] in auto.accepting)
+
+    accepting = [q in auto.accepting for q in auto_states]
+    start = state_index[system.initial] * stride
+    ids = {start + auto_index[auto.initial] * width: 0}
+    lookup = ids.get
+    vertices = [(system.initial, auto.initial, subsets[0])]
+    color = [0]
+    accept = [accepting[auto_index[auto.initial]]]
+    succ = []
+    for state, q, _ in vertices:
+        key = (q, letters[state][color[len(succ)]])
+        step = moves.get(key)
+        if step is None:
+            step = moves[key] = moves_of(*key)
+        codes = [base + move for base in bases[state] for move in step]
+        out = list(map(lookup, codes))
+        if None in out:
+            for pos, j in enumerate(out):
+                if j is None:
+                    code = codes[pos]
+                    out[pos] = ids[code] = len(vertices)
+                    k, mask = divmod(code % stride, width)
+                    vertices.append(
+                        (states[code // stride], auto_states[k], subsets[mask])
+                    )
+                    color.append(mask)
+                    accept.append(accepting[k])
+        succ.append(out)
     return ColoredCostGraph(
-        initial=initial,
-        vertices=tuple(order),
-        edges=edges,
+        vertices=tuple(vertices),
+        succ=succ,
+        color=color,
+        accept=accept,
         system_cost=system.cost,
-        accepting=accepting,
         colors=colors,
-        d=system.d,
+        d=d,
     )
 
 
 # --- pumpable fair paths ----------------------------------------------------
 
 
-def _capable_sets(graph: ColoredCostGraph) -> list:
-    """Per coordinate: vertices whose single-color component can supply a
-    positive-cost cycle (candidates for pumping a block)."""
-    caps = []
-    for coord in range(1, graph.d + 1):
-        color = graph.colors[coord - 1]
-        adj = {}
-        for v in graph.vertices:
-            side = color in v[2]
-            adj[v] = tuple(w for w in graph.edges[v] if (color in w[2]) == side)
-        sccid, _ = _tarjan(graph.vertices, adj)
-        marked = set()
-        for v in graph.vertices:
-            comp = sccid[v]
-            if comp in marked:
+def _components(graph: ColoredCostGraph, mask: int) -> list:
+    """Per vertex id, the SCC of the vertex in the subgraph of the edges that
+    keep the colors in `mask`, labelled by one of its members' ids."""
+    succ, color = graph.succ, graph.color
+    comp = [-1] * graph.n_vertices
+
+    def kept(v) -> list:
+        side = color[v] & mask
+        return [w for w in succ[v] if color[w] & mask == side]
+
+    for members, _ in _sccs(range(graph.n_vertices), kept):
+        for u in members:
+            comp[u] = members[0]
+    return comp
+
+
+def _pump_capability(graph: ColoredCostGraph) -> tuple:
+    """Per vertex id, a bitmask with bit c-1 set when the vertex's component
+    in the subgraph that keeps coordinate c's color holds an edge with
+    positive c-cost (the vertex can supply a pump for a block).  Returns
+    the masks and, per coordinate bit, the components (`_components`)."""
+    succ, vertices, positive = graph.succ, graph.vertices, graph.positive
+    components = {}
+    cap = [0] * graph.n_vertices
+    for bit in (1 << i for i in range(graph.d)):
+        comp = components[bit] = _components(graph, bit)
+        pumped = set()
+        for u, label in enumerate(comp):
+            if label in pumped:
                 continue
-            for w in adj[v]:
-                if sccid[w] == comp and graph.step(v, w)[coord - 1] > 0:
-                    marked.add(comp)
+            state = vertices[u][0]
+            for w in succ[u]:
+                if comp[w] != label:
+                    continue
+                if positive[(state, vertices[w][0])] & bit:
+                    pumped.add(label)
                     break
-        caps.append(
-            frozenset(v for v in graph.vertices if sccid[v] in marked)
-        )
-    return caps
+        for u, label in enumerate(comp):
+            if label in pumped:
+                cap[u] |= bit
+    return cap, components
 
 
-def _bfs_tree(start, adj: Mapping, members) -> tuple:
+def _bfs_tree(start, adj: Callable) -> tuple:
     dist = {start: 0}
     parent = {start: None}
     queue = deque([start])
     while queue:
         u = queue.popleft()
-        for w in adj[u]:
-            if w in members and w not in dist:
+        for w in adj(u):
+            if w not in dist:
                 dist[w] = dist[u] + 1
                 parent[w] = u
                 queue.append(w)
@@ -211,49 +279,51 @@ def _tree_path(node, parent: Mapping) -> list:
 
 
 def _pump_cycle(
-    graph: ColoredCostGraph, coord: int, v, constant: bool
+    graph: ColoredCostGraph,
+    components: dict,
+    bit: int,
+    v: int,
+    constant: bool,
 ) -> Optional[list]:
-    """Cycle through v with a positive step in `coord`, staying on vertices
-    that agree with v on coordinate `coord`'s color (or on all colors when
-    `constant`).  Returns the cycle as [v, ...] with an implicit wrap edge,
-    or None."""
-    if constant:
-        def allowed(u) -> bool:
-            return u[2] == v[2]
-    else:
-        def allowed(u) -> bool:
-            return graph.color_bit(u, coord) == graph.color_bit(v, coord)
+    """Shortest cycle through vertex id v with a positive step in the
+    coordinate of `bit`, staying on vertices that agree with v on that
+    coordinate's color (or on all colors when `constant`).  Ties go to the
+    first positive edge in vertex order.  Returns the cycle as ids
+    [v, ...] with an implicit wrap edge, or None.
 
-    verts = [u for u in graph.vertices if allowed(u)]
-    adj = {u: tuple(w for w in graph.edges[u] if allowed(w)) for u in verts}
-    sccid, _ = _tarjan(verts, adj)
-    comp = sccid[v]
-    members = {u for u in verts if sccid[u] == comp}
-    candidates = [
-        (a, b)
-        for a in members
-        for b in adj[a]
-        if b in members and graph.step(a, b)[coord - 1] > 0
-    ]
+    `components` caches `_components` per color mask.
+    """
+    succ, color, vertices = graph.succ, graph.color, graph.vertices
+    positive = graph.positive
+    mask = (1 << graph.d) - 1 if constant else bit
+    comp = components.get(mask)
+    if comp is None:
+        comp = components[mask] = _components(graph, mask)
+    label = comp[v]
+
+    def inside(u) -> list:
+        return [w for w in succ[u] if comp[w] == label]
+
+    members = [u for u in range(graph.n_vertices) if comp[u] == label]
+    pred: dict = {u: [] for u in members}
+    candidates = []
+    for a in members:
+        for b in inside(a):
+            pred[b].append(a)
+            if positive[(vertices[a][0], vertices[b][0])] & bit:
+                candidates.append((a, b))
     if not candidates:
         return None
-    dist_v, parent_v = _bfs_tree(v, adj, members)
+    dist_v, parent_v = _bfs_tree(v, inside)
+    dist_to_v, _ = _bfs_tree(v, pred.__getitem__)
     best = None
     for a, b in candidates:
-        if a not in dist_v:
-            continue
-        dist_b, parent_b = _bfs_tree(b, adj, members)
-        if v not in dist_b:
-            continue
-        length = dist_v[a] + 1 + dist_b[v]
+        length = dist_v[a] + 1 + dist_to_v[b]
         if best is None or length < best[0]:
-            best = (length, a, b, parent_b)
-    if best is None:
-        return None
-    _, a, b, parent_b = best
-    head = _tree_path(a, parent_v)
-    tail = _tree_path(v, parent_b)
-    return head + tail[:-1]
+            best = (length, a, b)
+    _, a, b = best
+    _, parent_b = _bfs_tree(b, inside)
+    return _tree_path(a, parent_v) + _tree_path(v, parent_b)[:-1]
 
 
 def _block_pumped(graph, run: Lasso, coord: int, start: int, end: int) -> bool:
@@ -279,45 +349,50 @@ def pumpable_fair_path(graph: ColoredCostGraph) -> Optional[tuple]:
 
     Searches the graph augmented with one flag per coordinate recording
     whether the current block has seen a pump-capable vertex; a color flip
-    is only allowed with the flag set.  The returned lasso is spliced with
-    explicit pump cycles so that every completed block contains a repeated
-    vertex with positive cost in between, then re-verified.  Returns
-    (prefix, loop) of product vertices, or None if no such path exists.
+    is only allowed with the flag set.  A flagged node is the integer
+    `id << d | flags` over the graph's vertex ids: a step to w changes the
+    colors in `diff = color[v] ^ color[w]`, is allowed iff
+    `diff & ~flags == 0`, and leads to flags `(flags & ~diff) | cap[w]`,
+    where `cap` is the pump capability of each id.  One SCC pass over these
+    nodes decides emptiness and stops at the first component that is cyclic
+    and holds an accepting vertex.  Only then is a lasso extracted, with the
+    same successor rule, and spliced with explicit pump cycles so that
+    every completed block contains a repeated vertex with positive cost in
+    between, then re-verified.  Returns (prefix, loop) of product vertices,
+    or None if no such path exists.
     """
-    caps = _capable_sets(graph)
+    cap, components = _pump_capability(graph)
     d = graph.d
-    bits = {v: tuple(c in v[2] for c in graph.colors) for v in graph.vertices}
-    capable = {v: tuple(v in cap for cap in caps) for v in graph.vertices}
+    full = (1 << d) - 1
+    succ, color, accept = graph.succ, graph.color, graph.accept
 
-    def successors(node):
-        v, flags = node
-        here = bits[v]
+    def successors(node) -> list:
+        v = node >> d
+        flags = node & full
+        here = color[v]
         out = []
-        for w in graph.edges[v]:
-            there = bits[w]
-            pump = capable[w]
-            nxt = []
-            for i in range(d):
-                if here[i] != there[i]:
-                    if not flags[i]:
-                        break
-                    nxt.append(pump[i])
-                else:
-                    nxt.append(flags[i] or pump[i])
-            else:
-                out.append((w, tuple(nxt)))
+        for w in succ[v]:
+            diff = here ^ color[w]
+            if not diff & ~flags:
+                out.append(w << d | (flags & ~diff) | cap[w])
         return out
 
     def accepting(node) -> bool:
-        return node[0] in graph.accepting
+        return accept[node >> d]
 
-    initial = (graph.initial, capable[graph.initial])
+    initial = cap[0]
+    if not any(
+        cyclic and any(accept[node >> d] for node in members)
+        for members, cyclic in _sccs((initial,), successors)
+    ):
+        return None
     found = find_accepting_lasso(initial, successors, accepting)
     if found is None:
-        return None
-    raw_prefix = [v for v, _ in found[0]]
-    raw_loop = [v for v, _ in found[1]]
-    prefix, loop = _splice_pumps(graph, caps, raw_prefix, raw_loop)
+        raise ModelCheckError("fair component found but no lasso through it")
+    vertices = graph.vertices
+    raw_prefix = [vertices[node >> d] for node in found[0]]
+    raw_loop = [vertices[node >> d] for node in found[1]]
+    prefix, loop = _splice_pumps(graph, cap, components, raw_prefix, raw_loop)
     problems = verify_pumpable(graph, prefix, loop)
     if problems:
         raise ModelCheckError(
@@ -326,38 +401,41 @@ def pumpable_fair_path(graph: ColoredCostGraph) -> Optional[tuple]:
     return tuple(prefix), tuple(loop)
 
 
-def _splice_pumps(graph, caps, prefix, loop) -> tuple:
+def _splice_pumps(graph, cap, components, prefix, loop) -> tuple:
     """Insert pump cycles into blocks that lack a positive repetition."""
+    index = graph.index
     run = Lasso(tuple(prefix), tuple(loop))
     p, n = len(prefix), len(loop)
     pre_ins: dict = {}
     loop_ins: dict = {}
     for coord in range(1, graph.d + 1):
+        bit = 1 << (coord - 1)
         cut = changepoints_of(run, lambda v: graph.color_bit(v, coord))
         for start, end in cut.blocks()[0]:
             if _block_pumped(graph, run, coord, start, end):
                 continue
             spot = None
             for pos in range(start, end):
-                if run.letter(pos) in caps[coord - 1]:
+                if cap[index[run.letter(pos)]] & bit:
                     spot = pos
                     break
             if spot is None:
                 raise ModelCheckError(
                     "block without a pump-capable vertex slipped through"
                 )
-            v = run.letter(spot)
-            cycle = _pump_cycle(graph, coord, v, constant=True)
+            v = index[run.letter(spot)]
+            cycle = _pump_cycle(graph, components, bit, v, constant=True)
             if cycle is None:
-                cycle = _pump_cycle(graph, coord, v, constant=False)
+                cycle = _pump_cycle(graph, components, bit, v, constant=False)
             if cycle is None:
                 raise ModelCheckError(
                     "pump-capable vertex has no positive cycle"
                 )
+            cycle = tuple(graph.vertices[u] for u in cycle)
             if spot < p:
-                pre_ins.setdefault(spot, []).append(tuple(cycle))
+                pre_ins.setdefault(spot, []).append(cycle)
             else:
-                loop_ins.setdefault((spot - p) % n, []).append(tuple(cycle))
+                loop_ins.setdefault((spot - p) % n, []).append(cycle)
     new_prefix = list(prefix)
     for spot in sorted(pre_ins, reverse=True):
         for cycle in dict.fromkeys(pre_ins[spot]):
@@ -377,11 +455,12 @@ def verify_pumpable(graph: ColoredCostGraph, prefix, loop) -> list:
     run = Lasso(tuple(prefix), tuple(loop))
     if run.letter(0) != graph.initial:
         problems.append("path does not start at the initial vertex")
+    index = graph.index
     for i, (v, w) in enumerate(run.steps()):
-        if w not in graph.edges.get(v, ()):
+        if v not in index or index.get(w) not in graph.succ[index[v]]:
             problems.append(f"missing edge at step {i}")
             return problems
-    if not any(v in graph.accepting for v in loop):
+    if not any(graph.accept[index[v]] for v in loop):
         problems.append("loop never visits an accepting vertex")
     for coord in range(1, graph.d + 1):
         cut = changepoints_of(run, lambda v: graph.color_bit(v, coord))

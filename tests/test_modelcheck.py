@@ -1,6 +1,9 @@
 """Model checking: fixed valuations, parameter existence, universal checks."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -19,18 +22,21 @@ from cpltl.formula import (
     FragmentError,
     GLe,
     chi_formula,
+    color_name,
     eliminate_parametric_always,
     negate,
     parse,
     relativize,
 )
-from cpltl.automata import ltl_to_nba
+from cpltl import modelcheck
+from cpltl.automata import BuchiAutomaton, find_accepting_lasso, ltl_to_nba
 from cpltl.modelcheck import (
     bound_value,
     build_product,
     check_exists,
     check_fixed,
     check_forall,
+    pumpable_fair_path,
     valuation_upper_bound,
     verify_pumpable,
 )
@@ -244,3 +250,123 @@ def test_exists_matches_fixed_search_smoke():
             )
             if found:
                 assert exists
+
+
+# --- the emptiness decision ---------------------------------------------------
+
+
+def test_holding_exists_builds_no_witness(sys_a, monkeypatch):
+    def no_lasso(*args):
+        raise AssertionError("witness search ran on a holding query")
+
+    monkeypatch.setattr(modelcheck, "find_accepting_lasso", no_lasso)
+    assert check_exists(sys_a, parse(MC1)).holds
+
+
+def _nba(transitions, accepting) -> BuchiAutomaton:
+    """Automaton over the coordinate-1 color from {state: [(literals, dst)]}
+    with initial state q0; a literal is (name, polarity)."""
+    return BuchiAutomaton(
+        states=tuple(transitions),
+        initial="q0",
+        transitions={
+            q: tuple((frozenset(guard), dst) for guard, dst in edges)
+            for q, edges in transitions.items()
+        },
+        accepting=frozenset(accepting),
+        alphabet=frozenset([color_name(1)]),
+    )
+
+
+def _one_state(cost):
+    """One state with a self-loop of this cost."""
+    return build_system([{"kappa1"} if cost else set()], {(0, 0): cost})
+
+
+def _has_fair_cycle(graph) -> bool:
+    """An accepting cycle in the product itself, ignoring the pump flags."""
+    found = find_accepting_lasso(
+        graph.initial, graph.edges.__getitem__, graph.accepting.__contains__
+    )
+    return found is not None
+
+
+def test_accepting_singleton_without_self_loop_holds():
+    # q1 is visited once and left for good: on a zero-cost loop no color
+    # may flip, so each flagged vertex at q1 is a component of its own
+    auto = _nba(
+        {"q0": [((), "q1")], "q1": [((), "q2")], "q2": [((), "q2")]}, {"q1"}
+    )
+    graph = build_product(_one_state(0), auto)
+    assert graph.accepting
+    assert pumpable_fair_path(graph) is None
+
+
+def test_accepting_singleton_with_self_loop_fails():
+    auto = _nba({"q0": [((), "q1")], "q1": [((), "q1")]}, {"q1"})
+    graph = build_product(_one_state(0), auto)
+    witness = pumpable_fair_path(graph)
+    assert witness is not None
+    assert verify_pumpable(graph, *witness) == []
+
+
+def test_accepting_cycle_behind_a_forbidden_flip_holds():
+    # q2 comes round only if the color is chosen and then dropped, again
+    # and again; a flip needs a pump, and a zero-cost loop supplies none
+    color = color_name(1)
+    auto = _nba(
+        {
+            "q0": [(((color, True),), "q1"), (((color, False),), "q0")],
+            "q1": [(((color, False),), "q2"), (((color, True),), "q1")],
+            "q2": [((), "q0")],
+        },
+        {"q2"},
+    )
+    flat = build_product(_one_state(0), auto)
+    assert _has_fair_cycle(flat)
+    assert pumpable_fair_path(flat) is None
+    # with a positive loop the same flips may happen
+    pumped = build_product(_one_state(1), auto)
+    witness = pumpable_fair_path(pumped)
+    assert witness is not None
+    assert verify_pumpable(pumped, *witness) == []
+
+
+# Two positive 2-cycles through s0 give equally short pump cycles, so the
+# spliced witness depends on how ties between them are broken.
+TIE_SYSTEM = """dim 1
+state s0 init : q kappa1
+state s1 : q kappa1
+state s2 : q kappa1
+edge s0 s1 : 1
+edge s0 s2 : 1
+edge s1 s0 : 1
+edge s2 s0 : 1
+"""
+
+WITNESS_SCRIPT = """
+import sys
+from cpltl.formula import parse
+from cpltl.modelcheck import check_exists
+from cpltl.system import parse_system
+result = check_exists(parse_system(sys.stdin.read()), parse(%r))
+print(repr(result.witness))
+""" % MC1
+
+
+def test_exists_witness_is_independent_of_hash_seed():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    outputs = set()
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", WITNESS_SCRIPT],
+            input=TIE_SYSTEM,
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    assert outputs.pop().startswith("((")
