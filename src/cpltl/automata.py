@@ -344,15 +344,14 @@ def _trim(states, initial, transitions, accepting, alphabet) -> BuchiAutomaton:
     states with identical acceptance and outgoing edges.  Both steps
     preserve the language."""
     adj = {q: tuple(dst for _, dst in transitions[q]) for q in states}
-    sccid, cyclic = _tarjan(states, adj)
-    fair = {
-        sccid[q] for q in states if q in accepting and cyclic[sccid[q]]
-    }
+    live = set()
+    for members, cyclic in _sccs(states, adj.__getitem__):
+        if cyclic and not accepting.isdisjoint(members):
+            live.update(members)
     reverse: dict = {q: [] for q in states}
     for q in states:
         for dst in adj[q]:
             reverse[dst].append(q)
-    live = {q for q in states if sccid[q] in fair}
     queue = deque(live)
     while queue:
         q = queue.popleft()
@@ -441,44 +440,55 @@ def find_accepting_lasso(
 ) -> Optional[tuple]:
     """Find a reachable cycle through an accepting node.
 
-    The graph is spanned on the fly by `successors`.  Returns (prefix, loop)
-    as node lists, where prefix leads from the initial node up to but not
-    including the loop head and loop is the cycle starting at its head (the
-    wrap edge loop[-1] -> loop[0] is implicit).  Returns None when no
-    accepting node lies on a reachable cycle.  Breadth-first exploration
-    keeps both parts short.
+    The graph is spanned on the fly by `successors`.  One SCC pass decides:
+    it stops at the first completed component that is cyclic and holds an
+    accepting node, and None means there is none.  Only then is a lasso
+    built from that component, as (prefix, loop) node lists: prefix is a
+    shortest path from the initial node up to but not including an
+    accepting member, and loop is a shortest cycle starting at that member
+    inside the component (the wrap edge loop[-1] -> loop[0] is implicit).
+    `is_accepting` is asked only by the decision pass.
     """
-    adj: dict = {}
-    parent: dict = {initial: None}
-    bfs_order = [initial]
-    queue = deque([initial])
-    while queue:
-        v = queue.popleft()
-        succ = tuple(dict.fromkeys(successors(v)))
-        adj[v] = succ
-        for w in succ:
-            if w not in parent:
-                parent[w] = v
-                bfs_order.append(w)
-                queue.append(w)
-
-    sccid, cyclic = _tarjan(bfs_order, adj)
-    target = None
-    for v in bfs_order:
-        if cyclic[sccid[v]] and is_accepting(v):
-            target = v
-            break
-    if target is None:
+    for members, cyclic in _sccs((initial,), successors):
+        if cyclic:
+            targets = {v for v in members if is_accepting(v)}
+            if targets:
+                break
+    else:
         return None
+    path = _shortest_path((initial,), successors, targets)
+    head = path[-1]
+    inside = set(members)
+    back = _shortest_path(successors(head), successors, {head}, inside)
+    return path[:-1], [head] + back[:-1]
 
+
+def _shortest_path(sources, successors: Callable, goal, inside=None) -> list:
+    """Nodes of a shortest path from one of `sources` to a node in `goal`,
+    by a breadth-first search that stops at the first goal node it reaches
+    and, when `inside` is given, only visits nodes in it.  Ties go to the
+    earlier source, then to the earlier successor."""
+    parent = dict.fromkeys(v for v in sources if inside is None or v in inside)
+    queue = deque(parent)
+    end = next((v for v in parent if v in goal), None)
+    while end is None:
+        if not queue:
+            raise AutomatonError("no path from the sources to the goal")
+        u = queue.popleft()
+        for w in successors(u):
+            if w in parent or (inside is not None and w not in inside):
+                continue
+            parent[w] = u
+            if w in goal:
+                end = w
+                break
+            queue.append(w)
     path = []
-    v = target
-    while v is not None:
-        path.append(v)
-        v = parent[v]
+    while end is not None:
+        path.append(end)
+        end = parent[end]
     path.reverse()
-    loop = _shortest_cycle(target, adj, sccid)
-    return path[:-1], loop
+    return path
 
 
 # Low value of a node whose component is complete (see _sccs).
@@ -538,40 +548,6 @@ def _sccs(roots: Iterable, successors: Callable) -> Iterator:
                     if w == node:
                         break
                 yield members, len(members) > 1 or node in out
-
-
-def _tarjan(order: Sequence, adj: Mapping) -> tuple:
-    """SCCs of the graph `adj` over `order`. Returns (node -> component id,
-    cyclic flag per component id)."""
-    sccid: dict = {}
-    cyclic: list = []
-    for comp, (members, has_edge) in enumerate(_sccs(order, adj.__getitem__)):
-        for w in members:
-            sccid[w] = comp
-        cyclic.append(has_edge)
-    return sccid, cyclic
-
-
-def _shortest_cycle(head, adj: Mapping, sccid: Mapping) -> list:
-    """Shortest cycle through head, staying inside head's component."""
-    comp = sccid[head]
-    par: dict = {head: None}
-    queue = deque([head])
-    while queue:
-        u = queue.popleft()
-        if head in adj[u]:
-            cycle = []
-            v = u
-            while v is not None:
-                cycle.append(v)
-                v = par[v]
-            cycle.reverse()
-            return cycle
-        for w in adj[u]:
-            if w not in par and sccid.get(w) == comp:
-                par[w] = u
-                queue.append(w)
-    raise AutomatonError("component marked cyclic has no cycle")
 
 
 def nba_accepts_lasso(auto: BuchiAutomaton, word: PropLasso) -> bool:

@@ -236,6 +236,16 @@ def _cmd_translate(args) -> int:
 # --- entry point --------------------------------------------------------------
 
 
+def _dimension(text: str) -> int:
+    try:
+        d = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if d < 1:
+        raise argparse.ArgumentTypeError(f"dimension must be at least 1, got {d}")
+    return d
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpltl",
@@ -312,7 +322,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     tr.add_argument("--system", default=None, help="system file (product)")
     tr.add_argument(
-        "--dim", type=int, default=1, help="coordinates for --emit relativized"
+        "--dim",
+        type=_dimension,
+        default=1,
+        help="coordinates for --emit relativized",
     )
     tr.set_defaults(run=_cmd_translate)
 

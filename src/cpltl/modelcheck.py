@@ -29,6 +29,7 @@ from .automata import (
     guard_holds,
     ltl_to_nba,
     _sccs,
+    _shortest_path,
 )
 from .formula import (
     And,
@@ -255,27 +256,17 @@ def _pump_capability(graph: ColoredCostGraph) -> tuple:
     return cap, components
 
 
-def _bfs_tree(start, adj: Callable) -> tuple:
+def _distances(start, adj: Callable) -> dict:
+    """Edge count of a shortest path from start to each reachable node."""
     dist = {start: 0}
-    parent = {start: None}
     queue = deque([start])
     while queue:
         u = queue.popleft()
         for w in adj(u):
             if w not in dist:
                 dist[w] = dist[u] + 1
-                parent[w] = u
                 queue.append(w)
-    return dist, parent
-
-
-def _tree_path(node, parent: Mapping) -> list:
-    path = []
-    while node is not None:
-        path.append(node)
-        node = parent[node]
-    path.reverse()
-    return path
+    return dist
 
 
 def _pump_cycle(
@@ -314,16 +305,16 @@ def _pump_cycle(
                 candidates.append((a, b))
     if not candidates:
         return None
-    dist_v, parent_v = _bfs_tree(v, inside)
-    dist_to_v, _ = _bfs_tree(v, pred.__getitem__)
+    dist_v = _distances(v, inside)
+    dist_to_v = _distances(v, pred.__getitem__)
     best = None
     for a, b in candidates:
         length = dist_v[a] + 1 + dist_to_v[b]
         if best is None or length < best[0]:
             best = (length, a, b)
     _, a, b = best
-    _, parent_b = _bfs_tree(b, inside)
-    return _tree_path(a, parent_v) + _tree_path(v, parent_b)[:-1]
+    there = _shortest_path((v,), inside, {a})
+    return there + _shortest_path((b,), inside, {v})[:-1]
 
 
 def _block_pumped(graph, run: Lasso, coord: int, start: int, end: int) -> bool:
@@ -353,13 +344,12 @@ def pumpable_fair_path(graph: ColoredCostGraph) -> Optional[tuple]:
     `id << d | flags` over the graph's vertex ids: a step to w changes the
     colors in `diff = color[v] ^ color[w]`, is allowed iff
     `diff & ~flags == 0`, and leads to flags `(flags & ~diff) | cap[w]`,
-    where `cap` is the pump capability of each id.  One SCC pass over these
-    nodes decides emptiness and stops at the first component that is cyclic
-    and holds an accepting vertex.  Only then is a lasso extracted, with the
-    same successor rule, and spliced with explicit pump cycles so that
-    every completed block contains a repeated vertex with positive cost in
-    between, then re-verified.  Returns (prefix, loop) of product vertices,
-    or None if no such path exists.
+    where `cap` is the pump capability of each id.  find_accepting_lasso
+    decides emptiness over these nodes in one SCC pass and builds a lasso
+    only from the fair component it stops at.  The lasso is spliced with
+    explicit pump cycles so that every completed block contains a repeated
+    vertex with positive cost in between, then re-verified.  Returns
+    (prefix, loop) of product vertices, or None if no such path exists.
     """
     cap, components = _pump_capability(graph)
     d = graph.d
@@ -380,15 +370,9 @@ def pumpable_fair_path(graph: ColoredCostGraph) -> Optional[tuple]:
     def accepting(node) -> bool:
         return accept[node >> d]
 
-    initial = cap[0]
-    if not any(
-        cyclic and any(accept[node >> d] for node in members)
-        for members, cyclic in _sccs((initial,), successors)
-    ):
-        return None
-    found = find_accepting_lasso(initial, successors, accepting)
+    found = find_accepting_lasso(cap[0], successors, accepting)
     if found is None:
-        raise ModelCheckError("fair component found but no lasso through it")
+        return None
     vertices = graph.vertices
     raw_prefix = [vertices[node >> d] for node in found[0]]
     raw_loop = [vertices[node >> d] for node in found[1]]
@@ -547,6 +531,9 @@ class ExistsResult:
 class FixedResult:
     holds: bool
     counterexample: Optional[LassoPath]
+    # Product nodes the decision pass expanded: every reachable node when
+    # the formula holds, and those up to the first fair component when it
+    # fails (the counterexample search is not counted).
     explored: int
 
 
@@ -600,7 +587,7 @@ def check_fixed(
         if value < 0:
             raise FormulaError(f"negative value for parameter {var}: {value}")
     auto = _negation_acceptor(phi, valuation, system.d)
-    explored = 0
+    explored = decided = 0
 
     def successors(node):
         nonlocal explored
@@ -615,6 +602,9 @@ def check_fixed(
         return out
 
     def accepting(node) -> bool:
+        # only the decision pass asks, so the last ask marks its end
+        nonlocal decided
+        decided = explored
         return auto.is_accepting(node[1])
 
     found = find_accepting_lasso(
@@ -630,7 +620,7 @@ def check_fixed(
         raise ModelCheckError(
             "counterexample candidate satisfies the formula on re-check"
         )
-    return FixedResult(holds=False, counterexample=path, explored=explored)
+    return FixedResult(holds=False, counterexample=path, explored=decided)
 
 
 def budget_ladder(cap: int) -> Iterator[int]:

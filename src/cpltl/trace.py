@@ -82,6 +82,8 @@ class Lasso(Generic[T]):
         return len(self.prefix) + len(self.loop)
 
     def slot(self, position: int) -> int:
+        if position < 0:
+            raise self.error(f"position must be non-negative, got {position}")
         p = len(self.prefix)
         if position < p:
             return position

@@ -2,8 +2,11 @@
 
 import hashlib
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_formula, random_trace
 from cpltl.automata import (
@@ -25,7 +28,7 @@ from cpltl.formula import (
     parse,
     relativize,
 )
-from cpltl.trace import CostTrace, evaluate, letter
+from cpltl.trace import CostTrace, Lasso, evaluate, letter
 
 
 def zero_cost_trace(word: PropLasso) -> CostTrace:
@@ -127,6 +130,80 @@ def test_find_accepting_lasso():
         assert b in edges[a]
     assert loop[0] in edges[loop[-1]]
     assert find_accepting_lasso(1, lambda n: edges.get(n, ()), lambda n: n == 9) is None
+
+
+def test_find_accepting_lasso_stops_at_the_first_fair_component():
+    # the initial node reaches an accepting self-loop and an unbounded
+    # chain; expanding the chain past its first nodes raises
+    expanded = []
+
+    def successors(node):
+        expanded.append(node)
+        if node == "init":
+            return ["fair", ("chain", 0)]
+        if node == "fair":
+            return ["fair"]
+        if node[1] >= 2:
+            raise AssertionError("explored past the frontier")
+        return [("chain", node[1] + 1)]
+
+    found = find_accepting_lasso("init", successors, lambda n: n == "fair")
+    assert found == (["init"], ["fair"])
+    assert all(isinstance(node, str) for node in expanded)
+
+
+def _distances(edges, start) -> dict:
+    """Edge count of a shortest path from start to each reachable node."""
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for w in edges[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def _shortest_cycle(edges, v):
+    """Edge count of a shortest cycle through v, or None."""
+    lengths = [
+        dist[v] + 1
+        for dist in (_distances(edges, w) for w in edges[v])
+        if v in dist
+    ]
+    return min(lengths, default=None)
+
+
+small_graphs = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+        st.sets(st.integers(0, n - 1)),
+    )
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(small_graphs)
+def test_find_accepting_lasso_matches_brute_force(graph):
+    n, edge_set, accepting = graph
+    edges = {v: sorted(w for u, w in edge_set if u == v) for v in range(n)}
+    found = find_accepting_lasso(0, edges.__getitem__, accepting.__contains__)
+    reachable = _distances(edges, 0).keys()
+    if all(_shortest_cycle(edges, v) is None for v in accepting & reachable):
+        assert found is None
+        return
+    assert found is not None
+    prefix, loop = found
+    run = Lasso(tuple(prefix), tuple(loop))
+    assert run.letter(0) == 0
+    for v, w in run.steps():
+        assert w in edges[v]
+    assert accepting & set(loop)
+    head = loop[0]
+    assert len(prefix) == _distances(edges, 0)[head]
+    assert len(loop) == _shortest_cycle(edges, head)
 
 
 def test_cost_acceptor_basics():

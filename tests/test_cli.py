@@ -183,6 +183,16 @@ def test_eval_trace(capsys, trace_file):
     assert code == 2
 
 
+def test_eval_trace_rejects_negative_position(capsys, trace_file):
+    for pos in ("-1", "-5"):
+        code, pairs, captured = run(
+            capsys, "eval-trace", trace_file, "F[<=x] p", "--position", pos
+        )
+        assert code == 2
+        assert "holds" not in pairs
+        assert "non-negative" in captured.err
+
+
 def test_eval_trace_rejects_inconsistent_file(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("dim 1\nloop:\n{p} -> 1\n{q} -> 0\n")  # missing kappa1
@@ -205,6 +215,14 @@ def test_translate_relativized(capsys):
     assert code == 0
     assert pairs["dim"] == "1"
     assert "p@1" in pairs["formula"]
+
+
+def test_translate_rejects_dimension_below_one(capsys):
+    for dim in ("0", "-2"):
+        with pytest.raises(SystemExit) as stop:
+            main(["translate", "p", "--emit", "relativized", "--dim", dim])
+        assert stop.value.code == 2
+        assert "at least 1" in capsys.readouterr().err
 
 
 def test_translate_product_needs_system(capsys, sys_file):

@@ -74,7 +74,9 @@ def test_check_fixed_frozen(sys_a):
     bad = check_fixed(sys_a, phi, {"x": 2})
     assert not bad.holds
     assert bad.counterexample == LassoPath(("s0",), ("s1",))
-    assert bad.explored >= 1
+    # the decision pass stops at the first fair component, after 3 of the
+    # 4 reachable product nodes; the counterexample search is not counted
+    assert bad.explored == 3
 
 
 def test_counterexample_replays(sys_a):
@@ -256,11 +258,36 @@ def test_exists_matches_fixed_search_smoke():
 
 
 def test_holding_exists_builds_no_witness(sys_a, monkeypatch):
-    def no_lasso(*args):
-        raise AssertionError("witness search ran on a holding query")
+    # a holding query never reaches the splice or the certification, and
+    # its one SCC pass expands each reachable flagged node exactly once
+    def no_witness(*args):
+        raise AssertionError("witness code ran on a holding query")
 
-    monkeypatch.setattr(modelcheck, "find_accepting_lasso", no_lasso)
+    monkeypatch.setattr(modelcheck, "_splice_pumps", no_witness)
+    monkeypatch.setattr(modelcheck, "verify_pumpable", no_witness)
+    searches = []
+    search = modelcheck.find_accepting_lasso
+
+    def counted(initial, successors, is_accepting):
+        calls = []
+
+        def expand(node):
+            calls.append(node)
+            return successors(node)
+
+        searches.append((initial, successors, calls))
+        return search(initial, expand, is_accepting)
+
+    monkeypatch.setattr(modelcheck, "find_accepting_lasso", counted)
     assert check_exists(sys_a, parse(MC1)).holds
+    [(initial, successors, calls)] = searches
+    reachable, todo = {initial}, [initial]
+    while todo:
+        for w in successors(todo.pop()):
+            if w not in reachable:
+                reachable.add(w)
+                todo.append(w)
+    assert sorted(calls) == sorted(reachable)
 
 
 def _nba(transitions, accepting) -> BuchiAutomaton:

@@ -60,6 +60,15 @@ def test_slot_arithmetic():
     assert trace.unroll(5) == [trace.letter_at_slot(s) for s in (0, 1, 2, 1, 2)]
 
 
+def test_negative_position_is_rejected():
+    t1 = parse_trace(T1_TEXT)
+    for pos in (-1, -5):
+        with pytest.raises(TraceError, match="non-negative"):
+            t1.slot(pos)
+        with pytest.raises(TraceError, match="non-negative"):
+            evaluate(t1, pos, {"x": 3}, parse("F[<=x] p"))
+
+
 def test_kappa_validation():
     # positive-cost step into a letter lacking the kappa flag is rejected
     with pytest.raises(TraceError):
