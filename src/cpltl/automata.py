@@ -606,6 +606,38 @@ def buchi_empty(auto: BuchiAutomaton) -> Optional[PropLasso]:
 # --- cost automaton ---------------------------------------------------------
 
 
+class _Shape:
+    """A core without its remainders: the plain obligations, by closure
+    rank, and the budgeted operators holding a token, F[<=] before G[<=],
+    each by rank.  `heads` and `tail` make the core's sort key."""
+
+    __slots__ = ("plain", "ops", "coords", "fulls", "heads", "tail")
+
+    def __init__(self, plain: tuple, ops: tuple, auto: "CostBuchiAutomaton"):
+        self.plain = plain
+        self.ops = ops
+        self.coords = tuple(f.coord - 1 for f in ops)
+        self.fulls = tuple(auto._full(f) for f in ops)
+        self.heads = tuple(
+            ("G" if isinstance(f, GLe) else "F", auto._rank[f]) for f in ops
+        )
+        self.tail = [("f", auto._rank[f]) for f in plain]
+
+
+def _remainders(recipe: tuple, rems: tuple) -> tuple:
+    """The next core's remainders from the current core's `rems`."""
+    out = []
+    for is_g, const, src, cost in recipe:
+        if src is None:
+            out.append(const)
+            continue
+        rem = rems[src] - cost
+        if const is not None:
+            rem = max(rem, const) if is_g else min(rem, const)
+        out.append(rem)
+    return tuple(out)
+
+
 class CostBuchiAutomaton:
     """Acceptor for formulas with cost-bounded operators, fixed valuation.
 
@@ -615,6 +647,12 @@ class CostBuchiAutomaton:
     budget; the layer cycles through the tracked least-fixpoint obligations
     (Until and F[<=] nodes) and reaches len(tracked) exactly when every one
     of them was discharged or absent since the last completion.
+
+    A core is stored as (shape id, remainders), one remainder per budgeted
+    operator of the shape.  A core's moves depend on a remainder only
+    through `cost <= remainder` and `remainder == full budget`, so each
+    obligation shape is expanded once per letter and outcome of those
+    comparisons; the remainders are then only subtracted and compared.
     """
 
     def __init__(self, phi: Formula, valuation: Mapping, d: int):
@@ -635,57 +673,82 @@ class CostBuchiAutomaton:
         # Successors are ordered by closure rank: a repr key would walk
         # every formula again on each expansion, recursing with its depth.
         self._rank = {f: i for i, f in enumerate(subs)}
-        self._tracked_set = frozenset(self.tracked)
+        # `ok` sets are bitmasks over the tracked obligations.
+        self._bit = {f: 1 << j for j, f in enumerate(self.tracked)}
+        self._shape_ids: dict = {}
+        self._shapes: list = []
+        self._templates: dict = {}
         self._expand_cache: dict = {}
 
     def _full(self, f) -> int:
         return self.valuation.get(f.var, 0)
 
     def initial_state(self):
-        return (self._normalize([("f", self.phi)]), 0)
+        sid, recipe = self._settle([("f", self.phi)], ())
+        return ((sid, _remainders(recipe, ())), 0)
 
     def is_accepting(self, state) -> bool:
         return not self.tracked or state[1] == len(self.tracked)
 
-    def _normalize(self, items: Iterable) -> frozenset:
-        """Canonical core: bare F/G obligations become full-budget tokens,
-        duplicate F tokens keep the smallest remainder, G tokens the
-        largest."""
-        plain = set()
-        fmin: dict = {}
-        gmax: dict = {}
-        for item in items:
-            if item[0] == "f":
-                f = item[1]
-                if isinstance(f, FLe):
-                    r = self._full(f)
-                    fmin[f] = min(fmin.get(f, r), r)
-                elif isinstance(f, GLe):
-                    r = self._full(f)
-                    gmax[f] = max(gmax.get(f, r), r)
-                else:
-                    plain.add(item)
-            elif item[0] == "F":
-                f, r = item[1], item[2]
-                fmin[f] = min(fmin.get(f, r), r)
+    def _settle(self, nxt: Iterable, cost: tuple) -> tuple:
+        """(shape id, remainder recipe) of the core made of the next-items
+        `nxt`.  A bare F/G obligation becomes a full-budget token; a token
+        item (kind, f, src) has the remainder of its source, core token
+        `src` or the full budget when src < 0, less the letter's cost.
+        Tokens of one operator merge: F keeps the smallest remainder, G the
+        largest.  The recipe gives per token (is G, constant remainder or
+        None, source core token or None, cost to subtract from it)."""
+        plain = []
+        consts: dict = {}
+        source: dict = {}
+        for item in nxt:
+            f = item[1]
+            if item[0] != "f":
+                if item[2] >= 0:
+                    source[f] = item[2]
+                    continue
+                value = self._full(f) - cost[f.coord - 1]
+            elif isinstance(f, (FLe, GLe)):
+                value = self._full(f)
             else:
-                f, r = item[1], item[2]
-                gmax[f] = max(gmax.get(f, r), r)
-        core = set(plain)
-        core.update(("F", f, r) for f, r in fmin.items())
-        core.update(("G", f, r) for f, r in gmax.items())
-        return frozenset(core)
+                plain.append(f)
+                continue
+            consts.setdefault(f, []).append(value)
+        ops = sorted(
+            consts.keys() | source.keys(),
+            key=lambda f: (isinstance(f, GLe), self._rank[f]),
+        )
+        recipe = []
+        for f in ops:
+            is_g = isinstance(f, GLe)
+            const = None
+            if f in consts:
+                const = max(consts[f]) if is_g else min(consts[f])
+            src = source.get(f)
+            recipe.append(
+                (is_g, const, src, 0 if src is None else cost[f.coord - 1])
+            )
+        key = (tuple(sorted(plain, key=self._rank.__getitem__)), tuple(ops))
+        sid = self._shape_ids.get(key)
+        if sid is None:
+            sid = self._shape_ids[key] = len(self._shapes)
+            self._shapes.append(_Shape(key[0], key[1], self))
+        return sid, tuple(recipe)
 
-    def _expand(self, core: frozenset, props: frozenset, cost: tuple) -> tuple:
-        """All one-step resolutions of the obligations in `core` against the
-        letter (props, cost).  Yields (next core, set of tracked obligations
-        that were not delayed here)."""
-        key = (core, props, cost)
-        hit = self._expand_cache.get(key)
-        if hit is not None:
-            return hit
-        out = set()
-        stack = [(list(core), set(), set(), set())]
+    def _template(
+        self, shape: _Shape, flags: tuple, props: frozenset, cost: tuple
+    ) -> tuple:
+        """The moves shared by every core of `shape` whose remainders
+        compare to the letter's costs as `flags` says, as (next shape id,
+        remainder recipe, ok) triples.  A core token whose remainder is the
+        full budget is the same item as the operator's fresh token, so the
+        `done` set expands it once."""
+        start = [("f", g) for g in shape.plain]
+        for i, f in enumerate(shape.ops):
+            kind = "G" if isinstance(f, GLe) else "F"
+            start.append((kind, f, -1 if flags[i][1] else i))
+        out: dict = {}
+        stack = [(start, set(), 0, set())]
         while stack:
             pending, nxt, delayed, done = stack.pop()
             alive = True
@@ -694,26 +757,25 @@ class CostBuchiAutomaton:
                 if item in done:
                     continue
                 done.add(item)
-                if item[0] == "F":
-                    f, rem = item[1], item[2]
-                    c = cost[f.coord - 1]
-                    if c <= rem:
-                        stack.append(
-                            (
-                                list(pending),
-                                set(nxt) | {("F", f, rem - c)},
-                                set(delayed) | {f},
-                                set(done),
+                if item[0] != "f":
+                    f, src = item[1], item[2]
+                    if src < 0:
+                        fits = cost[f.coord - 1] <= self._full(f)
+                    else:
+                        fits = flags[src][0]
+                    if item[0] == "F":
+                        if fits:
+                            stack.append(
+                                (
+                                    list(pending),
+                                    nxt | {item},
+                                    delayed | self._bit[f],
+                                    set(done),
+                                )
                             )
-                        )
+                    elif fits:
+                        nxt.add(item)
                     pending.append(("f", f.child))
-                    continue
-                if item[0] == "G":
-                    f, rem = item[1], item[2]
-                    pending.append(("f", f.child))
-                    c = cost[f.coord - 1]
-                    if c <= rem:
-                        nxt.add(("G", f, rem - c))
                     continue
                 f = item[1]
                 if is_tt(f):
@@ -734,12 +796,7 @@ class CostBuchiAutomaton:
                     pending.append(("f", f.right))
                 elif isinstance(f, Or):
                     stack.append(
-                        (
-                            pending + [("f", f.right)],
-                            set(nxt),
-                            set(delayed),
-                            set(done),
-                        )
+                        (pending + [("f", f.right)], set(nxt), delayed, set(done))
                     )
                     pending.append(("f", f.left))
                 elif isinstance(f, Next):
@@ -748,8 +805,8 @@ class CostBuchiAutomaton:
                     stack.append(
                         (
                             pending + [("f", f.left)],
-                            set(nxt) | {("f", f)},
-                            set(delayed) | {f},
+                            nxt | {("f", f)},
+                            delayed | self._bit[f],
                             set(done),
                         )
                     )
@@ -758,49 +815,77 @@ class CostBuchiAutomaton:
                     stack.append(
                         (
                             pending + [("f", f.right)],
-                            set(nxt) | {("f", f)},
-                            set(delayed),
+                            nxt | {("f", f)},
+                            delayed,
                             set(done),
                         )
                     )
                     pending.append(("f", f.left))
                     pending.append(("f", f.right))
                 elif isinstance(f, FLe):
-                    pending.append(("F", f, self._full(f)))
+                    pending.append(("F", f, -1))
                 elif isinstance(f, GLe):
-                    pending.append(("G", f, self._full(f)))
+                    pending.append(("G", f, -1))
                 else:
                     raise FormulaError(f"not a formula node: {f!r}")
             if alive:
-                out.add(
-                    (
-                        self._normalize(nxt),
-                        frozenset(self._tracked_set - delayed),
-                    )
-                )
-        result = tuple(sorted(out, key=self._core_key))
+                sid, recipe = self._settle(nxt, cost)
+                ok = ((1 << len(self.tracked)) - 1) & ~delayed
+                out[sid, recipe, ok] = None
+        return tuple(out)
+
+    def _expand(self, core: tuple, props: frozenset, cost: tuple) -> tuple:
+        """All one-step resolutions of the obligations in `core` against the
+        letter (props, cost): (next core, bitmask of the tracked obligations
+        that were not delayed here) pairs, ordered by `_order`."""
+        key = (core, props, cost)
+        hit = self._expand_cache.get(key)
+        if hit is not None:
+            return hit
+        sid, rems = core
+        shape = self._shapes[sid]
+        flags = tuple(
+            (cost[k] <= rem, rem == full)
+            for k, rem, full in zip(shape.coords, rems, shape.fulls)
+        )
+        tkey = (sid, flags, props, cost)
+        template = self._templates.get(tkey)
+        if template is None:
+            template = self._template(shape, flags, props, cost)
+            self._templates[tkey] = template
+        moves = {
+            ((nsid, _remainders(recipe, rems)), ok): None
+            for nsid, recipe, ok in template
+        }
+        result = tuple(sorted(moves, key=self._order) if len(moves) > 1 else moves)
         self._expand_cache[key] = result
         return result
 
-    def _core_key(self, entry) -> list:
-        core, _ = entry
-        return sorted((item[0], self._rank[item[1]]) + item[2:] for item in core)
+    def _order(self, move) -> tuple:
+        """Sort key of a move: its core's obligations as (kind, closure
+        rank[, remainder]) tuples in sorted order, then the indices of its
+        tracked obligations that were not delayed."""
+        (sid, rems), ok = move
+        shape = self._shapes[sid]
+        core = [head + (rem,) for head, rem in zip(shape.heads, rems)]
+        return (
+            core + shape.tail,
+            [j for j in range(len(self.tracked)) if ok >> j & 1],
+        )
 
-    def _advance(self, layer: int, ok: frozenset) -> int:
+    def _advance(self, layer: int, ok: int) -> int:
         k = len(self.tracked)
-        if k == 0:
-            return 0
         j = 0 if layer == k else layer
-        while j < k and self.tracked[j] in ok:
+        while j < k and ok >> j & 1:
             j += 1
-        return k if j == k else j
+        return j
 
     def successors(self, state, props: frozenset, cost: tuple) -> list:
         core, layer = state
-        result = []
-        for nxt, ok in self._expand(core, props, cost):
-            result.append((nxt, self._advance(layer, ok)))
-        return result
+        return [
+            (nxt, self._advance(layer, ok))
+            for nxt, ok in self._expand(core, props, cost)
+        ]
 
     def accepts_trace(self, trace) -> bool:
         """Membership of a cost trace (from position 0)."""

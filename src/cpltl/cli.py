@@ -62,6 +62,8 @@ def _valuation_arg(items) -> dict:
                 raise ValueError(f"expected NAME=INT, got {part!r}") from None
             if value < 0:
                 raise ValueError(f"parameter {name} must be >= 0")
+            if name in valuation:
+                raise ValueError(f"parameter {name} given twice")
             valuation[name] = value
     return valuation
 

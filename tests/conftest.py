@@ -226,13 +226,14 @@ def oracle_traces(system, length_bound=None):
     """All initial lasso traces up to the bound, cached per system."""
     if length_bound is None:
         length_bound = 2 * len(system.states) + 2
+    # The entry keeps its system alive, so no later system can reuse the id.
     key = (id(system), length_bound)
     if key not in _TRACE_CACHE:
-        _TRACE_CACHE[key] = tuple(
+        _TRACE_CACHE[key] = system, tuple(
             trace_of(system, lasso)
             for lasso in enumerate_lassos(system, length_bound)
         )
-    return _TRACE_CACHE[key]
+    return _TRACE_CACHE[key][1]
 
 
 def oracle_holds(system, phi, valuation, length_bound=None):

@@ -259,6 +259,21 @@ def test_usage_errors(capsys, sys_file, trace_file):
         main(["no-such-command"])
 
 
+@pytest.mark.parametrize(
+    "given", [("y=2", "y=9"), ("y=2,y=9",), ("x=1 y=2", "y=2")]
+)
+def test_repeated_parameter_is_an_error(capsys, sys_file, trace_file, given):
+    flags = [arg for value in given for arg in ("--valuation", value)]
+    for argv in (
+        ["check", sys_file, "G[<=y] q", *flags],
+        ["eval-trace", trace_file, "G[<=y] q", *flags],
+    ):
+        code, pairs, captured = run(capsys, *argv)
+        assert code == 2
+        assert "holds" not in pairs
+        assert "parameter y given twice" in captured.err
+
+
 def test_translate_product_is_the_exists_product(capsys, sys_file):
     code, checked, _ = run(capsys, "check", sys_file, MC1)
     assert code == 0

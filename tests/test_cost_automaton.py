@@ -1,0 +1,307 @@
+"""The budget automaton's shape templates against a concrete expansion.
+
+`reference_expand` is the budget automaton's expansion written over
+concrete cores, frozensets of ("f", formula) and ("F"/"G", operator,
+remainder) items; it is the oracle for the template expansion, which
+expands each obligation shape once per letter.
+"""
+
+import os
+import subprocess
+import sys
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cpltl.automata import cost_nba
+from cpltl.formula import (
+    And,
+    Atom,
+    FLe,
+    GLe,
+    NegAtom,
+    Next,
+    Or,
+    Release,
+    Until,
+    always,
+    eventually,
+    is_ff,
+    is_tt,
+    max_coord,
+    parse,
+)
+
+
+def reference_normalize(auto, items) -> frozenset:
+    plain = set()
+    fmin: dict = {}
+    gmax: dict = {}
+    for item in items:
+        if item[0] == "f":
+            f = item[1]
+            if isinstance(f, FLe):
+                r = auto._full(f)
+                fmin[f] = min(fmin.get(f, r), r)
+            elif isinstance(f, GLe):
+                r = auto._full(f)
+                gmax[f] = max(gmax.get(f, r), r)
+            else:
+                plain.add(item)
+        elif item[0] == "F":
+            f, r = item[1], item[2]
+            fmin[f] = min(fmin.get(f, r), r)
+        else:
+            f, r = item[1], item[2]
+            gmax[f] = max(gmax.get(f, r), r)
+    core = set(plain)
+    core.update(("F", f, r) for f, r in fmin.items())
+    core.update(("G", f, r) for f, r in gmax.items())
+    return frozenset(core)
+
+
+def reference_expand(auto, core: frozenset, props: frozenset, cost: tuple) -> set:
+    """(next core, ok) pairs of a concrete core: ok is the frozenset of
+    tracked obligations that were not delayed."""
+    out = set()
+    stack = [(list(core), set(), set(), set())]
+    while stack:
+        pending, nxt, delayed, done = stack.pop()
+        alive = True
+        while pending:
+            item = pending.pop()
+            if item in done:
+                continue
+            done.add(item)
+            if item[0] == "F":
+                f, rem = item[1], item[2]
+                c = cost[f.coord - 1]
+                if c <= rem:
+                    stack.append(
+                        (
+                            list(pending),
+                            set(nxt) | {("F", f, rem - c)},
+                            set(delayed) | {f},
+                            set(done),
+                        )
+                    )
+                pending.append(("f", f.child))
+                continue
+            if item[0] == "G":
+                f, rem = item[1], item[2]
+                pending.append(("f", f.child))
+                c = cost[f.coord - 1]
+                if c <= rem:
+                    nxt.add(("G", f, rem - c))
+                continue
+            f = item[1]
+            if is_tt(f):
+                continue
+            if is_ff(f):
+                alive = False
+                break
+            if isinstance(f, Atom):
+                if f.name not in props:
+                    alive = False
+                    break
+            elif isinstance(f, NegAtom):
+                if f.name in props:
+                    alive = False
+                    break
+            elif isinstance(f, And):
+                pending.append(("f", f.left))
+                pending.append(("f", f.right))
+            elif isinstance(f, Or):
+                stack.append(
+                    (pending + [("f", f.right)], set(nxt), set(delayed), set(done))
+                )
+                pending.append(("f", f.left))
+            elif isinstance(f, Next):
+                nxt.add(("f", f.child))
+            elif isinstance(f, Until):
+                stack.append(
+                    (
+                        pending + [("f", f.left)],
+                        set(nxt) | {("f", f)},
+                        set(delayed) | {f},
+                        set(done),
+                    )
+                )
+                pending.append(("f", f.right))
+            elif isinstance(f, Release):
+                stack.append(
+                    (
+                        pending + [("f", f.right)],
+                        set(nxt) | {("f", f)},
+                        set(delayed),
+                        set(done),
+                    )
+                )
+                pending.append(("f", f.left))
+                pending.append(("f", f.right))
+            elif isinstance(f, FLe):
+                pending.append(("F", f, auto._full(f)))
+            elif isinstance(f, GLe):
+                pending.append(("G", f, auto._full(f)))
+        if alive:
+            out.add(
+                (
+                    reference_normalize(auto, nxt),
+                    frozenset(set(auto.tracked) - delayed),
+                )
+            )
+    return out
+
+
+def concrete(auto, core) -> frozenset:
+    """The items of a (shape id, remainders) core."""
+    sid, rems = core
+    shape = auto._shapes[sid]
+    items = {("f", g) for g in shape.plain}
+    for f, rem in zip(shape.ops, rems):
+        items.add(("G" if isinstance(f, GLe) else "F", f, rem))
+    return frozenset(items)
+
+
+def tracked_in(auto, ok: int) -> frozenset:
+    return frozenset(f for j, f in enumerate(auto.tracked) if ok >> j & 1)
+
+
+def reference_order(auto, move) -> tuple:
+    """Successor order: the core's items as (kind, closure rank[,
+    remainder]) in sorted order, ties broken by the indices of `ok`."""
+    core, ok = move
+    items = sorted((item[0], auto._rank[item[1]]) + item[2:] for item in core)
+    return items, sorted(auto.tracked.index(f) for f in ok)
+
+
+# Operators nested inside one of the same variable, so that one core
+# holds tokens of one operator from two sources.
+NESTED = (
+    "F[<=x] F[<=x] p",
+    "G[<=x2] F[<=y] F[<=y] q",
+    "G[<=x2] F[<=y] (p | F[<=y] q)",
+    "G[<=y] (F[<=x] p & X F[<=x] q)",
+    "F[<=x] (p U G[<=y] q) | G[<=y] F[<=x] p",
+    "G (q -> F[<=x@2] p) & G[<=y] (p | X q)",
+    "G (p | G[<=y] q)",
+)
+
+literals = st.builds(
+    lambda name, positive: Atom(name) if positive else NegAtom(name),
+    st.sampled_from(("p", "q")),
+    st.booleans(),
+)
+
+
+# A bounded operator takes either coordinate, so one variable may bound
+# costs on both.
+def _bounded(kind, names, child):
+    return st.builds(
+        lambda name, coord, f: kind(name, coord, f),
+        st.sampled_from(names),
+        st.sampled_from((1, 2)),
+        child,
+    )
+
+
+generated = st.recursive(
+    literals,
+    lambda kids: st.one_of(
+        st.builds(And, kids, kids),
+        st.builds(Or, kids, kids),
+        st.builds(Next, kids),
+        st.builds(Until, kids, kids),
+        st.builds(Release, kids, kids),
+        st.builds(eventually, kids),
+        st.builds(always, kids),
+        _bounded(FLe, ("x", "x2"), kids),
+        _bounded(GLe, ("y", "y2"), kids),
+    ),
+    max_leaves=6,
+)
+
+formulas = st.one_of(st.sampled_from(NESTED).map(parse), generated)
+
+
+@settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=300,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    formulas,
+    st.integers(1, 2),
+    st.fixed_dictionaries({v: st.integers(0, 4) for v in ("x", "x2", "y", "y2")}),
+    st.randoms(use_true_random=False),
+)
+def test_template_expansion_matches_reference(phi, d, valuation, rng):
+    d = max(d, max_coord(phi))
+    auto = cost_nba(phi, valuation, d)
+    frontier = [auto.initial_state()[0]]
+    for _ in range(12):
+        core = rng.choice(frontier)
+        props = frozenset(p for p in ("p", "q") if rng.random() < 0.5)
+        cost = tuple(rng.randint(0, 3) for _ in range(d))
+        moves = auto._expand(core, props, cost)
+        got = [(concrete(auto, nxt), tracked_in(auto, ok)) for nxt, ok in moves]
+        want = reference_expand(auto, concrete(auto, core), props, cost)
+        want = sorted(want, key=lambda move: reference_order(auto, move))
+        assert got == want, (phi, valuation, concrete(auto, core), props, cost)
+        frontier.extend(nxt for nxt, _ in moves)
+
+
+# One expansion of this automaton yields the same next core with two
+# different `ok` sets; their order must not come from set iteration.
+SUCCESSOR_SCRIPT = """
+import itertools
+from cpltl.automata import cost_nba
+from cpltl.formula import GLe, negate, parse, pretty_print
+
+auto = cost_nba(negate(parse("F[<=x2@2] X G[<=y] q")), {"x2": 0, "y": 0}, 2)
+
+
+def show(state):
+    (sid, rems), layer = state
+    shape = auto._shapes[sid]
+    items = [("f", pretty_print(g)) for g in shape.plain]
+    for f, rem in zip(shape.ops, rems):
+        items.append(("G" if isinstance(f, GLe) else "F", pretty_print(f), rem))
+    return sorted(items), layer
+
+
+letters = [
+    (frozenset(props), cost)
+    for props in ((), ("q",))
+    for cost in itertools.product(range(2), repeat=2)
+]
+seen = {auto.initial_state()}
+todo = [auto.initial_state()]
+while todo:
+    state = todo.pop()
+    for props, cost in letters:
+        succ = auto.successors(state, props, cost)
+        print(show(state), sorted(props), cost, [show(t) for t in succ])
+        for t in succ:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+"""
+
+
+def test_successor_order_is_independent_of_hash_seed():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    outputs = set()
+    for seed in ("0", "1", "7"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", SUCCESSOR_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    assert outputs.pop().count("\n") > 10
