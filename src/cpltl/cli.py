@@ -95,9 +95,12 @@ def _print_product_witness(witness) -> None:
 def _cmd_check(args) -> int:
     system = parse_system(Path(args.system).read_text())
     phi = _formula_arg(args.formula)
-    modes = sum((bool(args.forall), bool(args.fixed or args.valuation is not None)))
-    if modes > 1:
+    fixed = args.fixed or args.valuation is not None
+    if args.forall and fixed:
         print("error: pick one of --forall or --valuation/--fixed", file=sys.stderr)
+        return 2
+    if args.strict and not fixed:
+        print("error: --strict needs --valuation or --fixed", file=sys.stderr)
         return 2
 
     if args.forall:
@@ -110,7 +113,7 @@ def _cmd_check(args) -> int:
             _print_counterexample(system, result.counterexample)
         return 0 if result.holds else 1
 
-    if args.fixed or args.valuation is not None:
+    if fixed:
         valuation = _valuation_arg(args.valuation)
         if args.strict:
             unbound = sorted(var_profile(phi).variables - valuation.keys())
@@ -147,9 +150,7 @@ def _cmd_check(args) -> int:
 def _cmd_optimize(args) -> int:
     system = parse_system(Path(args.system).read_text())
     phi = _formula_arg(args.formula)
-    result = optimize_mc(
-        system, phi, Objective(args.objective), exhaustive=args.exhaustive
-    )
+    result = optimize_mc(system, phi, Objective(args.objective))
     _say("mode", "optimize")
     _say("objective", args.objective)
     _say("status", result.status)
@@ -184,6 +185,12 @@ def _cmd_eval_trace(args) -> int:
 
 def _cmd_translate(args) -> int:
     phi = _formula_arg(args.formula)
+    if args.dim is not None and (args.emit != "relativized" or args.system):
+        print(
+            "error: --dim applies to --emit relativized without --system",
+            file=sys.stderr,
+        )
+        return 2
     system = None
     if args.system is not None:
         system = parse_system(Path(args.system).read_text())
@@ -200,7 +207,7 @@ def _cmd_translate(args) -> int:
 
     if args.emit == "relativized":
         require_well_formed(phi)
-        d = system.d if system is not None else args.dim
+        d = system.d if system is not None else args.dim or 1
         rewritten = relativize(eliminate_parametric_always(phi), d)
         _say("emit", "relativized")
         _say("dim", d)
@@ -294,11 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=[o.value for o in Objective],
     )
-    opt.add_argument(
-        "--exhaustive",
-        action="store_true",
-        help="box search over the whole bounded valuation space",
-    )
     opt.set_defaults(run=_cmd_optimize)
 
     ev = sub.add_parser("eval-trace", help="evaluate a formula on a trace")
@@ -326,8 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument(
         "--dim",
         type=_dimension,
-        default=1,
-        help="coordinates for --emit relativized",
+        default=None,
+        help="coordinates for --emit relativized (default 1, or the system's)",
     )
     tr.set_defaults(run=_cmd_translate)
 

@@ -13,15 +13,18 @@ max-min search one line of uniform valuations.  A maximization line is
 unbounded exactly when the formula, with the variables off the line pinned
 at zero, holds for every valuation, which modelcheck decides without a
 budget.  Each search gallops 0, 1, 2, 4, ... and bisects the last gap, so
-its probes grow with the logarithm of the optimum, not of the bound.  An
-exhaustive box search (exponential in the number of variables) is
-available as a cross-check and for multi-coordinate systems.
+its probes grow with the logarithm of the optimum, not of the bound.
+
+Monotonicity holds per variable whatever coordinate the variable's
+operators read, so the same searches serve any number of cost
+coordinates.  On several coordinates the bound costs one translation of
+the consistency formula for that many coordinates, which dominates the
+query.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
@@ -130,14 +133,14 @@ def optimize_mc(
     system: TransitionSystem,
     phi: Formula,
     objective,
-    exhaustive: bool = False,
 ) -> OptimizeResult:
     """Best value of the objective over valuations making phi hold on
     every run, with a witness valuation when one exists.
 
+    Every probe is a check_fixed, asked at most once per valuation; the
+    bound is valuation_upper_bound, for any number of coordinates.
     Raises FragmentError when the formula's parameters do not match the
-    objective's direction, or on a multi-coordinate system without
-    exhaustive=True.
+    objective's direction.
     """
     objective = Objective(objective)
     profile = require_well_formed(phi)
@@ -154,12 +157,6 @@ def optimize_mc(
                 "maximization needs every parameter on a G[<=] operator"
             )
         variables = sorted(profile.var_g)
-
-    if variables and system.d > 1 and not exhaustive:
-        raise FragmentError(
-            "optimization over several cost coordinates is exhaustive-only; "
-            "pass exhaustive=True and expect exponential cost"
-        )
 
     bound = valuation_upper_bound(system, phi)
     memo: dict = {}
@@ -193,15 +190,6 @@ def optimize_mc(
     def point(line, v: int) -> dict:
         return {**corner, **dict.fromkeys(line, v)}
 
-    if variables and exhaustive:
-        take_min = objective in (Objective.MIN_MIN, Objective.MAX_MIN)
-        best, witness = _box_search(variables, bound, feasible, minimizing, take_min)
-        if best is None:
-            return result(INFEASIBLE, None, None)
-        if not minimizing and any(feasible(point(line, bound)) for line in lines):
-            return result(UNBOUNDED, None, None)
-        return result(OPTIMAL, best, witness)
-
     if not feasible(corner):
         return result(INFEASIBLE, None, None)
     if not variables:
@@ -228,19 +216,3 @@ def optimize_mc(
             witness = point(line, value)
     return result(OPTIMAL, best, witness)
 
-
-def _box_search(variables, cap, feasible, minimizing: bool, take_min: bool):
-    """Best feasible valuation in [0, cap]^k as (value, witness), or
-    (None, None); the value aggregates with min or max.  Exponential;
-    cross-check only."""
-    best = None
-    witness = None
-    for combo in itertools.product(range(cap + 1), repeat=len(variables)):
-        point = dict(zip(variables, combo))
-        if not feasible(point):
-            continue
-        value = min(combo) if take_min else max(combo)
-        if best is None or (value < best if minimizing else value > best):
-            best = value
-            witness = point
-    return best, witness

@@ -25,6 +25,7 @@ from cpltl.formula import (
     parse,
     var_profile,
 )
+from cpltl.modelcheck import check_fixed
 from cpltl.system import TransitionSystem, enumerate_lassos, trace_of, validate
 from cpltl.trace import CostLetter, CostTrace, evaluate, kappa_violations, parse_trace
 
@@ -249,6 +250,26 @@ def box_valuations(phi, hi):
     names = sorted(var_profile(phi).variables)
     for combo in itertools.product(range(hi + 1), repeat=len(names)):
         yield dict(zip(names, combo))
+
+
+def box_optimum(system, phi, objective, hi):
+    """Reference optimum over the box [0, hi]^k: every valuation from
+    box_valuations, decided by check_fixed.  `objective` is an objective
+    value such as "max-min": the direction, then the aggregation over the
+    valuation's values.  Returns the best aggregated value and the feasible
+    valuations reaching it, or (None, []) when none in the box holds."""
+    direction, aggregation = objective.split("-")
+    aggregate = min if aggregation == "min" else max
+    better = min if direction == "min" else max
+    scores = [
+        (aggregate(valuation.values(), default=0), valuation)
+        for valuation in box_valuations(phi, hi)
+        if check_fixed(system, phi, valuation).holds
+    ]
+    if not scores:
+        return None, []
+    best = better(score for score, _ in scores)
+    return best, [valuation for score, valuation in scores if score == best]
 
 
 def corner_valuation(phi, bound):

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from conftest import SYS_A_TEXT, T1_TEXT
+from conftest import SYS_A_TEXT, SYS_STREETT_TEXT, T1_TEXT
 from cpltl.cli import main
 
 MC1 = "G (q -> F[<=x] p)"
@@ -98,9 +98,19 @@ def test_check_forall(capsys, sys_file):
     assert pairs["mode"] == "forall"
     assert pairs["holds"] == "false"
     assert pairs["corner"] == f"y={pairs['bound']}"
+    assert (pairs["path-prefix"], pairs["path-loop"]) == ("-", "s0 s1")
     code, pairs, _ = run(capsys, "check", sys_file, "G[<=y] (q | p)", "--forall")
     assert code == 0
     assert pairs["holds"] == "true"
+
+
+def test_check_strict_needs_fixed_mode(capsys, sys_file):
+    # --strict only judges a fixed valuation; elsewhere it is refused, not ignored
+    for argv in ((MC1, "--strict"), ("G[<=y] q", "--forall", "--strict")):
+        code, pairs, captured = run(capsys, "check", sys_file, *argv)
+        assert code == 2
+        assert "holds" not in pairs
+        assert "--strict needs --valuation or --fixed" in captured.err
 
 
 def test_check_mode_conflict(capsys, sys_file):
@@ -155,6 +165,25 @@ def test_optimize_infeasible_and_unbounded(capsys, sys_file):
     )
     assert code == 0
     assert pairs["status"] == "unbounded"
+
+
+def test_optimize_multi_coordinate(capsys, tmp_path):
+    streett = tmp_path / "streett.txt"
+    streett.write_text(SYS_STREETT_TEXT)
+    phi = "G[<=y@1] (Q1 | P1)"
+    code, pairs, _ = run(
+        capsys, "optimize", str(streett), phi, "--objective", "max-max"
+    )
+    assert code == 0
+    assert (pairs["status"], pairs["value"], pairs["witness"]) == (
+        "optimal",
+        "1",
+        "y=1",
+    )
+    with pytest.raises(SystemExit) as stop:
+        main(["optimize", str(streett), phi, "--objective", "max-max", "--exhaustive"])
+    assert stop.value.code == 2
+    assert "--exhaustive" in capsys.readouterr().err
 
 
 def test_optimize_rejects_mismatched_objective(capsys, sys_file):
@@ -223,6 +252,22 @@ def test_translate_rejects_dimension_below_one(capsys):
             main(["translate", "p", "--emit", "relativized", "--dim", dim])
         assert stop.value.code == 2
         assert "at least 1" in capsys.readouterr().err
+
+
+def test_translate_dim_conflicts_with_system(capsys, sys_file):
+    # the system fixes the dimension; a --dim beside it would be ignored
+    for argv in (
+        ("--emit", "relativized", "--system", sys_file, "--dim", "3"),
+        ("--emit", "nba", "--dim", "2"),
+    ):
+        code, pairs, captured = run(capsys, "translate", "p", *argv)
+        assert code == 2
+        assert "emit" not in pairs
+        assert "--dim applies to --emit relativized without --system" in captured.err
+    code, pairs, _ = run(
+        capsys, "translate", "F[<=x] p", "--emit", "relativized", "--system", sys_file
+    )
+    assert (code, pairs["dim"]) == (0, "1")
 
 
 def test_translate_product_needs_system(capsys, sys_file):

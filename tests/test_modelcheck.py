@@ -144,7 +144,7 @@ def test_check_forall(sys_a):
     narrow = check_forall(sys_a, parse("G[<=y] q"))
     assert not narrow.holds
     assert narrow.corner == {"y": narrow.bound}
-    assert narrow.counterexample == LassoPath(("s0", "s1"), ("s0", "s1"))
+    assert narrow.counterexample == LassoPath((), ("s0", "s1"))
     # the counterexample fails already at a small budget of the same shape
     trace = trace_of(sys_a, narrow.counterexample)
     assert not evaluate(trace, 0, {"y": narrow.bound}, parse("G[<=y] q"))

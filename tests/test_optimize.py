@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import SYS_A_TEXT
+from conftest import SYS_A_TEXT, box_optimum, oracle_holds
 from cpltl import modelcheck, optimize
 from cpltl.formula import FragmentError, parse, var_profile
 from cpltl.modelcheck import check_fixed, check_forall, valuation_upper_bound
@@ -165,34 +165,70 @@ def _tiny_system(d):
     )
 
 
-def test_multi_coordinate_needs_exhaustive():
+# On a zero-cost loop the least F-budget suffices and G-budgets tolerate
+# anything.
+TINY_PLANS = (
+    ("F[<=x] p", Objective.MIN_MIN, ("optimal", 0, {"x": 0})),
+    ("F[<=x] p", Objective.MIN_MAX, ("optimal", 0, {"x": 0})),
+    ("G[<=y] p", Objective.MAX_MAX, ("unbounded", None, None)),
+    ("G[<=y] p", Objective.MAX_MIN, ("unbounded", None, None)),
+)
+
+# Max objectives on the Streett fixture, derived by hand.  Every run
+# reaches s2, which has neither Q1 nor P1, after coordinate-1 cost 2, and
+# reaches P2 (at s2) after coordinate-2 cost 3.  In the disjunction,
+# G[<=0@1] !P2 only sees s0, so it holds and leaves y unbounded.
+STREETT_PLANS = (
+    ("G[<=y@1] (Q1 | P1)", Objective.MAX_MAX, ("optimal", 1, {"y": 1})),
+    ("G[<=y@2] !P2", Objective.MAX_MAX, ("optimal", 2, {"y": 2})),
+    (
+        "G[<=y@1] (Q1 | P1) & G[<=y2@2] !P2",
+        Objective.MAX_MAX,
+        ("optimal", 2, {"y": 0, "y2": 2}),
+    ),
+    (
+        "G[<=y@1] (Q1 | P1) & G[<=y2@2] !P2",
+        Objective.MAX_MIN,
+        ("optimal", 1, {"y": 1, "y2": 1}),
+    ),
+    ("G[<=y@2] Q1 | G[<=y2@1] !P2", Objective.MAX_MAX, ("unbounded", None, None)),
+)
+
+
+def test_multi_coordinate_optimizes_by_search(sys_streett):
+    # several coordinates take the same corner check and line searches
     tiny = _tiny_system(2)
-    with pytest.raises(FragmentError):
-        optimize_mc(tiny, parse("F[<=x] p"), Objective.MIN_MIN)
-    result = optimize_mc(tiny, parse("F[<=x] p"), Objective.MIN_MIN, exhaustive=True)
-    assert (result.status, result.value, result.witness) == ("optimal", 0, {"x": 0})
-    # variable-free queries never need the box search
+    # variable-free queries only check the corner
     plain = optimize_mc(tiny, parse("p"), Objective.MIN_MIN)
     assert (plain.status, plain.value) == ("optimal", 0)
+    cases = [(tiny, *plan) for plan in TINY_PLANS]
+    cases += [(sys_streett, *plan) for plan in STREETT_PLANS]
+    for system, text, objective, expected in cases:
+        phi = parse(text)
+        result = optimize_mc(system, phi, objective)
+        assert (result.status, result.value, result.witness) == expected
+        _check_two_variable_optimum(system, phi, objective, result)
+        if result.witness is not None:
+            assert oracle_holds(system, phi, result.witness)
 
 
-def test_exhaustive_agrees_on_fixtures():
-    # the closed-form searches and the box scan agree wherever both run;
-    # a zero-cost system keeps the scanned box small
-    tiny = _tiny_system(1)
-    for text, objective in [
-        ("F[<=x] p", Objective.MIN_MIN),
-        ("F[<=x] p", Objective.MIN_MAX),
-    ]:
-        fast = optimize_mc(tiny, parse(text), objective)
-        slow = optimize_mc(tiny, parse(text), objective, exhaustive=True)
-        assert (fast.status, fast.value) == (slow.status, slow.value) == ("optimal", 0)
-    # G-budgets on the zero-cost loop tolerate anything
-    for exhaustive in (False, True):
-        wide = optimize_mc(
-            tiny, parse("G[<=y] p"), Objective.MAX_MAX, exhaustive=exhaustive
-        )
-        assert wide.status == "unbounded"
+def test_searches_agree_with_box_scan(sys_streett):
+    # the line searches and a scan of the box [0, 4]^k agree; zero-cost
+    # systems and the Streett fixture's max objectives keep the box small
+    hi = 4
+    cases = [(_tiny_system(d), *plan) for d in (1, 2) for plan in TINY_PLANS]
+    cases += [(sys_streett, *plan) for plan in STREETT_PLANS]
+    for system, text, objective, _ in cases:
+        phi = parse(text)
+        result = optimize_mc(system, phi, objective)
+        best, witnesses = box_optimum(system, phi, objective.value, hi)
+        if result.status == "infeasible":
+            assert best is None
+        elif result.status == "unbounded":
+            assert best == hi
+        else:
+            assert result.value == best
+            assert result.witness in witnesses
 
 
 def test_result_shape(sys_a):
