@@ -123,15 +123,23 @@ def test_criterion_02_exists_equals_bounded_valuation_search(exists_sweep):
 
     Feasible sets grow as F-budgets grow and G-budgets shrink, so the single
     corner with F-variables maxed and G-variables at zero decides the search;
-    a cap of 32 covers every budget these small systems can need.
+    a cap of 32 covers every budget these small systems can need, and so
+    does the computed bound.
     """
     agreements = 0
     for system, phi, result in exists_sweep:
         probe = corner_valuation(phi, 32)
         found = check_fixed(system, phi, probe).holds
         assert found == result.holds, (pretty_print(phi), probe, system)
+        # the bound is sound: its corner decides as well
+        corner = corner_valuation(phi, result.bound)
+        at_bound = check_fixed(system, phi, corner).holds
+        assert at_bound == result.holds, (pretty_print(phi), corner, system)
         agreements += 1
-    print(f"criterion 2: {agreements} existence verdicts equal corner search")
+    print(
+        f"criterion 2: {agreements} existence verdicts equal corner search, "
+        "at cap 32 and at the bound"
+    )
 
 
 # --- criterion 3 --------------------------------------------------------------
