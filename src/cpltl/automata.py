@@ -1,16 +1,15 @@
 """Buchi automata for plain and cost-bounded formulas.
 
 Two constructions live here.  ltl_to_nba translates a variable-free formula
-in negation normal form into a nondeterministic generalized Buchi automaton
-whose guards are conjunctions of literals, with one acceptance set per
-Until.  cost_nba builds an acceptor for formulas with cost-bounded
-operators under a fixed valuation; its letters are pairs of a proposition
-set and a cost vector, and its states carry budget remainders.
+in negation normal form into a nondeterministic Buchi automaton whose guards
+are conjunctions of literals.  cost_nba builds an acceptor for formulas with
+cost-bounded operators under a fixed valuation; its letters are pairs of a
+proposition set and a cost vector, and its states carry budget remainders.
 
 Membership of ultimately periodic words is decided by building the finite
 product of an automaton with the word's slot graph and searching for a
-reachable cycle through every acceptance set (find_accepting_lasso).  The
-slot layout of those words (PropLasso, cost traces) is trace.Lasso.
+reachable accepting cycle (find_accepting_lasso).  The slot layout of
+those words (PropLasso, cost traces) is trace.Lasso.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from __future__ import annotations
 import sys
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .formula import (
@@ -71,38 +68,23 @@ def guard_text(guard: Guard) -> str:
 
 @dataclass(frozen=True, eq=False)
 class BuchiAutomaton:
-    """Nondeterministic generalized Buchi automaton with literal-conjunction
-    guards.
+    """Nondeterministic Buchi automaton with literal-conjunction guards.
 
     A letter is read on each transition; a run on w = w0 w1 ... is a state
     sequence q0 q1 ... with q0 = initial and an edge (guard, q_{n+1}) out of
-    q_n whose guard holds on w_n.  `accepting` is a tuple of acceptance
-    sets: a run is accepting when it visits some state of every set
-    infinitely often (with no sets, every infinite run is).  `masks` gives
-    per state the bitmask of the sets it is in, and `full` has a bit per
-    set.
+    q_n whose guard holds on w_n.  Acceptance: some state in `accepting` is
+    visited infinitely often.
     """
 
     states: tuple
     initial: str
     transitions: dict
-    accepting: tuple
+    accepting: frozenset
     alphabet: frozenset
 
     @property
     def n_states(self) -> int:
         return len(self.states)
-
-    @property
-    def full(self) -> int:
-        return (1 << len(self.accepting)) - 1
-
-    @cached_property
-    def masks(self) -> dict:
-        return {
-            q: sum(1 << i for i, s in enumerate(self.accepting) if q in s)
-            for q in self.states
-        }
 
     def edges(self):
         for src in self.states:
@@ -111,6 +93,17 @@ class BuchiAutomaton:
 
     def n_edges(self) -> int:
         return sum(len(self.transitions[q]) for q in self.states)
+
+
+def _single_state_nba(alphabet: frozenset, universal: bool) -> BuchiAutomaton:
+    edges = ((frozenset(), "q0"),) if universal else ()
+    return BuchiAutomaton(
+        states=("q0",),
+        initial="q0",
+        transitions={"q0": edges},
+        accepting=frozenset(("q0",)) if universal else frozenset(),
+        alphabet=alphabet,
+    )
 
 
 def _interned(phi: Formula) -> tuple:
@@ -201,11 +194,11 @@ def _expand(seed: list, rules: Sequence, nodes: Sequence) -> list:
 
 
 def ltl_to_nba(phi: Formula) -> BuchiAutomaton:
-    """Translate a variable-free formula into a generalized Buchi automaton.
+    """Translate a variable-free formula into a Buchi automaton.
 
-    Tableau expansion over the formula's closure, with one acceptance set
-    per Until in it.  Exact on ultimately periodic words:
-    nba_accepts_lasso(ltl_to_nba(f), w) agrees with evaluating f on w.
+    Tableau expansion over the formula's closure.  Exact on ultimately
+    periodic words: nba_accepts_lasso(ltl_to_nba(f), w) agrees with
+    evaluating f on w.
     """
     profile = var_profile(phi)
     if profile.variables:
@@ -214,20 +207,25 @@ def ltl_to_nba(phi: Formula) -> BuchiAutomaton:
             "substitute a valuation or eliminate bounded operators first"
         )
     alphabet = atoms(phi)
-    phi, keys = _interned(simplify_constants(phi))
+    phi = simplify_constants(phi)
+    if is_tt(phi):
+        return _single_state_nba(alphabet, universal=True)
+    if is_ff(phi):
+        return _single_state_nba(alphabet, universal=False)
+    phi, keys = _interned(phi)
     # Closure nodes are numbered in `repr` order, so sorting a set of
     # indices orders its formulas by their `repr` text.
     nodes = sorted(keys, key=keys.__getitem__)
     index = {f: i for i, f in enumerate(nodes)}
     rules = _rules(nodes, index)
 
-    # Tableau nodes: a list of old-sets and, per node, the set of its
-    # successor nodes, numbered by their (old, nxt) cores.  Node -1 is the
-    # run start.  A node's successors depend only on its next-set, so each
-    # distinct next-set is expanded once; a new node's successors are
-    # walked before its parent's remaining ones, which fixes the numbering.
+    # Tableau nodes: parallel lists of old-sets and incoming sets, numbered
+    # by their (old, nxt) cores.  Source -1 denotes the run start.  A node's successors depend only on
+    # its next-set, so each distinct next-set is expanded once; a new
+    # node's successors are walked before its parent's remaining ones,
+    # which fixes the node numbering.
     node_old: list = []
-    out: dict = {-1: set()}
+    node_incoming: list = []
     by_core: dict = {}
     expanded: dict = {}
 
@@ -243,24 +241,23 @@ def ltl_to_nba(phi: Formula) -> BuchiAutomaton:
         for core in todo:
             idx = by_core.get(core)
             if idx is not None:
-                out[src].add(idx)
+                node_incoming[idx].add(src)
                 continue
-            idx = by_core[core] = len(node_old)
+            idx = len(node_old)
+            by_core[core] = idx
             node_old.append(core[0])
-            out[src].add(idx)
-            out[idx] = set()
+            node_incoming.append({src})
             walk.append((idx, iter(successors(core[1]))))
             break
         else:
             walk.pop()
 
-    # Every edge into node r carries r's guard, its literals.  One
-    # acceptance set per Until f = a U b: the nodes that do not promise f,
-    # or that fulfil it (b holds); bit i of a node's mask is set i.
-    untils = [(f, b) for f, (kind, _, b) in enumerate(rules) if kind == _UNTIL]
+    n = len(node_old)
+    if n == 0:
+        return _single_state_nba(alphabet, universal=False)
+
     guards = []
-    masks = {-1: 0}
-    for r, old in enumerate(node_old):
+    for old in node_old:
         guards.append(
             frozenset(
                 (nodes[f].name, isinstance(nodes[f], Atom))
@@ -268,33 +265,92 @@ def ltl_to_nba(phi: Formula) -> BuchiAutomaton:
                 if rules[f][0] == _LIT
             )
         )
-        masks[r] = sum(
-            1 << i
-            for i, (f, right) in enumerate(untils)
-            if f not in old or right in old
+
+    # Every edge into node r carries r's guard, so a node's out-edges are
+    # its successor nodes, listed in ascending order.
+    out_sets: dict = {src: set() for src in range(-1, n)}
+    for r in range(n):
+        for q in node_incoming[r]:
+            out_sets[q].add(r)
+    out_nodes = {q: sorted(targets) for q, targets in out_sets.items()}
+
+    # If some node behaves exactly like the run start, use it as the initial
+    # state instead of keeping a separate start state.
+    init_node = -1
+    for r in range(n):
+        if out_nodes[r] == out_nodes[-1]:
+            init_node = r
+            break
+
+    untils = [(f, b) for f, (kind, _, b) in enumerate(rules) if kind == _UNTIL]
+    k = len(untils)
+    fsets = []
+    for f, right in untils:
+        fsets.append(
+            frozenset(
+                r
+                for r in range(n)
+                if f not in node_old[r] or right in node_old[r]
+            )
         )
-    transitions = {
-        q: tuple((guards[r], r) for r in sorted(targets))
-        for q, targets in out.items()
-    }
-    return _trim(-1, transitions, masks, len(untils), alphabet)
+
+    def next_layer(src: int, layer: int) -> int:
+        if k == 0 or src == -1:
+            return layer
+        if src in fsets[layer]:
+            return (layer + 1) % k
+        return layer
+
+    def meta_accepting(meta) -> bool:
+        node, layer = meta
+        if node == -1:
+            return False
+        if k == 0:
+            return True
+        return layer == 0 and node in fsets[0]
+
+    start = (init_node, 0)
+    names: dict = {start: "q0"}
+    order = [start]
+    queue = deque([start])
+    transitions: dict = {}
+    while queue:
+        meta = queue.popleft()
+        node, layer = meta
+        succ_layer = next_layer(node, layer)
+        edges = []
+        for target in out_nodes[node]:
+            succ = (target, succ_layer)
+            name = names.get(succ)
+            if name is None:
+                name = names[succ] = f"q{len(names)}"
+                order.append(succ)
+                queue.append(succ)
+            edges.append((guards[target], name))
+        transitions[names[meta]] = tuple(edges)
+
+    accepting = frozenset(names[meta] for meta in order if meta_accepting(meta))
+    return _trim(
+        tuple(names[meta] for meta in order),
+        "q0",
+        transitions,
+        accepting,
+        alphabet,
+    )
 
 
-def _trim(initial, transitions, masks, k, alphabet) -> BuchiAutomaton:
-    """The automaton over integer states, all reachable from `initial`,
-    with k acceptance sets given by per-state `masks`, less the states that
-    cannot reach a fair cycle, and with states of equal mask and outgoing
-    edges merged.  Both steps preserve the language.  States are renamed
-    q0, q1, ... in ascending order, the initial state being the least."""
-    full = (1 << k) - 1
-    adj = {q: tuple(dst for _, dst in transitions[q]) for q in transitions}
+def _trim(states, initial, transitions, accepting, alphabet) -> BuchiAutomaton:
+    """Drop states that cannot contribute to an accepting run, then merge
+    states with identical acceptance and outgoing edges.  Both steps
+    preserve the language."""
+    adj = {q: tuple(dst for _, dst in transitions[q]) for q in states}
     live = set()
-    for members, cyclic in _sccs((initial,), adj.__getitem__):
-        if cyclic and reduce(or_, (masks[q] for q in members)) == full:
+    for members, cyclic in _sccs(states, adj.__getitem__):
+        if cyclic and not accepting.isdisjoint(members):
             live.update(members)
-    reverse: dict = {q: [] for q in adj}
-    for q, targets in adj.items():
-        for dst in targets:
+    reverse: dict = {q: [] for q in states}
+    for q in states:
+        for dst in adj[q]:
             reverse[dst].append(q)
     queue = deque(live)
     while queue:
@@ -304,14 +360,22 @@ def _trim(initial, transitions, masks, k, alphabet) -> BuchiAutomaton:
                 live.add(src)
                 queue.append(src)
     if initial not in live:
-        return BuchiAutomaton(("q0",), "q0", {"q0": ()}, (), alphabet)
-    # every state is reachable, and every state on a path to a live state
-    # is live, so no live state needs a dead one to be reached
-    keep = sorted(live)
+        return _single_state_nba(alphabet, universal=False)
+    keep = [initial]
+    seen = {initial}
+    queue = deque(keep)
+    while queue:
+        q = queue.popleft()
+        for _, dst in transitions[q]:
+            if dst in live and dst not in seen:
+                seen.add(dst)
+                keep.append(dst)
+                queue.append(dst)
     trans = {
-        q: tuple((g, dst) for g, dst in transitions[q] if dst in live)
+        q: tuple((g, dst) for g, dst in transitions[q] if dst in seen)
         for q in keep
     }
+    acc = accepting & seen
 
     # collapse states whose futures are literally identical
     rename = {q: q for q in keep}
@@ -322,7 +386,10 @@ def _trim(initial, transitions, masks, k, alphabet) -> BuchiAutomaton:
         for q in keep:
             if rename[q] != q:
                 continue
-            key = (masks[q], frozenset((g, rename[dst]) for g, dst in trans[q]))
+            key = (
+                q in acc,
+                frozenset((g, rename[dst]) for g, dst in trans[q]),
+            )
             owner = signature.get(key)
             if owner is None:
                 signature[key] = q
@@ -335,21 +402,16 @@ def _trim(initial, transitions, masks, k, alphabet) -> BuchiAutomaton:
                 while rename[root] != root:
                     root = rename[root]
                 rename[q] = root
-    final = [q for q in keep if rename[q] == q]
-    name = {q: f"q{i}" for i, q in enumerate(final)}
-    for q in keep:
-        name[q] = name[rename[q]]
+    final_states = tuple(q for q in keep if rename[q] == q)
+    final_trans = {
+        q: tuple(dict.fromkeys((g, rename[dst]) for g, dst in trans[q]))
+        for q in final_states
+    }
     return BuchiAutomaton(
-        states=tuple(name[q] for q in final),
-        initial="q0",
-        transitions={
-            name[q]: tuple(dict.fromkeys((g, name[dst]) for g, dst in trans[q]))
-            for q in final
-        },
-        accepting=tuple(
-            frozenset(name[q] for q in final if masks[q] >> i & 1)
-            for i in range(k)
-        ),
+        states=final_states,
+        initial=rename[initial],
+        transitions=final_trans,
+        accepting=frozenset(rename[q] for q in acc if rename[q] == q),
         alphabet=alphabet,
     )
 
@@ -374,44 +436,31 @@ class PropLasso(Lasso[frozenset]):
 def find_accepting_lasso(
     initial,
     successors: Callable,
-    accepting: Callable,
-    full: int = 1,
+    is_accepting: Callable,
 ) -> Optional[tuple]:
-    """Find a reachable cycle that visits every acceptance set.
+    """Find a reachable cycle through an accepting node.
 
-    The graph is spanned on the fly by `successors`, and `accepting` gives
-    a node's acceptance mask: bit i is set when the node is in set i, and
-    `full` has a bit per set (a plain Buchi acceptor may answer True or
-    False with full = 1).  One SCC pass decides: it stops at the first
-    completed component that is cyclic and whose members' masks cover
-    `full`, and None means there is none.  Only then is a lasso built from
-    that component, as (prefix, loop) node lists: prefix is a shortest path
-    from the initial node up to but not including a member in some set (any
-    member when there are no sets), and loop chains shortest paths inside
-    the component from that member through a member of each set it still
-    misses, and back (the wrap edge loop[-1] -> loop[0] is implicit).
-    `accepting` is asked only by the decision pass.
+    The graph is spanned on the fly by `successors`.  One SCC pass decides:
+    it stops at the first completed component that is cyclic and holds an
+    accepting node, and None means there is none.  Only then is a lasso
+    built from that component, as (prefix, loop) node lists: prefix is a
+    shortest path from the initial node up to but not including an
+    accepting member, and loop is a shortest cycle starting at that member
+    inside the component (the wrap edge loop[-1] -> loop[0] is implicit).
+    `is_accepting` is asked only by the decision pass.
     """
     for members, cyclic in _sccs((initial,), successors):
         if cyclic:
-            # keyed by the members, so it also serves as the member set
-            masks = {v: accepting(v) for v in members}
-            if reduce(or_, masks.values()) & full == full:
+            targets = {v for v in members if is_accepting(v)}
+            if targets:
                 break
     else:
         return None
-    goal = {v for v, m in masks.items() if m or not full}
-    path = _shortest_path((initial,), successors, goal)
-    loop = [path[-1]]
-    missing = full & ~masks[loop[0]]
-    while missing:
-        goal = {v for v, m in masks.items() if m & missing}
-        leg = _shortest_path(successors(loop[-1]), successors, goal, masks)
-        for v in leg:
-            missing &= ~masks[v]
-        loop += leg
-    back = _shortest_path(successors(loop[-1]), successors, {loop[0]}, masks)
-    return path[:-1], loop + back[:-1]
+    path = _shortest_path((initial,), successors, targets)
+    head = path[-1]
+    inside = set(members)
+    back = _shortest_path(successors(head), successors, {head}, inside)
+    return path[:-1], [head] + back[:-1]
 
 
 def _shortest_path(sources, successors: Callable, goal, inside=None) -> list:
@@ -514,29 +563,25 @@ def nba_accepts_lasso(auto: BuchiAutomaton, word: PropLasso) -> bool:
             if guard_holds(guard, letter)
         ]
 
-    masks = auto.masks
+    def accepting(node) -> bool:
+        return node[1] in auto.accepting
 
-    def accepting(node) -> int:
-        return masks[node[1]]
-
-    found = find_accepting_lasso(
-        (0, auto.initial), successors, accepting, auto.full
-    )
+    found = find_accepting_lasso((0, auto.initial), successors, accepting)
     return found is not None
 
 
 def buchi_empty(auto: BuchiAutomaton) -> Optional[PropLasso]:
     """Emptiness check. Returns None when the language is empty, otherwise
     an accepted lasso word (positive literals of the guards along a
-    reachable cycle through every acceptance set), re-verified before being
-    returned."""
+    reachable accepting cycle), re-verified before being returned."""
 
     def successors(state):
         return [dst for _, dst in auto.transitions[state]]
 
-    found = find_accepting_lasso(
-        auto.initial, successors, auto.masks.__getitem__, auto.full
-    )
+    def accepting(state) -> bool:
+        return state in auto.accepting
+
+    found = find_accepting_lasso(auto.initial, successors, accepting)
     if found is None:
         return None
     prefix, loop = found

@@ -200,10 +200,7 @@ def _cmd_translate(args) -> int:
         _say("emit", "nba")
         _say("states", auto.n_states)
         _say("initial", auto.initial)
-        _say("acceptance-sets", len(auto.accepting))
-        for i, members in enumerate(auto.accepting):
-            listed = [q for q in auto.states if q in members]
-            _say(f"accept-{i}", ",".join(listed) or "-")
+        _say("accepting", ",".join(sorted(auto.accepting)) or "-")
         for src, guard, dst in auto.edges():
             print(f"trans {src} {dst} : {guard_text(guard)}")
         return 0
@@ -233,11 +230,10 @@ def _cmd_translate(args) -> int:
     _say("emit", "product")
     _say("vertices", graph.n_vertices)
     _say("edges", graph.n_edges())
-    _say("acceptance-sets", graph.full.bit_length())
+    _say("accepting", sum(1 for v in graph.vertices if v in graph.accepting))
     _say("initial", vertex_name(graph.initial))
-    for vertex, mask in zip(graph.vertices, graph.accept):
-        sets = [str(i) for i in range(mask.bit_length()) if mask >> i & 1]
-        mark = " accept=" + ",".join(sets) if sets else ""
+    for vertex in graph.vertices:
+        mark = " accepting" if vertex in graph.accepting else ""
         print(f"vertex {vertex_name(vertex)}{mark}")
     for vertex in graph.vertices:
         for succ in graph.edges[vertex]:

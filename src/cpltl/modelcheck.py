@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 from typing import Callable, Iterator, Mapping, Optional
 
 from .automata import (
@@ -65,10 +64,9 @@ class ColoredCostGraph:
     may be picked for the successor.  `vertices` lists them in breadth-first
     order from the initial vertex, and a vertex's position there is its id.
     Per id, `succ` holds the successor ids in edge order, `color` a bitmask
-    with bit c-1 set when coordinate c's color is chosen, and `accept` the
-    automaton state's acceptance mask (bit i set when it is in acceptance
-    set i; `full` has a bit per set).  The views on vertex tuples, `edges`
-    and `index` (vertex -> id), are built on first use.
+    with bit c-1 set when coordinate c's color is chosen, and `accept`
+    whether the automaton state is accepting.  The views on vertex tuples,
+    `edges`, `accepting` and `index` (vertex -> id), are built on first use.
     The graph keeps no cost table: an edge's cost is the system's cost
     between the two vertices' states (`step`; `positive` holds which
     coordinates of each state pair's cost are positive).
@@ -78,7 +76,6 @@ class ColoredCostGraph:
     succ: list
     color: list
     accept: list
-    full: int
     system_cost: dict
     colors: tuple
     d: int
@@ -101,6 +98,10 @@ class ColoredCostGraph:
             v: tuple(vertices[j] for j in out)
             for v, out in zip(vertices, self.succ)
         }
+
+    @cached_property
+    def accepting(self) -> frozenset:
+        return frozenset(v for v, ok in zip(self.vertices, self.accept) if ok)
 
     @cached_property
     def index(self) -> dict:
@@ -169,13 +170,13 @@ def build_product(
             for picked in range(width)
         )
 
-    masks = [auto.masks[q] for q in auto_states]
+    accepting = [q in auto.accepting for q in auto_states]
     start = state_index[system.initial] * stride
     ids = {start + auto_index[auto.initial] * width: 0}
     lookup = ids.get
     vertices = [(system.initial, auto.initial, subsets[0])]
     color = [0]
-    accept = [masks[auto_index[auto.initial]]]
+    accept = [accepting[auto_index[auto.initial]]]
     succ = []
     for state, q, _ in vertices:
         key = (q, letters[state][color[len(succ)]])
@@ -194,14 +195,13 @@ def build_product(
                         (states[code // stride], auto_states[k], subsets[mask])
                     )
                     color.append(mask)
-                    accept.append(masks[k])
+                    accept.append(accepting[k])
         succ.append(out)
     return ColoredCostGraph(
         vertices=tuple(vertices),
         succ=succ,
         color=color,
         accept=accept,
-        full=auto.full,
         system_cost=system.cost,
         colors=colors,
         d=d,
@@ -365,10 +365,10 @@ def pumpable_fair_path(graph: ColoredCostGraph) -> Optional[tuple]:
                 out.append(w << d | (flags & ~diff) | cap[w])
         return out
 
-    def accepting(node) -> int:
+    def accepting(node) -> bool:
         return accept[node >> d]
 
-    found = find_accepting_lasso(cap[0], successors, accepting, graph.full)
+    found = find_accepting_lasso(cap[0], successors, accepting)
     if found is None:
         return None
     vertices = graph.vertices
@@ -431,9 +431,8 @@ def _splice_pumps(graph, cap, components, prefix, loop) -> tuple:
 
 def verify_pumpable(graph: ColoredCostGraph, prefix, loop) -> list:
     """Check a candidate witness explicitly. Returns a list of problems,
-    empty when the lasso is a valid fair path (its loop visits every
-    acceptance set) whose completed color blocks all contain a positive
-    repetition."""
+    empty when the lasso is a valid fair path whose completed color blocks
+    all contain a positive repetition."""
     problems = []
     run = Lasso(tuple(prefix), tuple(loop))
     if run.letter(0) != graph.initial:
@@ -443,10 +442,8 @@ def verify_pumpable(graph: ColoredCostGraph, prefix, loop) -> list:
         if v not in index or index.get(w) not in graph.succ[index[v]]:
             problems.append(f"missing edge at step {i}")
             return problems
-    seen = reduce(or_, (graph.accept[index[v]] for v in loop))
-    for i in range(graph.full.bit_length()):
-        if not seen >> i & 1:
-            problems.append(f"loop never visits acceptance set {i}")
+    if not any(graph.accept[index[v]] for v in loop):
+        problems.append("loop never visits an accepting vertex")
     for coord in range(1, graph.d + 1):
         cut = changepoints_of(run, lambda v: graph.color_bit(v, coord))
         for start, end in cut.blocks()[0]:
@@ -467,12 +464,13 @@ def bound_value(n_states: int, n_auto: int, d: int, max_cost: int) -> int:
     The count that matters is V = n_states * n_auto * 2^d, the vertices of
     the colored product.  A color block with no vertex repeated at positive
     cost in between has at most V positive steps, since two positive steps
-    out of one vertex would repeat it at positive cost, so it costs at most V *
-    max_cost; a costlier block is pumpable.  n_auto is the exists
-    automaton's state count, whatever its number of acceptance sets: the
-    sets are no part of a vertex, they only say which vertices a fair loop
-    visits, and splicing pump cycles into a loop keeps every visit it had.
-    So a generalized automaton needs no factor for its sets.
+    out of one vertex would repeat it at positive cost, so it costs at most
+    V * max_cost; a costlier block is pumpable.  A relativized F[<=x] is
+    met within one color change, so within two blocks: hence the factor 2.
+    Acceptance is no part of a vertex: it only says which vertices a fair
+    loop visits, and splicing pump cycles into a loop keeps every visit it
+    had.  So n_auto is the exists automaton's state count, with no factor
+    for its acceptance.
     """
     return 2 * n_states * max(1, n_auto) * (1 << d) * max_cost + 2
 
@@ -549,10 +547,9 @@ class ForallResult:
 def check_exists(system: TransitionSystem, phi: Formula) -> ExistsResult:
     """Does some valuation make phi hold on every run of the system?
 
-    Holds exactly when the colored product with the generalized Buchi
-    automaton of the negated relativized formula (chi_d conjoined) admits
-    no pumpable fair path, one whose loop visits every acceptance set;
-    `witness` carries that path when one exists.
+    Holds exactly when the colored product with the negated relativized
+    formula admits no pumpable fair path; `witness` carries that path when
+    one exists.
     """
     require_well_formed(phi)
     validate_coords(phi, system.d)

@@ -246,9 +246,7 @@ def test_product_structure(sys_a):
     graph = build_product(sys_a, ltl_to_nba(parse("tt")))
     assert graph.n_vertices == 4
     assert graph.n_edges() == 12
-    # no acceptance set, so every cycle is fair
-    assert graph.full == 0
-    assert graph.accept == [0, 0, 0, 0]
+    assert len(graph.accepting) == 4
     state, auto_state, colors = graph.initial
     assert state == "s0"
     assert colors == frozenset()
@@ -289,7 +287,7 @@ def test_holding_exists_builds_no_witness(sys_a, monkeypatch):
     searches = []
     search = modelcheck.find_accepting_lasso
 
-    def counted(initial, successors, accepting, full):
+    def counted(initial, successors, is_accepting):
         calls = []
 
         def expand(node):
@@ -297,7 +295,7 @@ def test_holding_exists_builds_no_witness(sys_a, monkeypatch):
             return successors(node)
 
         searches.append((initial, successors, calls))
-        return search(initial, expand, accepting, full)
+        return search(initial, expand, is_accepting)
 
     monkeypatch.setattr(modelcheck, "find_accepting_lasso", counted)
     assert check_exists(sys_a, parse(MC1)).holds
@@ -311,10 +309,9 @@ def test_holding_exists_builds_no_witness(sys_a, monkeypatch):
     assert sorted(calls) == sorted(reachable)
 
 
-def _nba(transitions, sets) -> BuchiAutomaton:
+def _nba(transitions, accepting) -> BuchiAutomaton:
     """Automaton over the coordinate-1 color from {state: [(literals, dst)]}
-    and a list of acceptance sets, with initial state q0; a literal is
-    (name, polarity)."""
+    with initial state q0; a literal is (name, polarity)."""
     return BuchiAutomaton(
         states=tuple(transitions),
         initial="q0",
@@ -322,7 +319,7 @@ def _nba(transitions, sets) -> BuchiAutomaton:
             q: tuple((frozenset(guard), dst) for guard, dst in edges)
             for q, edges in transitions.items()
         },
-        accepting=tuple(frozenset(members) for members in sets),
+        accepting=frozenset(accepting),
         alphabet=frozenset([color_name(1)]),
     )
 
@@ -335,7 +332,7 @@ def _one_state(cost):
 def _has_fair_cycle(graph) -> bool:
     """An accepting cycle in the product itself, ignoring the pump flags."""
     found = find_accepting_lasso(
-        0, graph.succ.__getitem__, graph.accept.__getitem__, graph.full
+        graph.initial, graph.edges.__getitem__, graph.accepting.__contains__
     )
     return found is not None
 
@@ -344,15 +341,15 @@ def test_accepting_singleton_without_self_loop_holds():
     # q1 is visited once and left for good: on a zero-cost loop no color
     # may flip, so each flagged vertex at q1 is a component of its own
     auto = _nba(
-        {"q0": [((), "q1")], "q1": [((), "q2")], "q2": [((), "q2")]}, [{"q1"}]
+        {"q0": [((), "q1")], "q1": [((), "q2")], "q2": [((), "q2")]}, {"q1"}
     )
     graph = build_product(_one_state(0), auto)
-    assert any(graph.accept)
+    assert graph.accepting
     assert pumpable_fair_path(graph) is None
 
 
 def test_accepting_singleton_with_self_loop_fails():
-    auto = _nba({"q0": [((), "q1")], "q1": [((), "q1")]}, [{"q1"}])
+    auto = _nba({"q0": [((), "q1")], "q1": [((), "q1")]}, {"q1"})
     graph = build_product(_one_state(0), auto)
     witness = pumpable_fair_path(graph)
     assert witness is not None
@@ -369,7 +366,7 @@ def test_accepting_cycle_behind_a_forbidden_flip_holds():
             "q1": [(((color, False),), "q2"), (((color, True),), "q1")],
             "q2": [((), "q0")],
         },
-        [{"q2"}],
+        {"q2"},
     )
     flat = build_product(_one_state(0), auto)
     assert _has_fair_cycle(flat)
@@ -379,38 +376,6 @@ def test_accepting_cycle_behind_a_forbidden_flip_holds():
     witness = pumpable_fair_path(pumped)
     assert witness is not None
     assert verify_pumpable(pumped, *witness) == []
-
-
-def test_acceptance_sets_on_separate_cycles_hold():
-    # set 0 is q1's self-loop and set 1 is q2's; no run visits both
-    # infinitely often, although either set alone is visited on a cycle
-    apart = {"q0": [((), "q1"), ((), "q2")], "q1": [((), "q1")], "q2": [((), "q2")]}
-    for system in (_one_state(0), _one_state(1)):
-        graph = build_product(system, _nba(apart, [{"q1"}, {"q2"}]))
-        assert graph.full == 3
-        assert not _has_fair_cycle(graph)
-        assert pumpable_fair_path(graph) is None
-        for sets in ([{"q1"}], [{"q2"}]):
-            assert pumpable_fair_path(build_product(system, _nba(apart, sets)))
-
-
-def test_cycle_through_both_acceptance_sets_fails():
-    joined = {
-        "q0": [((), "q1"), ((), "q2")],
-        "q1": [((), "q1"), ((), "q2")],
-        "q2": [((), "q2"), ((), "q1")],
-    }
-    graph = build_product(_one_state(1), _nba(joined, [{"q1"}, {"q2"}]))
-    witness = pumpable_fair_path(graph)
-    assert witness is not None
-    assert verify_pumpable(graph, *witness) == []
-    visited = {auto_state for _, auto_state, _ in witness[1]}
-    assert {"q1", "q2"} <= visited
-    # a loop that stays in set 0 is refused
-    state, _, colors = graph.initial
-    assert verify_pumpable(graph, [graph.initial], [(state, "q1", colors)]) == [
-        "loop never visits acceptance set 1"
-    ]
 
 
 # Two positive 2-cycles through s0 give equally short pump cycles, so the

@@ -103,7 +103,7 @@ def test_max_objectives_frozen(sys_a):
             2,
             {"y": 2},
         ), objective
-        assert (result.probes, result.bound) == (5, 962), objective
+        assert (result.probes, result.bound) == (5, 2330), objective
         assert check_fixed(sys_a, parse("G[<=y] q"), {"y": 2}).holds
         assert not check_fixed(sys_a, parse("G[<=y] q"), {"y": 3}).holds
 
