@@ -128,8 +128,12 @@ _RULE = {Next: _NEXT, And: _AND, Or: _OR, Until: _UNTIL, Release: _RELEASE}
 
 def _rules(nodes: Sequence, index: Mapping) -> list:
     """Per closure node, by index: (rule, a, b).  A literal's `a` is the
-    index of the opposite literal (-1 when it does not occur); Next has its
+    bit of the opposite literal (0 when it does not occur); Next has its
     child in `a`; the binary connectives their arms in `a` and `b`."""
+
+    def bit(f: Formula) -> int:
+        return 1 << index[f] if f in index else 0
+
     rules = []
     for f in nodes:
         if is_tt(f):
@@ -137,9 +141,9 @@ def _rules(nodes: Sequence, index: Mapping) -> list:
         elif is_ff(f):
             rules.append((_FF, -1, -1))
         elif isinstance(f, Atom):
-            rules.append((_LIT, index.get(NegAtom(f.name), -1), -1))
+            rules.append((_LIT, bit(NegAtom(f.name)), -1))
         elif isinstance(f, NegAtom):
-            rules.append((_LIT, index.get(Atom(f.name), -1), -1))
+            rules.append((_LIT, bit(Atom(f.name)), -1))
         elif isinstance(f, Next):
             rules.append((_NEXT, index[f.child], -1))
         elif type(f) in _RULE:
@@ -151,36 +155,38 @@ def _rules(nodes: Sequence, index: Mapping) -> list:
 
 def _expand(seed: list, rules: Sequence, nodes: Sequence) -> list:
     """The distinct cores (old, next) that a seed expands into, in the order
-    the depth-first expansion completes them."""
+    the depth-first expansion completes them.  A set of closure nodes is a
+    bitmask over their indices."""
     cores: dict = {}
-    pending = [(seed, set(), set())]
+    pending = [(seed, 0, 0)]
     while pending:
         new, old, nxt = pending.pop()
         alive = True
         while new:
             f = new.pop()
-            if f in old:
+            bit = 1 << f
+            if old & bit:
                 continue
             kind, a, b = rules[f]
             if kind == _TT:
                 continue
-            if kind == _FF or (kind == _LIT and a in old):
+            if kind == _FF or (kind == _LIT and old & a):
                 alive = False
                 break
-            old.add(f)
+            old |= bit
             if kind == _NEXT:
-                nxt.add(a)
+                nxt |= 1 << a
             elif kind == _AND:
                 new.append(a)
                 new.append(b)
             elif kind == _OR:
-                pending.append((new + [b], set(old), set(nxt)))
+                pending.append((new + [b], old, nxt))
                 new.append(a)
             elif kind == _UNTIL:
-                pending.append((new + [a], set(old), nxt | {f}))
+                pending.append((new + [a], old, nxt | bit))
                 new.append(b)
             elif kind == _RELEASE:
-                pending.append((new + [b], set(old), nxt | {f}))
+                pending.append((new + [b], old, nxt | bit))
                 new.append(a)
                 new.append(b)
             elif kind is None:
@@ -189,16 +195,30 @@ def _expand(seed: list, rules: Sequence, nodes: Sequence) -> list:
                     + pretty_print(nodes[f])
                 )
         if alive:
-            cores[(frozenset(old), frozenset(nxt))] = None
+            cores[(old, nxt)] = None
     return list(cores)
+
+
+def _members(mask: int) -> list:
+    """The indices of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def ltl_to_nba(phi: Formula) -> BuchiAutomaton:
     """Translate a variable-free formula into a Buchi automaton.
 
-    Tableau expansion over the formula's closure.  Exact on ultimately
-    periodic words: nba_accepts_lasso(ltl_to_nba(f), w) agrees with
-    evaluating f on w.
+    Tableau expansion over the formula's closure gives a generalized Buchi
+    automaton with one acceptance set per Until.  One SCC pass over the
+    tableau decides which nodes can still reach a cycle through every set
+    (Couvreur 1999); only those nodes are degeneralized into (node, layer)
+    states, and _merge then folds states with identical futures.  Exact on
+    ultimately periodic words: nba_accepts_lasso(ltl_to_nba(f), w) agrees
+    with evaluating f on w.
     """
     profile = var_profile(phi)
     if profile.variables:
@@ -220,22 +240,22 @@ def ltl_to_nba(phi: Formula) -> BuchiAutomaton:
     rules = _rules(nodes, index)
 
     # Tableau nodes: parallel lists of old-sets and incoming sets, numbered
-    # by their (old, nxt) cores.  Source -1 denotes the run start.  A node's successors depend only on
-    # its next-set, so each distinct next-set is expanded once; a new
-    # node's successors are walked before its parent's remaining ones,
-    # which fixes the node numbering.
+    # by their (old, nxt) cores.  Source -1 denotes the run start.  A
+    # node's successors depend only on its next-set, so each distinct
+    # next-set is expanded once; a new node's successors are walked before
+    # its parent's remaining ones, which fixes the node numbering.
     node_old: list = []
     node_incoming: list = []
     by_core: dict = {}
     expanded: dict = {}
 
-    def successors(nxt: frozenset) -> list:
+    def successors(nxt: int) -> list:
         cores = expanded.get(nxt)
         if cores is None:
-            cores = expanded[nxt] = _expand(sorted(nxt), rules, nodes)
+            cores = expanded[nxt] = _expand(_members(nxt), rules, nodes)
         return cores
 
-    walk = [(-1, iter(successors(frozenset((index[phi],)))))]
+    walk = [(-1, iter(successors(1 << index[phi])))]
     while walk:
         src, todo = walk[-1]
         for core in todo:
@@ -256,15 +276,14 @@ def ltl_to_nba(phi: Formula) -> BuchiAutomaton:
     if n == 0:
         return _single_state_nba(alphabet, universal=False)
 
-    guards = []
-    for old in node_old:
-        guards.append(
-            frozenset(
-                (nodes[f].name, isinstance(nodes[f], Atom))
-                for f in old
-                if rules[f][0] == _LIT
-            )
-        )
+    literals = [
+        (1 << f, (nodes[f].name, isinstance(nodes[f], Atom)))
+        for f, rule in enumerate(rules)
+        if rule[0] == _LIT
+    ]
+    guards = [
+        frozenset(lit for bit, lit in literals if old & bit) for old in node_old
+    ]
 
     # Every edge into node r carries r's guard, so a node's out-edges are
     # its successor nodes, listed in ascending order.
@@ -282,113 +301,85 @@ def ltl_to_nba(phi: Formula) -> BuchiAutomaton:
             init_node = r
             break
 
+    # Acceptance of the tableau: one set per Until, holding the nodes that
+    # do not owe it or fulfil it here, kept as a bitmask per node.
     untils = [(f, b) for f, (kind, _, b) in enumerate(rules) if kind == _UNTIL]
     k = len(untils)
-    fsets = []
-    for f, right in untils:
-        fsets.append(
-            frozenset(
-                r
-                for r in range(n)
-                if f not in node_old[r] or right in node_old[r]
-            )
-        )
+    masks = [0] * n
+    for j, (f, right) in enumerate(untils):
+        owes = 1 << f
+        fulfils = 1 << right
+        for r, old in enumerate(node_old):
+            if not old & owes or old & fulfils:
+                masks[r] |= 1 << j
+    full = (1 << k) - 1
 
-    def next_layer(src: int, layer: int) -> int:
-        if k == 0 or src == -1:
-            return layer
-        if src in fsets[layer]:
-            return (layer + 1) % k
-        return layer
+    # A node is live when it reaches a cyclic component whose masks cover
+    # every set: (node, layer) then has an accepting run for every layer,
+    # and otherwise for none.  Components complete in reverse topological
+    # order, so successors outside a component are decided before it.
+    live = [False] * n
+    for members, cyclic in _sccs(range(n), out_nodes.__getitem__):
+        cover = 0
+        for r in members:
+            cover |= masks[r]
+        if (cyclic and cover == full) or any(
+            live[s] for r in members for s in out_nodes[r]
+        ):
+            for r in members:
+                live[r] = True
+    if not any(live[r] for r in out_nodes[-1]):
+        return _single_state_nba(alphabet, universal=False)
 
-    def meta_accepting(meta) -> bool:
-        node, layer = meta
-        if node == -1:
-            return False
-        if k == 0:
-            return True
-        return layer == 0 and node in fsets[0]
-
-    start = (init_node, 0)
+    # Degeneralize: the layer names the set a run waits for, and advances
+    # when the run leaves a node in it.  A pair (node, layer) is keyed
+    # node * width + layer.  The breadth-first search numbers every pair it
+    # discovers, dead ones too, so the names are those of the whole layered
+    # automaton.  Only live pairs become states; edges into dead pairs are
+    # dropped, so a dead pair, whose successors are all dead, has none.
+    width = k or 1
+    start = init_node * width
     names: dict = {start: "q0"}
-    order = [start]
+    order = ["q0"]
     queue = deque([start])
     transitions: dict = {}
+    accepting = set()
     while queue:
-        meta = queue.popleft()
-        node, layer = meta
-        succ_layer = next_layer(node, layer)
+        pair = queue.popleft()
+        node, layer = divmod(pair, width)
+        passed = node != -1 and (k == 0 or masks[node] >> layer & 1)
+        if passed and layer == 0 and live[node]:
+            accepting.add(names[pair])
+        succ_layer = (layer + 1) % width if passed else layer
         edges = []
         for target in out_nodes[node]:
-            succ = (target, succ_layer)
-            name = names.get(succ)
-            if name is None:
-                name = names[succ] = f"q{len(names)}"
-                order.append(succ)
+            succ = target * width + succ_layer
+            if succ not in names:
+                names[succ] = f"q{len(names)}"
                 queue.append(succ)
-            edges.append((guards[target], name))
-        transitions[names[meta]] = tuple(edges)
+                if live[target]:
+                    order.append(names[succ])
+            if live[target]:
+                edges.append((guards[target], names[succ]))
+        transitions[names[pair]] = tuple(edges)
 
-    accepting = frozenset(names[meta] for meta in order if meta_accepting(meta))
-    return _trim(
-        tuple(names[meta] for meta in order),
-        "q0",
-        transitions,
-        accepting,
-        alphabet,
-    )
+    return _merge(tuple(order), "q0", transitions, accepting, alphabet)
 
 
-def _trim(states, initial, transitions, accepting, alphabet) -> BuchiAutomaton:
-    """Drop states that cannot contribute to an accepting run, then merge
-    states with identical acceptance and outgoing edges.  Both steps
-    preserve the language."""
-    adj = {q: tuple(dst for _, dst in transitions[q]) for q in states}
-    live = set()
-    for members, cyclic in _sccs(states, adj.__getitem__):
-        if cyclic and not accepting.isdisjoint(members):
-            live.update(members)
-    reverse: dict = {q: [] for q in states}
-    for q in states:
-        for dst in adj[q]:
-            reverse[dst].append(q)
-    queue = deque(live)
-    while queue:
-        q = queue.popleft()
-        for src in reverse[q]:
-            if src not in live:
-                live.add(src)
-                queue.append(src)
-    if initial not in live:
-        return _single_state_nba(alphabet, universal=False)
-    keep = [initial]
-    seen = {initial}
-    queue = deque(keep)
-    while queue:
-        q = queue.popleft()
-        for _, dst in transitions[q]:
-            if dst in live and dst not in seen:
-                seen.add(dst)
-                keep.append(dst)
-                queue.append(dst)
-    trans = {
-        q: tuple((g, dst) for g, dst in transitions[q] if dst in seen)
-        for q in keep
-    }
-    acc = accepting & seen
-
-    # collapse states whose futures are literally identical
-    rename = {q: q for q in keep}
+def _merge(states, initial, transitions, accepting, alphabet) -> BuchiAutomaton:
+    """Merge states with identical acceptance and outgoing edges, keeping
+    the first of each class; this preserves the language."""
+    rename = {q: q for q in states}
     changed = True
     while changed:
         changed = False
         signature: dict = {}
-        for q in keep:
+        for q in states:
             if rename[q] != q:
                 continue
             key = (
-                q in acc,
-                frozenset((g, rename[dst]) for g, dst in trans[q]),
+                q in accepting,
+                frozenset((g, rename[dst]) for g, dst in transitions[q]),
             )
             owner = signature.get(key)
             if owner is None:
@@ -397,21 +388,21 @@ def _trim(states, initial, transitions, accepting, alphabet) -> BuchiAutomaton:
                 rename[q] = owner
                 changed = True
         if changed:
-            for q in keep:
+            for q in states:
                 root = rename[q]
                 while rename[root] != root:
                     root = rename[root]
                 rename[q] = root
-    final_states = tuple(q for q in keep if rename[q] == q)
+    final_states = tuple(q for q in states if rename[q] == q)
     final_trans = {
-        q: tuple(dict.fromkeys((g, rename[dst]) for g, dst in trans[q]))
+        q: tuple(dict.fromkeys((g, rename[dst]) for g, dst in transitions[q]))
         for q in final_states
     }
     return BuchiAutomaton(
         states=final_states,
         initial=rename[initial],
         transitions=final_trans,
-        accepting=frozenset(rename[q] for q in acc if rename[q] == q),
+        accepting=frozenset(q for q in accepting if rename[q] == q),
         alphabet=alphabet,
     )
 

@@ -1,7 +1,10 @@
 """Buchi automata: translation, emptiness, budget acceptors."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 
 import pytest
@@ -297,3 +300,80 @@ def test_translation_does_not_depend_on_sharing():
     right = exists_target("G (q -> F[<=x] p)")
     assert left is not right
     assert pin(ltl_to_nba(And(left, right))) == pin(ltl_to_nba(And(left, left)))
+
+
+def _states_on_accepting_cycles(auto: BuchiAutomaton) -> set:
+    """States that reach an accepting state lying on a cycle, by plain
+    reachability from every state."""
+    reach = {}
+    for q in auto.states:
+        seen, queue = set(), deque([q])
+        while queue:
+            for _, dst in auto.transitions[queue.popleft()]:
+                if dst not in seen:
+                    seen.add(dst)
+                    queue.append(dst)
+        reach[q] = seen
+    cycling = {a for a in auto.accepting if a in reach[a]}
+    return {q for q in auto.states if q in cycling or reach[q] & cycling}
+
+
+def test_random_translations_are_pinned_and_live():
+    # States, names, edge order and acceptance of 400 translations, as the
+    # translation built them when it degeneralized the whole tableau and
+    # trimmed afterwards.  The sample holds Until-free formulas and 22
+    # empty automata.
+    rng = random.Random(411)
+    digest = hashlib.sha256()
+    empty = 0
+    for _ in range(400):
+        phi = random_formula(rng, rng.randint(1, 4), f_vars=(), g_vars=())
+        auto = ltl_to_nba(phi)
+        trans = [
+            (q, tuple((tuple(sorted(g)), dst) for g, dst in auto.transitions[q]))
+            for q in auto.states
+        ]
+        digest.update(
+            repr(
+                (auto.initial, auto.states, trans, sorted(auto.accepting))
+            ).encode()
+        )
+        if not auto.accepting:
+            empty += 1
+            assert auto.states == ("q0",) and auto.n_edges() == 0, phi
+            continue
+        # every state can still take part in an accepting run
+        assert _states_on_accepting_cycles(auto) == set(auto.states), phi
+    assert empty == 22
+    assert digest.hexdigest() == (
+        "24e1fc7e630d82db87918a48dbf56074c26c960a80a2381526f463c199c38466"
+    )
+
+
+PIN_SCRIPT = """
+from cpltl.formula import chi_formula
+from cpltl.automata import ltl_to_nba
+from test_automata import exists_target, pin
+print(pin(ltl_to_nba(exists_target("G (q -> F[<=x] p)"))))
+print(pin(ltl_to_nba(chi_formula(2))))
+"""
+
+
+def test_translation_is_independent_of_hash_seed():
+    here = os.path.dirname(__file__)
+    path = os.pathsep.join((os.path.join(os.path.dirname(here), "src"), here))
+    outputs = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", PIN_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        outputs.add(proc.stdout)
+    assert outputs == {
+        "(237, 1026, 25, 'befb8a78468a69b4')\n"
+        "(679, 5072, 81, '6447a9b6b9fdccfc')\n"
+    }

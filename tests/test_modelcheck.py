@@ -12,6 +12,7 @@ from conftest import (
     box_valuations,
     build_system,
     oracle_holds,
+    random_formula,
     random_system,
 )
 from cpltl.formula import (
@@ -27,6 +28,7 @@ from cpltl.formula import (
     negate,
     parse,
     relativize,
+    var_profile,
 )
 from cpltl import modelcheck
 from cpltl.automata import BuchiAutomaton, find_accepting_lasso, ltl_to_nba
@@ -126,6 +128,33 @@ def test_check_fixed_matches_oracle_smoke():
                 got = check_fixed(system, phi, valuation).holds
                 want = oracle_holds(system, phi, valuation)
                 assert got is want, (text, valuation, system)
+
+
+def test_check_fixed_matches_oracle_at_two_coordinates():
+    rng = random.Random(415)
+    for _ in range(60):
+        system = random_system(rng, max_states=3, d=2)
+        phi = random_formula(
+            rng, rng.randint(1, 3), d=2, f_vars=("x", "x2"), g_vars=("y",)
+        )
+        names = sorted(var_profile(phi).variables)
+        valuation = {name: rng.randint(0, 5) for name in names}
+        got = check_fixed(system, phi, valuation).holds
+        assert got is oracle_holds(system, phi, valuation), (phi, valuation)
+
+
+def test_translation_cache_drops_its_oldest_entry(monkeypatch):
+    monkeypatch.setattr(modelcheck, "ltl_to_nba", lambda target: object())
+    monkeypatch.setattr(modelcheck, "_NBA_CACHE", {})
+    targets = [Atom(f"p{i}") for i in range(modelcheck._NBA_CACHE_SIZE + 1)]
+    first = modelcheck._pipeline_nba(targets[0])
+    assert modelcheck._pipeline_nba(targets[0]) is first
+    for target in targets[1:-1]:
+        modelcheck._pipeline_nba(target)
+    assert list(modelcheck._NBA_CACHE) == targets[:-1]
+    modelcheck._pipeline_nba(targets[-1])
+    assert list(modelcheck._NBA_CACHE) == targets[1:]
+    assert modelcheck._pipeline_nba(targets[0]) is not first
 
 
 def test_check_exists_positive(sys_a):
