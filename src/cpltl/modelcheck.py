@@ -33,7 +33,6 @@ from .automata import (
 from .formula import (
     And,
     Formula,
-    FormulaError,
     FragmentError,
     chi_formula,
     color_name,
@@ -581,26 +580,30 @@ def check_fixed(
 
     Emptiness of the system composed with a budget automaton for the
     negated formula.  A failing verdict comes with a lasso counterexample,
-    re-checked against the trace semantics before being returned.
+    re-checked against the trace semantics before being returned.  The
+    budget automaton rejects coordinates beyond the system's dimension and
+    negative budgets.  The search's nodes are (system state, automaton
+    state) pairs.
     """
-    validate_coords(phi, system.d)
-    for var, value in valuation.items():
-        if value < 0:
-            raise FormulaError(f"negative value for parameter {var}: {value}")
     auto = cost_nba(negate(phi), valuation, system.d)
+    expand = auto.successors
+    labels = system.labels
+    edges = {
+        s: [(t, system.cost[s, t]) for t in system.successors(s)]
+        for s in system.states
+    }
     explored = decided = 0
 
     def successors(node):
         nonlocal explored
         explored += 1
-        state, core = node
-        props = system.labels[state]
-        out = []
-        for succ in system.successors(state):
-            step = system.cost[(state, succ)]
-            for core2 in auto.successors(core, props, step):
-                out.append((succ, core2))
-        return out
+        state, auto_state = node
+        props = labels[state]
+        return [
+            (succ, nxt)
+            for succ, step in edges[state]
+            for nxt in expand(auto_state, props, step)
+        ]
 
     def accepting(node) -> bool:
         # only the decision pass asks, so the last ask marks its end

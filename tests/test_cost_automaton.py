@@ -153,9 +153,8 @@ def reference_expand(auto, core: frozenset, props: frozenset, cost: tuple) -> se
     return out
 
 
-def concrete(auto, core) -> frozenset:
-    """The items of a (shape id, remainders) core."""
-    sid, rems = core
+def concrete(auto, sid: int, rems: tuple) -> frozenset:
+    """The items of the core (shape id, remainders)."""
     shape = auto._shapes[sid]
     items = {("f", g) for g in shape.plain}
     for f, rem in zip(shape.ops, rems):
@@ -165,6 +164,16 @@ def concrete(auto, core) -> frozenset:
 
 def tracked_in(auto, ok: int) -> frozenset:
     return frozenset(f for j, f in enumerate(auto.tracked) if ok >> j & 1)
+
+
+def reference_advance(auto, layer: int, ok: frozenset) -> int:
+    """The layer after `layer` on a move that did not delay `ok`: from a
+    completed layer start over at 0, then pass every undelayed obligation."""
+    k = len(auto.tracked)
+    j = 0 if layer == k else layer
+    while j < k and auto.tracked[j] in ok:
+        j += 1
+    return j
 
 
 def reference_order(auto, move) -> tuple:
@@ -239,17 +248,26 @@ formulas = st.one_of(st.sampled_from(NESTED).map(parse), generated)
 def test_template_expansion_matches_reference(phi, d, valuation, rng):
     d = max(d, max_coord(phi))
     auto = cost_nba(phi, valuation, d)
-    frontier = [auto.initial_state()[0]]
+    frontier = [auto.initial_state()]
     for _ in range(12):
-        core = rng.choice(frontier)
+        state = rng.choice(frontier)
+        sid, rems, layer = state
         props = frozenset(p for p in ("p", "q") if rng.random() < 0.5)
         cost = tuple(rng.randint(0, 3) for _ in range(d))
-        moves = auto._expand(core, props, cost)
-        got = [(concrete(auto, nxt), tracked_in(auto, ok)) for nxt, ok in moves]
-        want = reference_expand(auto, concrete(auto, core), props, cost)
+        moves = auto._moves(sid, rems, props, cost)
+        got = [
+            (concrete(auto, nsid, nrems), tracked_in(auto, ok))
+            for nsid, nrems, ok in moves
+        ]
+        core = concrete(auto, sid, rems)
+        want = reference_expand(auto, core, props, cost)
         want = sorted(want, key=lambda move: reference_order(auto, move))
-        assert got == want, (phi, valuation, concrete(auto, core), props, cost)
-        frontier.extend(nxt for nxt, _ in moves)
+        assert got == want, (phi, valuation, core, props, cost)
+        succ = auto.successors(state, props, cost)
+        got = [(concrete(auto, nsid, nrems), nlayer) for nsid, nrems, nlayer in succ]
+        want = [(nxt, reference_advance(auto, layer, ok)) for nxt, ok in want]
+        assert got == want, (phi, valuation, core, layer, props, cost)
+        frontier.extend(succ)
 
 
 # One expansion of this automaton yields the same next core with two
@@ -263,7 +281,7 @@ auto = cost_nba(negate(parse("F[<=x2@2] X G[<=y] q")), {"x2": 0, "y": 0}, 2)
 
 
 def show(state):
-    (sid, rems), layer = state
+    sid, rems, layer = state
     shape = auto._shapes[sid]
     items = [("f", pretty_print(g)) for g in shape.plain]
     for f, rem in zip(shape.ops, rems):

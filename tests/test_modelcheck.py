@@ -1,5 +1,6 @@
 """Model checking: fixed valuations, parameter existence, universal checks."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -8,6 +9,8 @@ import sys
 import pytest
 
 from conftest import (
+    FORMULA_TEXTS,
+    STREETT_FORMULA,
     SYS_A_TEXT,
     box_valuations,
     build_system,
@@ -87,7 +90,7 @@ def test_zero_cost_bound_needs_no_translation(monkeypatch):
             valuation_upper_bound(system, parse(f"F[<=x@{d + 1}] p"))
 
 
-def test_check_fixed_frozen(sys_a):
+def test_check_fixed_frozen(sys_a, sys_streett):
     phi = parse(MC1)
     good = check_fixed(sys_a, phi, {"x": 3})
     assert good.holds
@@ -98,6 +101,53 @@ def test_check_fixed_frozen(sys_a):
     # the decision pass stops at the first fair component, after 3 of the
     # 4 reachable product nodes; the counterexample search is not counted
     assert bad.explored == 3
+    # (system, formula, valuation, counterexample, explored)
+    cases = [
+        # the window check explores 2 x budget - 3 nodes
+        (sys_a, "G[<=y] (p | q)", {"y": 10_000}, None, 19_997),
+        (sys_a, "G[<=y] q", {"y": 2}, None, 1),
+        (sys_a, "G[<=y] q", {"y": 3}, LassoPath((), ("s0", "s1")), 4),
+        (sys_a, "F[<=x] F[<=x] p", {"x": 2}, LassoPath(("s0",), ("s1",)), 3),
+        (sys_a, "G F p", {}, None, 3),
+        (sys_streett, STREETT_FORMULA, {"x1": 2, "x2": 3}, None, 6),
+        (
+            sys_streett,
+            STREETT_FORMULA,
+            {"x1": 1, "x2": 3},
+            LassoPath((), ("s0", "s1", "s2")),
+            6,
+        ),
+    ]
+    for system, text, valuation, counterexample, explored in cases:
+        result = check_fixed(system, parse(text), valuation)
+        assert result.holds is (counterexample is None), (text, valuation)
+        assert result.counterexample == counterexample, (text, valuation)
+        assert result.explored == explored, (text, valuation)
+
+
+def test_check_fixed_outcomes_are_pinned(system_pool, sys_streett):
+    # (holds, counterexample, explored) of every pool system and formula at
+    # budgets 0, 1, 3 and 12 (every variable at the budget), then the
+    # Streett fixture at a holding and a failing valuation, as the budget
+    # search gave them when it kept a per-core expansion memo.
+    digest = hashlib.sha256()
+    checks = 0
+    for system in system_pool:
+        for text in FORMULA_TEXTS:
+            phi = parse(text)
+            names = sorted(var_profile(phi).variables)
+            for budget in (0, 1, 3, 12):
+                r = check_fixed(system, phi, dict.fromkeys(names, budget))
+                digest.update(repr((r.holds, r.counterexample, r.explored)).encode())
+                checks += 1
+    for valuation in ({"x1": 2, "x2": 3}, {"x1": 2, "x2": 2}):
+        r = check_fixed(sys_streett, parse(STREETT_FORMULA), valuation)
+        digest.update(repr((r.holds, r.counterexample, r.explored)).encode())
+        checks += 1
+    assert checks == 8354
+    assert digest.hexdigest() == (
+        "aac28a96fe59d60fa32a95a89233e93ca1a0b697ed7f070d681d4e88dee98f92"
+    )
 
 
 def test_counterexample_replays(sys_a):
