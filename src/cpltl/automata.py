@@ -633,7 +633,7 @@ class CostBuchiAutomaton:
     """Acceptor for formulas with cost-bounded operators, fixed valuation.
 
     Letters are (props, cost vector) pairs as found on cost traces.  States
-    are flat (shape id, remainders, layer) triples.  The shape id and the
+    are (shape id, remainders, layer) triples.  The shape id and the
     remainders make the core, the set of obligations holding at the
     current position: the shape holds the obligations without their
     budgets, and the remainders give each budgeted F[<=]/G[<=] operator of
@@ -642,11 +642,15 @@ class CostBuchiAutomaton:
     len(tracked) exactly when every one of them was discharged or absent
     since the last completion.
 
-    A core's moves depend on a remainder only through `cost <= remainder`
-    and `remainder == full budget`, so each obligation shape is expanded
-    once per letter and outcome of those comparisons, into a template kept
-    in `_templates`, the automaton's only cache.  A state is expanded from
-    its template directly: the remainders are only subtracted and compared.
+    A search runs on flat nodes (x, shape id, remainders, layer), a state
+    prefixed with a position x of the run (a system state, a trace slot).
+    `successors` expands a whole node in one call, along every out-edge of
+    x at once.  A core's moves depend on a remainder only through
+    `cost <= remainder` and `remainder == full budget`, so each obligation
+    shape is expanded once per letter and outcome of those comparisons,
+    into a template kept in `_templates`, the automaton's only cache.  A
+    node is expanded from its templates directly: the remainders are only
+    subtracted and compared.
     """
 
     def __init__(self, phi: Formula, valuation: Mapping, d: int):
@@ -680,8 +684,8 @@ class CostBuchiAutomaton:
         sid, recipe = self._settle([("f", self.phi)], ())
         return (sid, _remainders(recipe, ()), 0)
 
-    def is_accepting(self, state) -> bool:
-        return not self.tracked or state[2] == len(self.tracked)
+    def is_accepting(self, node) -> bool:
+        return not self.tracked or node[3] == len(self.tracked)
 
     def _settle(self, nxt: Iterable, cost: tuple) -> tuple:
         """(shape id, remainder recipe) of the core made of the next-items
@@ -827,38 +831,6 @@ class CostBuchiAutomaton:
                 out[sid, recipe, ok] = None
         return tuple(out)
 
-    def _moves(self, sid: int, rems: tuple, props: frozenset, cost: tuple) -> list:
-        """All one-step resolutions of the core (sid, rems) against the
-        letter (props, cost), ordered by `_order`: (next shape id, next
-        remainders, ok) triples, where ok is the bitmask of the tracked
-        obligations that were not delayed here."""
-        shape = self._shapes[sid]
-        # Nearly every expanded core has one budgeted operator (99.7% of
-        # the expansions in the budget-heavy benchmark workload); building
-        # its flags directly skips the generator.
-        if len(rems) == 1:
-            rem = rems[0]
-            flags = ((cost[shape.coords[0]] <= rem, rem == shape.fulls[0]),)
-        else:
-            flags = tuple(
-                (cost[k] <= rem, rem == full)
-                for k, rem, full in zip(shape.coords, rems, shape.fulls)
-            )
-        key = (sid, flags, props, cost)
-        template = self._templates.get(key)
-        if template is None:
-            template = self._template(shape, flags, props, cost)
-            self._templates[key] = template
-        # Only two or more moves can coincide or need ordering.
-        if len(template) == 1:
-            ((nsid, recipe, ok),) = template
-            return [(nsid, _remainders(recipe, rems), ok)]
-        moves = {
-            (nsid, _remainders(recipe, rems), ok): None
-            for nsid, recipe, ok in template
-        }
-        return sorted(moves, key=self._order)
-
     def _order(self, move) -> tuple:
         """Sort key of a move: its core's obligations as (kind, closure
         rank[, remainder]) tuples in sorted order, then the indices of its
@@ -878,12 +850,50 @@ class CostBuchiAutomaton:
             j += 1
         return j
 
-    def successors(self, state, props: frozenset, cost: tuple) -> list:
-        sid, rems, layer = state
-        return [
-            (nsid, nrems, self._advance(layer, ok))
-            for nsid, nrems, ok in self._moves(sid, rems, props, cost)
-        ]
+    def successors(self, node, edges) -> list:
+        """The successors of the search node (x, shape id, remainders,
+        layer) along x's out-edges `edges`, (y, props, cost) triples where
+        props labels x and cost is the edge's: flat nodes (y, next shape
+        id, next remainders, next layer), in edge order and, per edge, in
+        `_order` of the moves."""
+        _, sid, rems, layer = node
+        shape = self._shapes[sid]
+        templates = self._templates
+        # Nearly every expanded core has one budgeted operator (99.7% of
+        # the expansions in the budget-heavy benchmark workload); building
+        # its flags directly skips the generator.
+        one = len(rems) == 1
+        if one:
+            rem, coord = rems[0], shape.coords[0]
+            full = rem == shape.fulls[0]
+        out = []
+        for y, props, cost in edges:
+            if one:
+                flags = ((cost[coord] <= rem, full),)
+            else:
+                flags = tuple(
+                    (cost[k] <= rem, rem == full)
+                    for k, rem, full in zip(shape.coords, rems, shape.fulls)
+                )
+            key = (sid, flags, props, cost)
+            template = templates.get(key)
+            if template is None:
+                template = self._template(shape, flags, props, cost)
+                templates[key] = template
+            # Only two or more moves can coincide or need ordering.
+            if len(template) == 1:
+                ((nsid, recipe, ok),) = template
+                out.append(
+                    (y, nsid, _remainders(recipe, rems), self._advance(layer, ok))
+                )
+                continue
+            moves = {
+                (nsid, _remainders(recipe, rems), ok): None
+                for nsid, recipe, ok in template
+            }
+            for nsid, nrems, ok in sorted(moves, key=self._order):
+                out.append((y, nsid, nrems, self._advance(layer, ok)))
+        return out
 
     def accepts_trace(self, trace) -> bool:
         """Membership of a cost trace (from position 0)."""
@@ -893,19 +903,14 @@ class CostBuchiAutomaton:
             )
 
         def successors(node):
-            slot, state = node
+            slot = node[0]
             step = trace.letter_at_slot(slot)
-            nxt_slot = trace.succ_slot(slot)
-            return [
-                (nxt_slot, succ)
-                for succ in self.successors(state, step.props, step.cost)
-            ]
-
-        def accepting(node) -> bool:
-            return self.is_accepting(node[1])
+            return self.successors(
+                node, [(trace.succ_slot(slot), step.props, step.cost)]
+            )
 
         found = find_accepting_lasso(
-            (0, self.initial_state()), successors, accepting
+            (0,) + self.initial_state(), successors, self.is_accepting
         )
         return found is not None
 

@@ -582,14 +582,15 @@ def check_fixed(
     negated formula.  A failing verdict comes with a lasso counterexample,
     re-checked against the trace semantics before being returned.  The
     budget automaton rejects coordinates beyond the system's dimension and
-    negative budgets.  The search's nodes are (system state, automaton
-    state) pairs.
+    negative budgets.  The search's nodes are flat (system state, shape
+    id, remainders, layer) tuples, each expanded along all of its system
+    state's out-edges in one budget automaton call.
     """
     auto = cost_nba(negate(phi), valuation, system.d)
     expand = auto.successors
     labels = system.labels
     edges = {
-        s: [(t, system.cost[s, t]) for t in system.successors(s)]
+        s: [(t, labels[s], system.cost[s, t]) for t in system.successors(s)]
         for s in system.states
     }
     explored = decided = 0
@@ -597,27 +598,21 @@ def check_fixed(
     def successors(node):
         nonlocal explored
         explored += 1
-        state, auto_state = node
-        props = labels[state]
-        return [
-            (succ, nxt)
-            for succ, step in edges[state]
-            for nxt in expand(auto_state, props, step)
-        ]
+        return expand(node, edges[node[0]])
 
     def accepting(node) -> bool:
         # only the decision pass asks, so the last ask marks its end
         nonlocal decided
         decided = explored
-        return auto.is_accepting(node[1])
+        return auto.is_accepting(node)
 
     found = find_accepting_lasso(
-        (system.initial, auto.initial_state()), successors, accepting
+        (system.initial,) + auto.initial_state(), successors, accepting
     )
     if found is None:
         return FixedResult(holds=True, counterexample=None, explored=explored)
     path = canonical_lasso(
-        [s for s, _ in found[0]], [s for s, _ in found[1]]
+        [node[0] for node in found[0]], [node[0] for node in found[1]]
     )
     trace = trace_of(system, path)
     if evaluate(trace, 0, dict(valuation), phi):

@@ -162,10 +162,6 @@ def concrete(auto, sid: int, rems: tuple) -> frozenset:
     return frozenset(items)
 
 
-def tracked_in(auto, ok: int) -> frozenset:
-    return frozenset(f for j, f in enumerate(auto.tracked) if ok >> j & 1)
-
-
 def reference_advance(auto, layer: int, ok: frozenset) -> int:
     """The layer after `layer` on a move that did not delay `ok`: from a
     completed layer start over at 0, then pass every undelayed obligation."""
@@ -248,63 +244,103 @@ formulas = st.one_of(st.sampled_from(NESTED).map(parse), generated)
 def test_template_expansion_matches_reference(phi, d, valuation, rng):
     d = max(d, max_coord(phi))
     auto = cost_nba(phi, valuation, d)
-    frontier = [auto.initial_state()]
+    frontier = [auto.initial_state()[:2]]
     for _ in range(12):
-        state = rng.choice(frontier)
-        sid, rems, layer = state
-        props = frozenset(p for p in ("p", "q") if rng.random() < 0.5)
-        cost = tuple(rng.randint(0, 3) for _ in range(d))
-        moves = auto._moves(sid, rems, props, cost)
-        got = [
-            (concrete(auto, nsid, nrems), tracked_in(auto, ok))
-            for nsid, nrems, ok in moves
-        ]
+        sid, rems = rng.choice(frontier)
         core = concrete(auto, sid, rems)
-        want = reference_expand(auto, core, props, cost)
-        want = sorted(want, key=lambda move: reference_order(auto, move))
-        assert got == want, (phi, valuation, core, props, cost)
-        succ = auto.successors(state, props, cost)
-        got = [(concrete(auto, nsid, nrems), nlayer) for nsid, nrems, nlayer in succ]
-        want = [(nxt, reference_advance(auto, layer, ok)) for nxt, ok in want]
-        assert got == want, (phi, valuation, core, layer, props, cost)
-        frontier.extend(succ)
+        edges = [
+            (
+                y,
+                frozenset(p for p in ("p", "q") if rng.random() < 0.5),
+                tuple(rng.randint(0, 3) for _ in range(d)),
+            )
+            for y in range(rng.randint(1, 3))
+        ]
+        moves = {
+            y: sorted(
+                reference_expand(auto, core, props, cost),
+                key=lambda move: reference_order(auto, move),
+            )
+            for y, props, cost in edges
+        }
+        # The layers after a move, from every layer, fix its ok set.
+        for layer in range(len(auto.tracked) + 1):
+            node = ("x", sid, rems, layer)
+            succ = auto.successors(node, edges)
+            got = [
+                (y, concrete(auto, nsid, nrems), nlayer)
+                for y, nsid, nrems, nlayer in succ
+            ]
+            want = [
+                (y, nxt, reference_advance(auto, layer, ok))
+                for y, _, _ in edges
+                for nxt, ok in moves[y]
+            ]
+            assert got == want, (phi, valuation, core, layer, edges)
+            one_by_one = [t for edge in edges for t in auto.successors(node, [edge])]
+            assert succ == one_by_one, (phi, valuation, core, layer, edges)
+        frontier.extend((nsid, nrems) for _, nsid, nrems, _ in succ)
 
 
 # One expansion of this automaton yields the same next core with two
-# different `ok` sets; their order must not come from set iteration.
+# different `ok` sets; their order must not come from set iteration.  The
+# fixed checks run on a system with several out-edges per state, under
+# formulas whose templates have several moves.
 SUCCESSOR_SCRIPT = """
 import itertools
 from cpltl.automata import cost_nba
 from cpltl.formula import GLe, negate, parse, pretty_print
+from cpltl.modelcheck import check_fixed
+from cpltl.system import parse_system
 
 auto = cost_nba(negate(parse("F[<=x2@2] X G[<=y] q")), {"x2": 0, "y": 0}, 2)
 
 
-def show(state):
-    sid, rems, layer = state
+def show(node):
+    x, sid, rems, layer = node
     shape = auto._shapes[sid]
     items = [("f", pretty_print(g)) for g in shape.plain]
     for f, rem in zip(shape.ops, rems):
         items.append(("G" if isinstance(f, GLe) else "F", pretty_print(f), rem))
-    return sorted(items), layer
+    return x, sorted(items), layer
 
 
-letters = [
-    (frozenset(props), cost)
-    for props in ((), ("q",))
-    for cost in itertools.product(range(2), repeat=2)
+edges = [
+    (y, frozenset(props), cost)
+    for y, (props, cost) in enumerate(
+        itertools.product(((), ("q",)), itertools.product(range(2), repeat=2))
+    )
 ]
-seen = {auto.initial_state()}
-todo = [auto.initial_state()]
+start = (None,) + auto.initial_state()
+seen = {start[1:]}
+todo = [start]
 while todo:
-    state = todo.pop()
-    for props, cost in letters:
-        succ = auto.successors(state, props, cost)
-        print(show(state), sorted(props), cost, [show(t) for t in succ])
-        for t in succ:
-            if t not in seen:
-                seen.add(t)
-                todo.append(t)
+    node = todo.pop()
+    succ = auto.successors(node, edges)
+    for y, props, cost in edges:
+        print(show(node), sorted(props), cost, [show(t) for t in succ if t[0] == y])
+    for t in succ:
+        if t[1:] not in seen:
+            seen.add(t[1:])
+            todo.append((None,) + t[1:])
+
+system = parse_system(
+    "dim 1\\n"
+    "state s0 init : q\\n"
+    "state s1 : p kappa1\\n"
+    "state s2 : p q\\n"
+    "edge s0 s1 : 2\\nedge s0 s2 : 0\\n"
+    "edge s1 s0 : 0\\nedge s1 s2 : 0\\n"
+    "edge s2 s1 : 3\\nedge s2 s2 : 0\\n"
+)
+for text, valuation in (
+    ("G (q -> F[<=x] p)", {"x": 1}),
+    ("G (q -> F[<=x] p)", {"x": 2}),
+    ("F G[<=y] (p | X q)", {"y": 3}),
+    ("G (p U (q & F[<=x] p))", {"x": 3}),
+):
+    result = check_fixed(system, parse(text), valuation)
+    print(text, valuation, result.holds, result.explored, result.counterexample)
 """
 
 

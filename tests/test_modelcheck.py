@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     FORMULA_TEXTS,
@@ -25,6 +27,13 @@ from cpltl.formula import (
     FormulaError,
     FragmentError,
     GLe,
+    NegAtom,
+    Next,
+    Or,
+    Release,
+    Until,
+    always,
+    eventually,
     chi_formula,
     color_name,
     eliminate_parametric_always,
@@ -299,6 +308,61 @@ def test_forall_matches_corner_check(system_pool):
     assert check_fixed(detour, phi, {"y": 0}).holds
     assert not check_fixed(detour, phi, {"y": 1}).holds
     assert not _assert_forall_agrees(detour, phi).holds
+
+
+@st.composite
+def small_systems(draw):
+    """d=1 systems of 1 to 3 states with costs up to 3; an edge costs
+    something exactly when it enters a kappa1 state."""
+    n = draw(st.integers(1, 3))
+    labels = [draw(st.sets(st.sampled_from(("p", "q", "kappa1")))) for _ in range(n)]
+    edges = {}
+    for i in range(n):
+        for j in sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))):
+            edges[i, j] = draw(st.integers(1, 3)) if "kappa1" in labels[j] else 0
+    return build_system(labels, edges)
+
+
+g_only = st.recursive(
+    st.builds(
+        lambda name, positive: Atom(name) if positive else NegAtom(name),
+        st.sampled_from(("p", "q")),
+        st.booleans(),
+    ),
+    lambda kids: st.one_of(
+        st.builds(And, kids, kids),
+        st.builds(Or, kids, kids),
+        st.builds(Next, kids),
+        st.builds(Until, kids, kids),
+        st.builds(Release, kids, kids),
+        st.builds(eventually, kids),
+        st.builds(always, kids),
+    ),
+    max_leaves=2,
+)
+windows = st.builds(lambda var, f: GLe(var, 1, f), st.sampled_from(("y", "z")), g_only)
+# Every formula has a parameter: a window, alone or under one more operator.
+parametric = st.one_of(
+    windows,
+    st.builds(Next, windows),
+    st.builds(eventually, windows),
+    st.builds(always, windows),
+    st.builds(And, g_only, windows),
+    st.builds(Or, g_only, windows),
+    st.builds(Until, g_only, windows),
+    st.builds(Release, g_only, windows),
+)
+
+
+@settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=40,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(small_systems(), parametric)
+def test_forall_agrees_on_generated_systems(system, phi):
+    _assert_forall_agrees(system, phi)
 
 
 def test_check_forall_rejects_eventually_parameters(sys_a):
