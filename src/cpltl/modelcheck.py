@@ -27,7 +27,6 @@ from .automata import (
     find_accepting_lasso,
     guard_holds,
     ltl_to_nba,
-    _sccs,
     _shortest_path,
 )
 from .formula import (
@@ -58,26 +57,51 @@ class ModelCheckError(RuntimeError):
 class ColoredCostGraph:
     """Product of a system with an automaton, with free color choices.
 
-    Vertices are (system state, automaton state, color set); the automaton
+    A vertex is (system state, automaton state, color set); the automaton
     reads the state label extended by the colors, and every subset of colors
-    may be picked for the successor.  `vertices` lists them in breadth-first
-    order from the initial vertex, and a vertex's position there is its id.
-    Per id, `succ` holds the successor ids in edge order, `color` a bitmask
-    with bit c-1 set when coordinate c's color is chosen, and `accept`
-    whether the automaton state is accepting.  The views on vertex tuples,
-    `edges`, `accepting` and `index` (vertex -> id), are built on first use.
-    The graph keeps no cost table: an edge's cost is the system's cost
-    between the two vertices' states (`step`; `positive` holds which
-    coordinates of each state pair's cost are positive).
+    may be picked for the successor.  Vertex ids number the vertices in
+    breadth-first order from the initial vertex, id 0, and the graph is kept
+    as flat arrays over them: `place` holds the index of the vertex's system
+    state in `states`, `auto` that of its automaton state in `auto_states`,
+    `color` a bitmask with bit c-1 set when coordinate c's color is chosen,
+    `accept` whether the automaton state is accepting, and `succ` the
+    successor ids in edge order.
+
+    `succ[v]` lists the successors in groups of 2**d, one group per pair of
+    system and automaton successor, each group with the color masks 0, 1,
+    ..., 2**d - 1 in ascending order.  So `succ[v][m::2**d]` are exactly
+    the successors of v with color mask m.
+
+    The graph keeps no cost per edge: an edge's cost is the system's cost
+    between the two vertices' states (`step`), and `positive_bits[place[u]
+    * len(states) + place[w]]` is the bitmask of the coordinates in which
+    it is positive (keyed by the system's edges only, so its size does not
+    grow with the square of the state count).  The vertex tuples,
+    `vertices`, are decoded from the arrays on first use, and so are the
+    views built on them: `initial`, `edges`, `accepting` and `index`
+    (vertex -> id).
     """
 
-    vertices: tuple
     succ: list
+    place: list
+    auto: list
     color: list
     accept: list
+    positive_bits: dict
+    states: tuple
+    auto_states: tuple
     system_cost: dict
     colors: tuple
     d: int
+
+    @cached_property
+    def vertices(self) -> tuple:
+        states, auto_states = self.states, self.auto_states
+        subsets = _color_sets(self.colors)
+        return tuple(
+            (states[p], auto_states[k], subsets[mask])
+            for p, k, mask in zip(self.place, self.auto, self.color)
+        )
 
     @property
     def initial(self) -> tuple:
@@ -85,7 +109,7 @@ class ColoredCostGraph:
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.succ)
 
     def n_edges(self) -> int:
         return sum(map(len, self.succ))
@@ -106,14 +130,6 @@ class ColoredCostGraph:
     def index(self) -> dict:
         return {v: i for i, v in enumerate(self.vertices)}
 
-    @cached_property
-    def positive(self) -> dict:
-        """(state, state) -> bitmask of the coordinates with positive cost."""
-        return {
-            pair: sum(1 << i for i, c in enumerate(vec) if c > 0)
-            for pair, vec in self.system_cost.items()
-        }
-
     def step(self, v, w) -> tuple:
         """Cost vector of the edge v -> w."""
         return self.system_cost[(v[0], w[0])]
@@ -122,16 +138,21 @@ class ColoredCostGraph:
         return self.colors[coord - 1] in vertex[2]
 
 
+def _color_sets(colors: tuple) -> list:
+    """Per color mask, the set of the colors whose bits it sets."""
+    return [
+        frozenset(c for i, c in enumerate(colors) if mask >> i & 1)
+        for mask in range(1 << len(colors))
+    ]
+
+
 def build_product(
     system: TransitionSystem, auto: BuchiAutomaton
 ) -> ColoredCostGraph:
     d = system.d
     width = 1 << d
     colors = tuple(color_name(i) for i in range(1, d + 1))
-    subsets = [
-        frozenset(colors[i] for i in range(d) if mask >> i & 1)
-        for mask in range(width)
-    ]
+    subsets = _color_sets(colors)
     # A vertex is keyed by the integer (state * |Q| + automaton state) *
     # width + color mask.  The (automaton state, colors) parts of a
     # vertex's successors depend only on its automaton state and letter, so
@@ -140,24 +161,26 @@ def build_product(
     auto_index = {q: k for k, q in enumerate(auto_states)}
     stride = len(auto_states) * width
     states = system.states
+    n_states = len(states)
     state_index = {s: k for k, s in enumerate(states)}
-    letters = {
-        state: [system.labels[state] | chosen for chosen in subsets]
+    letters = [
+        [system.labels[state] | chosen for chosen in subsets]
         for state in states
-    }
-    bases = {
-        state: tuple(
+    ]
+    bases = [
+        tuple(
             state_index[t] * stride
             for t in dict.fromkeys(system.successors(state))
         )
         for state in states
-    }
+    ]
     holds: dict = {}
     moves: dict = {}
 
-    def moves_of(q, letter) -> tuple:
+    def moves_of(key) -> tuple:
+        k, letter = key
         targets = {}
-        for guard, dst in auto.transitions[q]:
+        for guard, dst in auto.transitions[auto_states[k]]:
             ok = holds.get((guard, letter))
             if ok is None:
                 ok = holds[(guard, letter)] = guard_holds(guard, letter)
@@ -170,37 +193,48 @@ def build_product(
         )
 
     accepting = [q in auto.accepting for q in auto_states]
-    start = state_index[system.initial] * stride
-    ids = {start + auto_index[auto.initial] * width: 0}
-    lookup = ids.get
-    vertices = [(system.initial, auto.initial, subsets[0])]
+    start = auto_index[auto.initial]
+    place = [state_index[system.initial]]
+    auto_of = [start]
     color = [0]
-    accept = [accepting[auto_index[auto.initial]]]
+    accept = [accepting[start]]
+    ids = {place[0] * stride + start * width: 0}
+    lookup = ids.get
     succ = []
-    for state, q, _ in vertices:
-        key = (q, letters[state][color[len(succ)]])
+    for p in place:  # grows as new vertices are found
+        v = len(succ)
+        key = (auto_of[v], letters[p][color[v]])
         step = moves.get(key)
         if step is None:
-            step = moves[key] = moves_of(*key)
-        codes = [base + move for base in bases[state] for move in step]
+            step = moves[key] = moves_of(key)
+        codes = [base + move for base in bases[p] for move in step]
         out = list(map(lookup, codes))
         if None in out:
             for pos, j in enumerate(out):
                 if j is None:
                     code = codes[pos]
-                    out[pos] = ids[code] = len(vertices)
+                    out[pos] = ids[code] = len(place)
                     k, mask = divmod(code % stride, width)
-                    vertices.append(
-                        (states[code // stride], auto_states[k], subsets[mask])
-                    )
+                    place.append(code // stride)
+                    auto_of.append(k)
                     color.append(mask)
                     accept.append(accepting[k])
         succ.append(out)
+    positive_bits = {
+        state_index[s] * n_states + state_index[t]: sum(
+            1 << i for i, c in enumerate(vec) if c > 0
+        )
+        for (s, t), vec in system.cost.items()
+    }
     return ColoredCostGraph(
-        vertices=tuple(vertices),
         succ=succ,
+        place=place,
+        auto=auto_of,
         color=color,
         accept=accept,
+        positive_bits=positive_bits,
+        states=states,
+        auto_states=auto_states,
         system_cost=system.cost,
         colors=colors,
         d=d,
@@ -212,17 +246,63 @@ def build_product(
 
 def _components(graph: ColoredCostGraph, mask: int) -> list:
     """Per vertex id, the SCC of the vertex in the subgraph of the edges that
-    keep the colors in `mask`, labelled by one of its members' ids."""
+    keep the colors in `mask`, labelled by one of its members' ids.
+
+    An iterative Tarjan over the ids.  When `mask` keeps every color, a
+    vertex's kept successors are a slice of its successor list (see
+    ColoredCostGraph); otherwise they are filtered by color.  A finished
+    vertex's low value is set past every index, so it never lowers
+    another's and no on-stack set is needed.
+    """
     succ, color = graph.succ, graph.color
-    comp = [-1] * graph.n_vertices
-
-    def kept(v) -> list:
-        side = color[v] & mask
-        return [w for w in succ[v] if color[w] & mask == side]
-
-    for members, _ in _sccs(range(graph.n_vertices), kept):
-        for u in members:
-            comp[u] = members[0]
+    n = len(succ)
+    width = 1 << graph.d
+    sliced = mask == width - 1
+    low = [-1] * n
+    comp = [-1] * n
+    stack = []
+    counter = 0
+    for root in range(n):
+        if low[root] >= 0:
+            continue
+        work = []
+        w = root  # the next vertex to number, or -1 to resume the top frame
+        while True:
+            if w >= 0:
+                low[w] = counter
+                stack.append(w)
+                if sliced:
+                    out = succ[w][color[w] :: width]
+                else:
+                    side = color[w] & mask
+                    out = [x for x in succ[w] if color[x] & mask == side]
+                work.append((w, iter(out), counter))
+                counter += 1
+            node, children, number = work[-1]
+            here = low[node]
+            w = -1
+            for x in children:
+                reach = low[x]
+                if reach < 0:
+                    w = x
+                    break
+                if reach < here:
+                    here = reach
+            low[node] = here
+            if w >= 0:
+                continue
+            work.pop()
+            if here == number:
+                while True:
+                    x = stack.pop()
+                    low[x] = n
+                    comp[x] = node
+                    if x == node:
+                        break
+            elif here < low[work[-1][0]]:
+                low[work[-1][0]] = here
+            if not work:
+                break
     return comp
 
 
@@ -231,24 +311,23 @@ def _pump_capability(graph: ColoredCostGraph) -> tuple:
     in the subgraph that keeps coordinate c's color holds an edge with
     positive c-cost (the vertex can supply a pump for a block).  Returns
     the masks and, per coordinate bit, the components (`_components`)."""
-    succ, vertices, positive = graph.succ, graph.vertices, graph.positive
+    succ, place, bits = graph.succ, graph.place, graph.positive_bits
+    n_states = len(graph.states)
     components = {}
     cap = [0] * graph.n_vertices
     for bit in (1 << i for i in range(graph.d)):
         comp = components[bit] = _components(graph, bit)
-        pumped = set()
+        pumped = bytearray(graph.n_vertices)
         for u, label in enumerate(comp):
-            if label in pumped:
+            if pumped[label]:
                 continue
-            state = vertices[u][0]
+            row = place[u] * n_states
             for w in succ[u]:
-                if comp[w] != label:
-                    continue
-                if positive[(state, vertices[w][0])] & bit:
-                    pumped.add(label)
+                if comp[w] == label and bits[row + place[w]] & bit:
+                    pumped[label] = 1
                     break
         for u, label in enumerate(comp):
-            if label in pumped:
+            if pumped[label]:
                 cap[u] |= bit
     return cap, components
 
@@ -281,8 +360,8 @@ def _pump_cycle(
 
     `components` caches `_components` per color mask.
     """
-    succ, color, vertices = graph.succ, graph.color, graph.vertices
-    positive = graph.positive
+    succ, place, bits = graph.succ, graph.place, graph.positive_bits
+    n_states = len(graph.states)
     mask = (1 << graph.d) - 1 if constant else bit
     comp = components.get(mask)
     if comp is None:
@@ -296,9 +375,10 @@ def _pump_cycle(
     pred: dict = {u: [] for u in members}
     candidates = []
     for a in members:
+        row = place[a] * n_states
         for b in inside(a):
             pred[b].append(a)
-            if positive[(vertices[a][0], vertices[b][0])] & bit:
+            if bits[row + place[b]] & bit:
                 candidates.append((a, b))
     if not candidates:
         return None

@@ -1,6 +1,9 @@
 """Command line interface: verdict exit codes and key=value output."""
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -349,6 +352,58 @@ def test_translate_product_output_is_pinned(capsys, sys_file, sys_a):
         assert colon == ":"
         step = (src.split("|")[0], dst.split("|")[0])
         assert tuple(int(c) for c in cost) == sys_a.cost[step]
+
+
+# Two states at d=2, each entered at positive cost in one coordinate.
+TINY_D2_TEXT = """dim 2
+state s0 init : q kappa1
+state s1 : p kappa2
+edge s0 s1 : 0 2
+edge s1 s0 : 1 0
+edge s1 s1 : 0 1
+"""
+
+
+def test_translate_product_output_is_pinned_at_d2(capsys, tmp_path):
+    path = tmp_path / "tiny.sys"
+    path.write_text(TINY_D2_TEXT)
+    code, _, captured = run(
+        capsys, "translate", "G[<=y@2] q", "--emit", "product", "--system", str(path)
+    )
+    assert code == 0
+    assert len(captured.out) == 6849
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()
+    assert digest == (
+        "f6495a14b397758d6f8ad0c263634999839772f54672905ebaa42be02b35dfa2"
+    )
+
+
+def test_python_m_cpltl_exit_codes(tmp_path):
+    # the package runs as a module, with the CLI's exit-code contract:
+    # 0 holds, 1 fails, 2 error
+    path = tmp_path / "sys.txt"
+    path.write_text(SYS_A_TEXT)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def check(formula):
+        return subprocess.run(
+            [sys.executable, "-m", "cpltl", "check", str(path), formula],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+
+    holds = check(MC1)
+    assert holds.returncode == 0, holds.stderr
+    assert "holds=true" in holds.stdout.splitlines()
+    fails = check("G (q -> F[<=x] r)")
+    assert fails.returncode == 1, fails.stderr
+    assert "holds=false" in fails.stdout.splitlines()
+    malformed = check("G (q ->")
+    assert malformed.returncode == 2
+    assert malformed.stdout == ""
+    assert malformed.stderr.startswith("error: ")
 
 
 def test_deep_formula_exits_with_error_not_verdict(capsys, sys_file):

@@ -416,6 +416,29 @@ def test_exists_matches_fixed_search_smoke():
                 assert exists
 
 
+def test_exists_at_d2_agrees_with_oracle():
+    # d=2 existence (ROADMAP item 5) on G-only formulas, whose zero
+    # valuation is the easiest: some valuation works exactly when it does.
+    # A failing answer's witness is certified on the product once more.
+    # (`G[<=y@1] (p | q)` itself holds on nearly every small system, as
+    # the window of budget 0 ends at the first positive step; the X lets
+    # the second state decide.)
+    rng = random.Random(2088)
+    systems = [random_system(rng, d=2) for _ in range(10)]
+    for text in ("G[<=y@2] q", "X G[<=y@1] (p | q)"):
+        phi = parse(text)
+        verdicts = set()
+        for system in systems:
+            result = check_exists(system, phi)
+            assert result.holds == oracle_holds(system, phi, {"y": 0}), (text, system)
+            verdicts.add(result.holds)
+            if not result.holds:
+                auto = modelcheck._exists_automaton(phi, 2)
+                graph = build_product(system, auto)
+                assert verify_pumpable(graph, *result.witness) == []
+        assert verdicts == {True, False}
+
+
 # --- the emptiness decision ---------------------------------------------------
 
 
@@ -452,9 +475,9 @@ def test_holding_exists_builds_no_witness(sys_a, monkeypatch):
     assert sorted(calls) == sorted(reachable)
 
 
-def _nba(transitions, accepting) -> BuchiAutomaton:
-    """Automaton over the coordinate-1 color from {state: [(literals, dst)]}
-    with initial state q0; a literal is (name, polarity)."""
+def _nba(transitions, accepting, d=1) -> BuchiAutomaton:
+    """Automaton over the colors of d coordinates from {state: [(literals,
+    dst)]} with initial state q0; a literal is (name, polarity)."""
     return BuchiAutomaton(
         states=tuple(transitions),
         initial="q0",
@@ -463,7 +486,7 @@ def _nba(transitions, accepting) -> BuchiAutomaton:
             for q, edges in transitions.items()
         },
         accepting=frozenset(accepting),
-        alphabet=frozenset([color_name(1)]),
+        alphabet=frozenset(color_name(c) for c in range(1, d + 1)),
     )
 
 
@@ -519,6 +542,106 @@ def test_accepting_cycle_behind_a_forbidden_flip_holds():
     witness = pumpable_fair_path(pumped)
     assert witness is not None
     assert verify_pumpable(pumped, *witness) == []
+
+
+# --- pump capability ----------------------------------------------------------
+
+
+def _random_nba(rng, d) -> BuchiAutomaton:
+    """Automaton of 1-4 states whose guards mix the colors of d
+    coordinates with the propositions p and q."""
+    names = [f"q{i}" for i in range(rng.randint(1, 4))]
+    literals = [color_name(c) for c in range(1, d + 1)] + ["p", "q"]
+    transitions = {
+        q: [
+            (
+                [
+                    (name, rng.random() < 0.5)
+                    for name in rng.sample(literals, rng.randint(0, 2))
+                ],
+                rng.choice(names),
+            )
+            for _ in range(rng.randint(1, 3))
+        ]
+        for q in names
+    }
+    return _nba(transitions, rng.sample(names, rng.randint(1, len(names))), d)
+
+
+def _reference_capability(graph) -> list:
+    """Per vertex id, bit c-1 set when some edge u -> w with positive
+    c-cost has u and w mutually reachable with the vertex in the subgraph
+    that keeps coordinate c's color; by plain reachability sets."""
+    vertices, succ, color = graph.vertices, graph.succ, graph.color
+    n = graph.n_vertices
+    cap = [0] * n
+    for coord in range(1, graph.d + 1):
+        bit = 1 << (coord - 1)
+        kept = [
+            [w for w in succ[u] if not (color[u] ^ color[w]) & bit]
+            for u in range(n)
+        ]
+        reach = []
+        for start in range(n):
+            seen, todo = {start}, [start]
+            while todo:
+                for w in kept[todo.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        todo.append(w)
+            reach.append(seen)
+        for v in range(n):
+            around = {u for u in reach[v] if v in reach[u]}
+            if any(
+                w in around and graph.step(vertices[u], vertices[w])[coord - 1] > 0
+                for u in around
+                for w in kept[u]
+            ):
+                cap[v] |= bit
+    return cap
+
+
+def _assert_capability_matches(graph) -> tuple:
+    """Check the successor layout and the capability of every vertex;
+    returns how many (vertex, coordinate) bits are set and clear."""
+    width = 1 << graph.d
+    for out in graph.succ:
+        for mask in range(width):
+            assert out[mask::width] == [w for w in out if graph.color[w] == mask]
+    cap, _ = modelcheck._pump_capability(graph)
+    assert cap == _reference_capability(graph)
+    set_bits = sum(bin(c).count("1") for c in cap)
+    return set_bits, graph.d * graph.n_vertices - set_bits
+
+
+def test_pump_capability_matches_reference_d1():
+    rng = random.Random(1501)
+    exists_autos = [
+        modelcheck._exists_automaton(parse(text), 1)
+        for text in ("F[<=x] p", "G[<=y] q", "F[<=x] (p & q)")
+    ]
+    seen = [0, 0]
+    for _ in range(8):
+        system = random_system(rng)
+        for auto in exists_autos + [_random_nba(rng, 1)]:
+            graph = build_product(system, auto)
+            for k, count in enumerate(_assert_capability_matches(graph)):
+                seen[k] += count
+    # both answers occur, so the comparison is not vacuous
+    assert all(seen), seen
+
+
+def test_pump_capability_matches_reference_d2():
+    # at d=2 a single coordinate's color subgraph lets the other color
+    # flip, so its components are no slices of the successor lists
+    rng = random.Random(1502)
+    seen = [0, 0]
+    for _ in range(40):
+        system = random_system(rng, d=2)
+        graph = build_product(system, _random_nba(rng, 2))
+        for k, count in enumerate(_assert_capability_matches(graph)):
+            seen[k] += count
+    assert all(seen), seen
 
 
 # Two positive 2-cycles through s0 give equally short pump cycles, so the
