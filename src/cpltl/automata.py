@@ -600,7 +600,8 @@ def buchi_empty(auto: BuchiAutomaton) -> Optional[PropLasso]:
 class _Shape:
     """A core without its remainders: the plain obligations, by closure
     rank, and the budgeted operators holding a token, F[<=] before G[<=],
-    each by rank.  `heads` and `tail` make the core's sort key."""
+    each by rank.  `heads` and `tail` make the core's sort key, and the
+    kinds in `heads` give `dominates` its order."""
 
     __slots__ = ("plain", "ops", "coords", "fulls", "heads", "tail")
 
@@ -651,6 +652,31 @@ class CostBuchiAutomaton:
     into a template kept in `_templates`, the automaton's only cache.  A
     node is expanded from its templates directly: the remainders are only
     subtracted and compared.
+
+    `dominates` orders the nodes of one (x, shape, layer) key: a dominates
+    n when each F[<=] token's remainder in a is at least n's and each
+    G[<=] token's at most n's.  A dominating node accepts every run that n
+    accepts, so a search may stand a node in for the nodes it dominates.
+    Why.  Say a covers n when they share x, and each obligation of a's
+    core is one of n's: the same plain obligation, an F[<=] token of the
+    same operator with a remainder at least n's, or a G[<=] token with a
+    remainder at most n's.  a has no more obligations than n to meet.
+    Then a can mirror each move of n along the same edge: it makes the
+    same choices for the obligations it shares with n.  An F token n may
+    delay (cost <= remainder) a may delay too, and a G token only expires
+    sooner in a.  `_settle` merges tokens of one operator by min (F) and
+    max (G), and a core token at the full budget merges with the
+    operator's fresh token; both are monotone, so the next core of a
+    covers n's.  a meets a subset of n's pending items, so it delays a
+    subset of n's tracked obligations and its `ok` mask contains n's.
+    Domination within a key is a special case of covering, and covering
+    is transitive.  So take an accepting run n0 n1 ... and a graph whose
+    successors of a node replace each successor by a dominating node:
+    from q0 = n0 it has a path q0 q1 ... with each q_i covering n_i and
+    each step's `ok` mask containing the run's.  Every tracked obligation
+    is then undelayed infinitely often along the path, so its layers
+    complete infinitely often: if that graph is finite, it holds a
+    reachable cycle through an accepting node.
     """
 
     def __init__(self, phi: Formula, valuation: Mapping, d: int):
@@ -842,6 +868,14 @@ class CostBuchiAutomaton:
             core + shape.tail,
             [j for j in range(len(self.tracked)) if ok >> j & 1],
         )
+
+    def dominates(self, sid: int, big: tuple, small: tuple) -> bool:
+        """Do the remainders `big` dominate `small` on shape `sid`: each
+        F[<=] token's at least small's, each G[<=] token's at most?"""
+        for (kind, _), b, s in zip(self._shapes[sid].heads, big, small):
+            if b < s if kind == "F" else b > s:
+                return False
+        return True
 
     def _advance(self, layer: int, ok: int) -> int:
         k = len(self.tracked)

@@ -611,9 +611,10 @@ class ExistsResult:
 class FixedResult:
     holds: bool
     counterexample: Optional[LassoPath]
-    # Product nodes the decision pass expanded: every reachable node when
+    # Search nodes the decision pass expanded: every reachable node when
     # the formula holds, and those up to the first fair component when it
-    # fails (the counterexample search is not counted).
+    # fails (the counterexample search is not counted).  They are quotient
+    # nodes, or the exact search's nodes after a spurious quotient lasso.
     explored: int
 
 
@@ -665,41 +666,95 @@ def check_fixed(
     negative budgets.  The search's nodes are flat (system state, shape
     id, remainders, layer) tuples, each expanded along all of its system
     state's out-edges in one budget automaton call.
+
+    The search runs first on a quotient that does not grow with the
+    budget: each successor is replaced by an already kept node of its
+    (system state, shape, layer) key that dominates it
+    (`CostBuchiAutomaton.dominates`), and is kept itself when none does.
+    Per key the kept nodes form an antichain, a single node for the
+    shapes with one budgeted operator.  A node's quotient successors are
+    computed once, so the lasso search sees the graph the decision pass
+    saw.  No fair component in the quotient means the formula holds: an
+    accepting run of the negation would map to an accepting path of the
+    finite quotient (the argument is in `CostBuchiAutomaton`'s
+    docstring).  A fair component gives a system lasso, which `evaluate`
+    judges: violating phi, it is the counterexample; satisfying phi, the
+    quotient's cycle was spurious and the exact search decides.
     """
     auto = cost_nba(negate(phi), valuation, system.d)
     expand = auto.successors
+    dominates = auto.dominates
     labels = system.labels
     edges = {
         s: [(t, labels[s], system.cost[s, t]) for t in system.successors(s)]
         for s in system.states
     }
+    start = (system.initial,) + auto.initial_state()
+    kept: dict = {}
+    quotient: dict = {}
+
+    def keep(node):
+        rems = node[2]
+        if not rems:
+            return node
+        key = (node[0], node[1], node[3])
+        front = kept.get(key)
+        if front is None:
+            kept[key] = [node]
+            return node
+        sid = node[1]
+        for other in front:
+            if dominates(sid, other[2], rems):
+                return other
+        front[:] = [a for a in front if not dominates(sid, rems, a[2])]
+        front.append(node)
+        return node
+
+    def quotient_successors(node):
+        out = quotient.get(node)
+        if out is None:
+            out = quotient[node] = [
+                keep(w) for w in expand(node, edges[node[0]])
+            ]
+        return out
+
+    def exact_successors(node):
+        return expand(node, edges[node[0]])
+
+    keep(start)
+    for successors in (quotient_successors, exact_successors):
+        found, explored = _decide(start, successors, auto.is_accepting)
+        if found is None:
+            return FixedResult(True, None, explored)
+        prefix, loop = found
+        path = canonical_lasso([v[0] for v in prefix], [v[0] for v in loop])
+        if not evaluate(trace_of(system, path), 0, dict(valuation), phi):
+            return FixedResult(False, path, explored)
+    raise ModelCheckError(
+        "counterexample candidate satisfies the formula on re-check"
+    )
+
+
+def _decide(start, successors: Callable, is_accepting: Callable) -> tuple:
+    """find_accepting_lasso from `start`, and the number of nodes its
+    decision pass expanded: every reachable node when there is no lasso,
+    those up to the first fair component when there is one (the
+    counterexample search is not counted)."""
     explored = decided = 0
 
-    def successors(node):
+    def counted(node):
         nonlocal explored
         explored += 1
-        return expand(node, edges[node[0]])
+        return successors(node)
 
     def accepting(node) -> bool:
         # only the decision pass asks, so the last ask marks its end
         nonlocal decided
         decided = explored
-        return auto.is_accepting(node)
+        return is_accepting(node)
 
-    found = find_accepting_lasso(
-        (system.initial,) + auto.initial_state(), successors, accepting
-    )
-    if found is None:
-        return FixedResult(holds=True, counterexample=None, explored=explored)
-    path = canonical_lasso(
-        [node[0] for node in found[0]], [node[0] for node in found[1]]
-    )
-    trace = trace_of(system, path)
-    if evaluate(trace, 0, dict(valuation), phi):
-        raise ModelCheckError(
-            "counterexample candidate satisfies the formula on re-check"
-        )
-    return FixedResult(holds=False, counterexample=path, explored=decided)
+    found = find_accepting_lasso(start, counted, accepting)
+    return found, explored if found is None else decided
 
 
 def budget_ladder(cap: int) -> Iterator[int]:

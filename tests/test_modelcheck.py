@@ -99,7 +99,7 @@ def test_zero_cost_bound_needs_no_translation(monkeypatch):
             valuation_upper_bound(system, parse(f"F[<=x@{d + 1}] p"))
 
 
-def test_check_fixed_frozen(sys_a, sys_streett):
+def test_check_fixed_frozen(sys_a, sys_streett, system_pool):
     phi = parse(MC1)
     good = check_fixed(sys_a, phi, {"x": 3})
     assert good.holds
@@ -110,10 +110,69 @@ def test_check_fixed_frozen(sys_a, sys_streett):
     # the decision pass stops at the first fair component, after 3 of the
     # 4 reachable product nodes; the counterexample search is not counted
     assert bad.explored == 3
+    # A cheaper arrival at a state is generated after a costlier one: the
+    # F token of !bad reaches s1 with 1 left via s0 (3) and 3 left via s2
+    # (0 + 1), and only the latter reaches bad at s3.
+    f_order = build_system(
+        [set(), {"kappa1"}, set(), {"bad", "kappa1"}],
+        {(0, 1): 3, (0, 2): 0, (2, 1): 1, (1, 3): 2, (3, 3): 1},
+    )
+    # The G token of !g reaches s2 with 3 left via s1 and 0 left via s4;
+    # only the latter has run out before g at s3.
+    g_order = build_system(
+        [set(), set(), {"kappa1"}, {"g", "kappa1"}, set()],
+        {(0, 1): 0, (0, 4): 0, (1, 2): 1, (4, 2): 3, (2, 3): 1, (3, 3): 1},
+    )
+    # s0 loops at cost 1 and moves to s1 (q) at cost 2; the quotient's
+    # lasso (s0 s0 s0)(s1) satisfies the formula at x=12, so the exact
+    # search gives the counterexample
+    spurious = system_pool[41]
     # (system, formula, valuation, counterexample, explored)
     cases = [
-        # the window check explores 2 x budget - 3 nodes
-        (sys_a, "G[<=y] (p | q)", {"y": 10_000}, None, 19_997),
+        # the window's budget token keeps its largest remainder per key,
+        # so the check explores 2 nodes at any budget
+        (sys_a, "G[<=y] (p | q)", {"y": 10_000}, None, 2),
+        (sys_a, "G[<=y] (p | q)", {"y": 10**7}, None, 2),
+        # the negation's two F[<=y] tokens make pairs of remainders: the
+        # exact search explores 20,811 nodes at y=50 and 1,286,411 at 400
+        (
+            sys_a,
+            "F G[<=y] G[<=y] X !p",
+            {"y": 50},
+            LassoPath(("s0",), ("s1",)),
+            47,
+        ),
+        (
+            sys_a,
+            "F G[<=y] G[<=y] X !p",
+            {"y": 400},
+            LassoPath(("s0",), ("s1",)),
+            47,
+        ),
+        # the exact search explores 1,599 nodes at y=400, 39,999 at 10,000
+        (sys_a, "G[<=y] G[<=y] (p | q)", {"y": 400}, None, 8),
+        (sys_a, "G[<=y] G[<=y] (p | q)", {"y": 10_000}, None, 8),
+        (
+            f_order,
+            "G[<=y] !bad",
+            {"y": 4},
+            LassoPath(("s0", "s2", "s1"), ("s3",)),
+            6,
+        ),
+        (
+            g_order,
+            "F[<=x] g",
+            {"x": 3},
+            LassoPath(("s0", "s4", "s2"), ("s3",)),
+            7,
+        ),
+        (
+            spurious,
+            "p U F[<=x] q",
+            {"x": 12},
+            LassoPath(("s0",) * 12, ("s1",)),
+            15,
+        ),
         (sys_a, "G[<=y] q", {"y": 2}, None, 1),
         (sys_a, "G[<=y] q", {"y": 3}, LassoPath((), ("s0", "s1")), 4),
         (sys_a, "F[<=x] F[<=x] p", {"x": 2}, LassoPath(("s0",), ("s1",)), 3),
@@ -135,27 +194,35 @@ def test_check_fixed_frozen(sys_a, sys_streett):
 
 
 def test_check_fixed_outcomes_are_pinned(system_pool, sys_streett):
-    # (holds, counterexample, explored) of every pool system and formula at
-    # budgets 0, 1, 3 and 12 (every variable at the budget), then the
-    # Streett fixture at a holding and a failing valuation, as the budget
-    # search gave them when it kept a per-core expansion memo.
-    digest = hashlib.sha256()
+    # Every pool system and formula at budgets 0, 1, 3 and 12 (every
+    # variable at the budget), then the Streett fixture at a holding and a
+    # failing valuation.  The verdicts are pinned as the exact budget
+    # search gave them before the quotient search, and (counterexample,
+    # explored) as the quotient search gives them.
+    verdicts = hashlib.sha256()
+    outcomes = hashlib.sha256()
     checks = 0
+
+    def record(r):
+        nonlocal checks
+        verdicts.update(repr(r.holds).encode())
+        outcomes.update(repr((r.counterexample, r.explored)).encode())
+        checks += 1
+
     for system in system_pool:
         for text in FORMULA_TEXTS:
             phi = parse(text)
             names = sorted(var_profile(phi).variables)
             for budget in (0, 1, 3, 12):
-                r = check_fixed(system, phi, dict.fromkeys(names, budget))
-                digest.update(repr((r.holds, r.counterexample, r.explored)).encode())
-                checks += 1
+                record(check_fixed(system, phi, dict.fromkeys(names, budget)))
     for valuation in ({"x1": 2, "x2": 3}, {"x1": 2, "x2": 2}):
-        r = check_fixed(sys_streett, parse(STREETT_FORMULA), valuation)
-        digest.update(repr((r.holds, r.counterexample, r.explored)).encode())
-        checks += 1
+        record(check_fixed(sys_streett, parse(STREETT_FORMULA), valuation))
     assert checks == 8354
-    assert digest.hexdigest() == (
-        "aac28a96fe59d60fa32a95a89233e93ca1a0b697ed7f070d681d4e88dee98f92"
+    assert verdicts.hexdigest() == (
+        "4434a13e4b96de5232414ed418054019398ecf073d04b421cdd2af8c4a247803"
+    )
+    assert outcomes.hexdigest() == (
+        "de4568d0fa23d7c6f20831256854fba8a399e74a03c48aec1052f02c1bb7300b"
     )
 
 
@@ -190,16 +257,23 @@ def test_check_fixed_matches_oracle_smoke():
 
 
 def test_check_fixed_matches_oracle_at_two_coordinates():
-    rng = random.Random(415)
-    for _ in range(60):
-        system = random_system(rng, max_states=3, d=2)
-        phi = random_formula(
-            rng, rng.randint(1, 3), d=2, f_vars=("x", "x2"), g_vars=("y",)
-        )
-        names = sorted(var_profile(phi).variables)
-        valuation = {name: rng.randint(0, 5) for name in names}
-        got = check_fixed(system, phi, valuation).holds
-        assert got is oracle_holds(system, phi, valuation), (phi, valuation)
+    # budgets up to 40 reach the quotient search's dominance order, with
+    # F and G parameters at one and two coordinates
+    for d in (1, 2):
+        rng = random.Random(415)
+        for _ in range(40):
+            system = random_system(rng, max_states=3, d=d)
+            phi = random_formula(
+                rng,
+                rng.randint(1, 3),
+                d=d,
+                f_vars=("x", "x2"),
+                g_vars=("y",),
+            )
+            names = sorted(var_profile(phi).variables)
+            valuation = {name: rng.randint(0, 40) for name in names}
+            got = check_fixed(system, phi, valuation).holds
+            assert got is oracle_holds(system, phi, valuation), (phi, valuation)
 
 
 def test_translation_cache_drops_its_oldest_entry(monkeypatch):
