@@ -540,16 +540,53 @@ def verify_pumpable(graph: ColoredCostGraph, prefix, loop) -> list:
 def bound_value(n_states: int, n_auto: int, d: int, max_cost: int) -> int:
     """Budget beyond which no valuation changes the verdict.
 
-    The count that matters is V = n_states * n_auto * 2^d, the vertices of
-    the colored product.  A color block with no vertex repeated at positive
-    cost in between has at most V positive steps, since two positive steps
-    out of one vertex would repeat it at positive cost, so it costs at most
-    V * max_cost; a costlier block is pumpable.  A relativized F[<=x] is
-    met within one color change, so within two blocks: hence the factor 2.
+    Here phi_rel is relativize(eliminate_parametric_always(phi), d), and
+    n_auto is the state count of any NBA A for its negation !phi_rel, with
+    no chi_d in it.  V = n_states * n_auto * 2^d counts the vertices
+    (system state, A-state, color set) of their colored product, and the
+    bound is N = 2 * V * max_cost + 2.  Two directions rest on it.
+
+    F-corner (check_exists, the min objectives' corner).  If phi fails at
+    F-budgets N and G-budgets 0, it fails at every valuation.  Take a run
+    violating it and color each coordinate c greedily: a c-block ends
+    right after its (V/2)-th step of positive c-cost.  A relativized
+    F[<=x] reaches at most the first position of the block after next,
+    across the rest of a block, the whole next block and two flips, which
+    cost at most (V + 2) * max_cost <= N.  So the colored run satisfies
+    !phi_rel and A accepts it.  Only V/2 vertices share a block's color,
+    so among the sources of its V/2 positive steps and its last position
+    some vertex repeats, with positive cost in between: a pump cycle that
+    keeps the block's color.  Inserting k copies of it into every
+    completed block gives product paths with the same accepting visits
+    whose completed blocks cost at least k.  On them a position past the
+    first one of the block after next lies beyond a whole block, so for
+    k > x F[<=x] implies its relativization, and !phi_rel implies !phi at
+    x.  The greedy coloring satisfies chi_d, so an NBA for !phi_rel &
+    chi_d serves as A too: check_exists reports the bound of the
+    automaton it searches.  At d >= 2 this is no proof, since a pump cycle
+    of a c-block may flip another coordinate's color, and its copies then
+    add short blocks there; the tests cross-check the bound at d = 2.
+
+    G-cap (check_forall's ladder, the max objectives' line cap).  For a
+    formula with G-parameters only, phi_rel is phi at G-budgets 0, so A
+    reads !phi with each F[<=y] of the negation at budget 0, written with
+    kappa; on a word without kappa that is F.  If phi fails at some
+    valuation, some lasso satisfies !phi with F[<=y] read as F
+    (forall_holds), and A accepts its labels with kappa dropped.  So the
+    product of the system with A, reading labels without kappa, has an
+    accepting lasso through at most n_states * n_auto distinct vertices.
+    Its system lasso satisfies !phi read without bounds, and each F's
+    nearest witness lies fewer steps ahead than the lasso has positions,
+    at cost below n_states * n_auto * max_cost <= N; so phi fails when
+    every variable is N.  The argument needs kappa to enter only through
+    those G[<=] operators.  A formula that names kappa itself or through
+    a strict operator, and a max-max line whose other variables are
+    pinned at 0 by the same rewrite, fall outside it; the tests
+    cross-check their caps.
+
     Acceptance is no part of a vertex: it only says which vertices a fair
-    loop visits, and splicing pump cycles into a loop keeps every visit it
-    had.  So n_auto is the exists automaton's state count, with no factor
-    for its acceptance.
+    loop visits, and inserting cycles keeps every visit it had.  So
+    n_auto carries no factor for it.
     """
     return 2 * n_states * max(1, n_auto) * (1 << d) * max_cost + 2
 
@@ -574,21 +611,25 @@ def _pipeline_nba(target: Formula) -> BuchiAutomaton:
     return auto
 
 
+def _negated_relativized(phi: Formula, d: int) -> Formula:
+    return negate(relativize(eliminate_parametric_always(phi), d))
+
+
 def _exists_automaton(phi: Formula, d: int) -> BuchiAutomaton:
-    eliminated = eliminate_parametric_always(phi)
-    relativized = relativize(eliminated, d)
-    return _pipeline_nba(And(negate(relativized), chi_formula(d)))
+    return _pipeline_nba(And(_negated_relativized(phi, d), chi_formula(d)))
 
 
 def valuation_upper_bound(system: TransitionSystem, phi: Formula) -> int:
     """Bound N such that exceeding N in any component cannot change whether
-    the formula holds; searches may stop at N."""
+    the formula holds; searches may stop at N.  It is bound_value over an
+    automaton for the negated relativized formula alone: the argument
+    needs no automaton states for chi_d."""
     require_well_formed(phi)
     validate_coords(phi, system.d)
     if system.max_cost == 0:
         # no block ever costs anything, whatever the automaton
         return bound_value(len(system.states), 1, system.d, 0)
-    auto = _exists_automaton(phi, system.d)
+    auto = _pipeline_nba(_negated_relativized(phi, system.d))
     return bound_value(
         len(system.states), auto.n_states, system.d, system.max_cost
     )

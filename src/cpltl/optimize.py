@@ -17,9 +17,9 @@ its probes grow with the logarithm of the optimum, not of the bound.
 
 Monotonicity holds per variable whatever coordinate the variable's
 operators read, so the same searches serve any number of cost
-coordinates.  On several coordinates the bound costs one translation of
-the consistency formula for that many coordinates, which dominates the
-query.
+coordinates.  The bound translates the negated relativized formula
+alone, without the consistency formula, so several coordinates cost no
+more translation than one.
 """
 
 from __future__ import annotations

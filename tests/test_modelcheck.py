@@ -16,6 +16,7 @@ from conftest import (
     SYS_A_TEXT,
     box_valuations,
     build_system,
+    corner_valuation,
     oracle_holds,
     random_formula,
     random_system,
@@ -54,6 +55,7 @@ from cpltl.modelcheck import (
     valuation_upper_bound,
     verify_pumpable,
 )
+from cpltl.optimize import Objective, optimize_mc
 from cpltl.system import LassoPath, parse_system, trace_of
 from cpltl.trace import evaluate
 
@@ -297,7 +299,12 @@ def test_check_exists_positive(sys_a):
     assert result.product_vertices > 0
     assert result.product_edges > 0
     assert result.bound == bound_value(2, result.automaton_states, 1, 3)
-    assert valuation_upper_bound(sys_a, parse(MC1)) == result.bound
+    # valuation_upper_bound counts no chi states, so its bound is smaller;
+    # the corner of either bound decides the query
+    smaller = valuation_upper_bound(sys_a, parse(MC1))
+    assert smaller < result.bound
+    for bound in (smaller, result.bound):
+        assert check_fixed(sys_a, parse(MC1), {"x": bound}).holds
     # a valuation within the bound indeed works
     assert check_fixed(sys_a, parse(MC1), {"x": 3}).holds
     assert 3 <= result.bound
@@ -344,13 +351,12 @@ FORALL_TEXTS = (
 )
 
 
-def _assert_forall_agrees(system, phi, corner_check=True):
-    """check_forall against the oracle and, unless the bound is too large
-    for it, the check at the corner valuation that it replaced."""
+def _assert_forall_agrees(system, phi):
+    """check_forall against the oracle and against the check at the corner
+    valuation that it replaced."""
     result = check_forall(system, phi)
     assert result.corner == dict.fromkeys(sorted(result.corner), result.bound)
-    if corner_check:
-        assert result.holds == check_fixed(system, phi, result.corner).holds
+    assert result.holds == check_fixed(system, phi, result.corner).holds
     at_cap = dict.fromkeys(result.corner, 32)
     assert result.holds == oracle_holds(system, phi, at_cap)
     if not result.holds:
@@ -364,12 +370,11 @@ def test_forall_matches_corner_check(system_pool):
     for system in system_pool[:40]:
         for text in FORALL_TEXTS:
             verdicts.append(_assert_forall_agrees(system, parse(text)).holds)
-    # At d = 2 the bound exceeds 10^5, so only the oracle judges.
     rng = random.Random(4242)
     for _ in range(8):
         system = random_system(rng, max_states=3, d=2)
         for text in ("G[<=y@2] q", "G[<=y] q & G[<=z@2] p"):
-            result = _assert_forall_agrees(system, parse(text), corner_check=False)
+            result = _assert_forall_agrees(system, parse(text))
             verdicts.append(result.holds)
     assert 0 < sum(verdicts) < len(verdicts)
 
@@ -437,6 +442,138 @@ parametric = st.one_of(
 @given(small_systems(), parametric)
 def test_forall_agrees_on_generated_systems(system, phi):
     _assert_forall_agrees(system, phi)
+
+
+# --- the valuation bound ------------------------------------------------------
+
+BOUND_PROPERTY = settings(
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+seeds = st.integers(0, 2**32 - 1)
+
+# At d = 2 check_exists conjoins chi_2 and translates for seconds, so the
+# d = 2 formulas come from two seeds of random_formula whose translations
+# the cache shares: F[<=x@2] !p and G[<=y@2] G[<=y] !q.
+D2_FORMULA_SEEDS = (6, 11)
+
+
+def _assert_bound_corner_decides(system, phi):
+    bound = valuation_upper_bound(system, phi)
+    corner = corner_valuation(phi, bound)
+    assert check_fixed(system, phi, corner).holds == check_exists(system, phi).holds
+
+
+@settings(BOUND_PROPERTY, max_examples=60)
+@given(seeds, seeds)
+def test_bound_corner_decides_exists_at_d1(system_seed, formula_seed):
+    # depth 3 would nest F[<=] operators whose exists automata, chi_1
+    # conjoined, take up to 9 s each
+    system = random_system(random.Random(system_seed))
+    rng = random.Random(formula_seed)
+    phi = random_formula(rng, rng.randint(1, 2), f_vars=("x",), g_vars=("y",))
+    _assert_bound_corner_decides(system, phi)
+
+
+@settings(BOUND_PROPERTY, max_examples=4)
+@given(seeds)
+def test_bound_corner_decides_exists_at_d2(system_seed):
+    system = random_system(random.Random(system_seed), d=2)
+    for formula_seed in D2_FORMULA_SEEDS:
+        rng = random.Random(formula_seed)
+        phi = random_formula(
+            rng, rng.randint(1, 2), d=2, f_vars=("x",), g_vars=("y",)
+        )
+        assert var_profile(phi).variables
+        _assert_bound_corner_decides(system, phi)
+
+
+@settings(BOUND_PROPERTY, max_examples=60)
+@given(st.sampled_from((1, 2)), seeds, seeds)
+def test_forall_at_bound_agrees_with_oracle(d, system_seed, formula_seed):
+    # check_forall raises ModelCheckError when its ladder, capped at the
+    # bound, finds no failing valuation although the formula fails
+    system = random_system(random.Random(system_seed), d=d)
+    rng = random.Random(formula_seed)
+    phi = random_formula(rng, rng.randint(1, 3), d=d, f_vars=(), g_vars=("y", "z"))
+    _assert_forall_agrees(system, phi)
+
+
+# The G-cap argument in bound_value covers formulas that name kappa only
+# through the rewrite of their G[<=] operators; these name it otherwise,
+# directly or through a strict operator.
+KAPPA_FORALL_TEXTS = (
+    "F[>y] p",
+    "G (q -> F[>y] p)",
+    "p U[>y] q",
+    "G[<=y] (q | kappa)",
+    "X G[<=y] (p | !kappa)",
+)
+
+
+def test_caps_of_formulas_naming_kappa(system_pool):
+    verdicts = []
+    for system in system_pool:
+        for text in KAPPA_FORALL_TEXTS:
+            phi = parse(text)
+            result = _assert_forall_agrees(system, phi)
+            verdicts.append(result.holds)
+            best = optimize_mc(system, phi, Objective.MAX_MAX)
+            assert (best.status == "unbounded") is result.holds
+            if best.status == "optimal":
+                assert check_fixed(system, phi, {"y": best.value}).holds
+                assert not check_fixed(system, phi, {"y": best.value + 1}).holds
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+ONE_STATE_D2_TEXT = """\
+dim 2
+state s0 init : p kappa1 kappa2
+edge s0 s0 : 1 2
+"""
+ONE_STATE_D2_FORMULA = "F[<=x] p | F[<=x2@2] q"
+
+
+def _refuse_chi(d):
+    raise AssertionError("translated chi for the valuation bound")
+
+
+def test_d2_bounds_translate_no_chi(sys_streett, monkeypatch):
+    # The bounds read the automaton of the negated relativized formula
+    # alone; with chi_2 conjoined the Streett bound read 103,250.
+    monkeypatch.setattr(modelcheck, "chi_formula", _refuse_chi)
+    phi = parse("G[<=y@2] Q1")
+    result = _assert_forall_agrees(sys_streett, phi)
+    assert (result.holds, result.bound) == (False, 290)
+    one_state = parse_system(ONE_STATE_D2_TEXT)
+    assert valuation_upper_bound(one_state, parse(ONE_STATE_D2_FORMULA)) == 418
+
+
+BOUND_SCRIPT = """
+import sys
+from cpltl.formula import parse
+from cpltl.modelcheck import valuation_upper_bound
+from cpltl.system import parse_system
+print(valuation_upper_bound(parse_system(sys.stdin.read()), parse(%r)))
+""" % ONE_STATE_D2_FORMULA
+
+
+def test_d2_bound_is_independent_of_hash_seed():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    outputs = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", BOUND_SCRIPT],
+            input=ONE_STATE_D2_TEXT,
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        outputs.add(proc.stdout)
+    assert outputs == {"418\n"}
 
 
 def test_check_forall_rejects_eventually_parameters(sys_a):

@@ -1,10 +1,12 @@
 """Parameter optimization objectives over weighted systems."""
 
+import random
+
 import pytest
 
-from conftest import SYS_A_TEXT, box_optimum, oracle_holds
+from conftest import SYS_A_TEXT, box_optimum, build_system, oracle_holds
 from cpltl import modelcheck, optimize
-from cpltl.formula import FragmentError, parse, var_profile
+from cpltl.formula import FragmentError, kappa_name, parse, var_profile
 from cpltl.modelcheck import check_fixed, check_forall, valuation_upper_bound
 from cpltl.optimize import (
     Objective,
@@ -103,7 +105,7 @@ def test_max_objectives_frozen(sys_a):
             2,
             {"y": 2},
         ), objective
-        assert (result.probes, result.bound) == (5, 2330), objective
+        assert (result.probes, result.bound) == (5, 98), objective
         assert check_fixed(sys_a, parse("G[<=y] q"), {"y": 2}).holds
         assert not check_fixed(sys_a, parse("G[<=y] q"), {"y": 3}).holds
 
@@ -229,6 +231,70 @@ def test_searches_agree_with_box_scan(sys_streett):
         else:
             assert result.value == best
             assert result.witness in witnesses
+
+
+# Seeded d=2 rings against one- and two-variable formulas on each
+# coordinate.
+D2_POOL_PLANS = (
+    ("G (q -> F[<=x@2] p)", (Objective.MIN_MIN, Objective.MIN_MAX)),
+    ("G F[<=x] p & G F[<=x2@2] q", (Objective.MIN_MIN, Objective.MIN_MAX)),
+    ("F[<=x] p & F[<=x2@2] q", (Objective.MIN_MIN, Objective.MIN_MAX)),
+    ("G (q -> X G[<=y@2] !q)", (Objective.MAX_MAX, Objective.MAX_MIN)),
+    ("X (G[<=y] !p | G[<=y2@2] !q)", (Objective.MAX_MAX, Objective.MAX_MIN)),
+    (
+        "G (p -> X G[<=y] !p) & G (q -> X G[<=y2@2] !q)",
+        (Objective.MAX_MAX, Objective.MAX_MIN),
+    ),
+)
+
+
+def _d2_ring(rng, n):
+    """Ring s0 -> s1 -> ... -> s0 plus one random edge, with random labels
+    and costs up to 3 in both coordinates."""
+    labels = []
+    for _ in range(n):
+        label = {a for a in "pq" if rng.random() < 0.35}
+        label.update(kappa_name(k) for k in (1, 2) if rng.random() < 0.6)
+        labels.append(label)
+    pairs = {(i, (i + 1) % n) for i in range(n)}
+    pairs.add((rng.randrange(n), rng.randrange(n)))
+    edges = {
+        (i, j): tuple(
+            rng.randint(1, 3) if kappa_name(k) in labels[j] else 0 for k in (1, 2)
+        )
+        for i, j in sorted(pairs)
+    }
+    return build_system(labels, edges, d=2)
+
+
+def test_d2_pool_matches_box_scan():
+    """Each result agrees with a scan of the box [0, 12]^k: the optimum
+    when it lies in the box, no feasible point when infeasible or when a
+    minimum lies beyond it, the box's top when unbounded or when a maximum
+    lies beyond it.  Witnesses also hold by the oracle."""
+    hi = 12
+    rng = random.Random(1717)
+    systems = [_d2_ring(rng, rng.randint(3, 5)) for _ in range(8)]
+    values = set()
+    for system in systems:
+        for text, objectives in D2_POOL_PLANS:
+            phi = parse(text)
+            for objective in objectives:
+                result = optimize_mc(system, phi, objective)
+                best, witnesses = box_optimum(system, phi, objective.value, hi)
+                values.add(result.value if result.value is not None else result.status)
+                if result.status == "infeasible":
+                    assert best is None
+                    continue
+                if result.status == "unbounded" or result.value > hi:
+                    minimizing = objective.value.startswith("min")
+                    assert best == (None if minimizing else hi)
+                    continue
+                assert best == result.value, (text, objective, system)
+                if all(v <= hi for v in result.witness.values()):
+                    assert result.witness in witnesses
+                assert oracle_holds(system, phi, result.witness)
+    assert {"infeasible", "unbounded", 0, 1, 2, 3, 4} <= values
 
 
 def test_result_shape(sys_a):
