@@ -1,10 +1,12 @@
 """Buchi automata for plain and cost-bounded formulas.
 
-Two constructions live here.  ltl_to_nba translates a variable-free formula
-in negation normal form into a nondeterministic Buchi automaton whose guards
-are conjunctions of literals.  cost_nba builds an acceptor for formulas with
-cost-bounded operators under a fixed valuation; its letters are pairs of a
-proposition set and a cost vector, and its states carry budget remainders.
+Two automata live here, built on one tableau expansion (_expand) over the
+interned closure of a formula.  ltl_to_nba translates a variable-free
+formula in negation normal form into a nondeterministic Buchi automaton
+whose guards are conjunctions of literals.  cost_nba builds an acceptor for
+formulas with cost-bounded operators under a fixed valuation; its letters
+are pairs of a proposition set and a cost vector, and its states carry
+budget remainders, which stay outside the expansion.
 
 Membership of ultimately periodic words is decided by building the finite
 product of an automaton with the word's slot graph and searching for a
@@ -35,7 +37,6 @@ from .formula import (
     fold,
     is_ff,
     is_tt,
-    pretty_print,
     rebuild,
     repr_step,
     simplify_constants,
@@ -107,8 +108,9 @@ def _single_state_nba(alphabet: frozenset, universal: bool) -> BuchiAutomaton:
 
 
 def _interned(phi: Formula) -> tuple:
-    """phi with equal subformulas shared as one object, and every node's
-    `repr` text, so that set and dict lookups hit on identity."""
+    """phi with equal subformulas shared as one object, so that set and dict
+    lookups hit on identity, and its closure: the distinct nodes in the
+    order of their `repr` text."""
     canon: dict = {}
 
     def step(node: Formula, kids: list) -> tuple:
@@ -118,45 +120,63 @@ def _interned(phi: Formula) -> tuple:
         return canon[key], key
 
     phi, _ = fold(phi, step)
-    return phi, {node: key for key, node in canon.items()}
+    return phi, [canon[key] for key in sorted(canon)]
 
 
-# Expansion rules of the tableau.
+# Expansion rules of the tableau.  The budget automaton adds three kinds: a
+# bare F[<=]/G[<=] node forwards to its fresh token, an F token may be
+# delayed, and a G token carries over.
 _TT, _FF, _LIT, _NEXT, _AND, _OR, _UNTIL, _RELEASE = range(8)
-_RULE = {Next: _NEXT, And: _AND, Or: _OR, Until: _UNTIL, Release: _RELEASE}
+_FORWARD, _F_TOKEN, _G_TOKEN = range(8, 11)
+_RULE = {
+    Atom: _LIT, NegAtom: _LIT, Next: _NEXT, And: _AND, Or: _OR, Until: _UNTIL,
+    Release: _RELEASE, FLe: _FORWARD, GLe: _FORWARD,
+}
 
 
-def _rules(nodes: Sequence, index: Mapping) -> list:
-    """Per closure node, by index: (rule, a, b).  A literal's `a` is the
-    bit of the opposite literal (0 when it does not occur); Next has its
-    child in `a`; the binary connectives their arms in `a` and `b`."""
-
-    def bit(f: Formula) -> int:
-        return 1 << index[f] if f in index else 0
-
-    rules = []
-    for f in nodes:
-        if is_tt(f):
-            rules.append((_TT, -1, -1))
-        elif is_ff(f):
-            rules.append((_FF, -1, -1))
-        elif isinstance(f, Atom):
-            rules.append((_LIT, bit(NegAtom(f.name)), -1))
-        elif isinstance(f, NegAtom):
-            rules.append((_LIT, bit(Atom(f.name)), -1))
-        elif isinstance(f, Next):
-            rules.append((_NEXT, index[f.child], -1))
-        elif type(f) in _RULE:
-            rules.append((_RULE[type(f)], index[f.left], index[f.right]))
+def _rules(nodes: Sequence, index: Mapping) -> tuple:
+    """The rules per closure node, by index: (rule, a, b), then two token
+    slots per node; and the literals, (name, polarity) -> index.  A
+    literal's `a` is the bit of the opposite literal (0 when it does not
+    occur); Next has its child in `a`; the binary connectives their arms
+    in `a` and `b`.  Of n nodes, an F[<=]/G[<=] node at index i forwards to
+    its fresh token at i + n, and its fresh token and its carried one at
+    i + 2n hold the operator's child in `a` and i in `b`."""
+    n = len(nodes)
+    rules = [(None, -1, -1)] * (3 * n)
+    literals = {}
+    for i, f in enumerate(nodes):
+        kind = _RULE[type(f)]
+        if kind == _LIT:
+            literals[f.name, type(f) is Atom] = i
+        elif kind == _NEXT:
+            rules[i] = (_NEXT, index[f.child], -1)
+        elif kind == _FORWARD:
+            token = _G_TOKEN if type(f) is GLe else _F_TOKEN
+            rules[i] = (_FORWARD, i + n, -1)
+            rules[i + n] = rules[i + 2 * n] = (token, index[f.child], i)
+        elif kind == _OR and is_tt(f):
+            rules[i] = (_TT, -1, -1)
+        elif kind == _AND and is_ff(f):
+            rules[i] = (_FF, -1, -1)
         else:
-            rules.append((None, -1, -1))
-    return rules
+            rules[i] = (kind, index[f.left], index[f.right])
+    for (name, positive), i in literals.items():
+        opposite = literals.get((name, not positive))
+        rules[i] = (_LIT, 0 if opposite is None else 1 << opposite, -1)
+    return rules, literals
 
 
-def _expand(seed: list, rules: Sequence, nodes: Sequence) -> list:
+def _expand(seed: list, rules: Sequence, fits: int, shift: int) -> list:
     """The distinct cores (old, next) that a seed expands into, in the order
     the depth-first expansion completes them.  A set of closure nodes is a
-    bitmask over their indices."""
+    bitmask over their indices.
+
+    The tokens whose bit is set in `fits` may be carried into the next
+    core: a G token then is, and an F token may instead be delayed.  A
+    branch that delays the Until at index i, or an F token of the operator
+    at index i, sets bit i + shift of its next-set; with shift 0 that is
+    the Until's own bit."""
     cores: dict = {}
     pending = [(seed, 0, 0)]
     while pending:
@@ -183,17 +203,22 @@ def _expand(seed: list, rules: Sequence, nodes: Sequence) -> list:
                 pending.append((new + [b], old, nxt))
                 new.append(a)
             elif kind == _UNTIL:
-                pending.append((new + [a], old, nxt | bit))
+                pending.append((new + [a], old, nxt | bit | bit << shift))
                 new.append(b)
             elif kind == _RELEASE:
                 pending.append((new + [b], old, nxt | bit))
                 new.append(a)
                 new.append(b)
-            elif kind is None:
-                raise FormulaError(
-                    "cost-bounded operator reached the plain translation: "
-                    + pretty_print(nodes[f])
-                )
+            elif kind == _FORWARD:
+                new.append(a)
+            elif kind == _F_TOKEN:
+                if fits & bit:
+                    pending.append((new[:], old, nxt | bit | 1 << (b + shift)))
+                new.append(a)
+            elif kind == _G_TOKEN:
+                if fits & bit:
+                    nxt |= bit
+                new.append(a)
         if alive:
             cores[(old, nxt)] = None
     return list(cores)
@@ -218,7 +243,8 @@ def ltl_to_nba(phi: Formula) -> BuchiAutomaton:
     (Couvreur 1999); only those nodes are degeneralized into (node, layer)
     states, and _merge then folds states with identical futures.  Exact on
     ultimately periodic words: nba_accepts_lasso(ltl_to_nba(f), w) agrees
-    with evaluating f on w.
+    with evaluating f on w.  Each stage runs in its own helper, so its
+    tables are freed once the next stage is built.
     """
     profile = var_profile(phi)
     if profile.variables:
@@ -232,66 +258,76 @@ def ltl_to_nba(phi: Formula) -> BuchiAutomaton:
         return _single_state_nba(alphabet, universal=True)
     if is_ff(phi):
         return _single_state_nba(alphabet, universal=False)
-    phi, keys = _interned(phi)
     # Closure nodes are numbered in `repr` order, so sorting a set of
     # indices orders its formulas by their `repr` text.
-    nodes = sorted(keys, key=keys.__getitem__)
+    phi, nodes = _interned(phi)
     index = {f: i for i, f in enumerate(nodes)}
-    rules = _rules(nodes, index)
+    rules, literals = _rules(nodes, index)
+    layered = _layered(1 << index[phi], rules, literals)
+    if layered is None:
+        return _single_state_nba(alphabet, universal=False)
+    return _merge(*layered, alphabet)
 
-    # Tableau nodes: parallel lists of old-sets and incoming sets, numbered
-    # by their (old, nxt) cores.  Source -1 denotes the run start.  A
-    # node's successors depend only on its next-set, so each distinct
-    # next-set is expanded once; a new node's successors are walked before
-    # its parent's remaining ones, which fixes the node numbering.
+
+def _tableau(start: int, rules: Sequence, literals: dict, untils: list) -> tuple:
+    """The tableau grown from the next-set `start`, as per-node guards,
+    per-node acceptance masks and out-nodes.
+
+    Nodes are numbered by their (old, nxt) cores.  Source -1 denotes the
+    run start.  A node's successors depend only on its next-set, so each
+    distinct next-set is expanded once; a new node's successors are walked
+    before its parent's remaining ones, which fixes the node numbering.
+    Every edge into node r carries r's guard, so a node's out-edges are its
+    successor nodes, listed in ascending order."""
     node_old: list = []
-    node_incoming: list = []
+    out_nodes: dict = {-1: []}
     by_core: dict = {}
     expanded: dict = {}
 
     def successors(nxt: int) -> list:
         cores = expanded.get(nxt)
         if cores is None:
-            cores = expanded[nxt] = _expand(_members(nxt), rules, nodes)
+            cores = expanded[nxt] = _expand(_members(nxt), rules, 0, 0)
         return cores
 
-    walk = [(-1, iter(successors(1 << index[phi])))]
+    walk = [(-1, iter(successors(start)))]
     while walk:
         src, todo = walk[-1]
         for core in todo:
-            idx = by_core.get(core)
-            if idx is not None:
-                node_incoming[idx].add(src)
-                continue
-            idx = len(node_old)
-            by_core[core] = idx
-            node_old.append(core[0])
-            node_incoming.append({src})
-            walk.append((idx, iter(successors(core[1]))))
-            break
+            idx = by_core.setdefault(core, len(node_old))
+            out_nodes[src].append(idx)
+            if idx == len(node_old):
+                node_old.append(core[0])
+                out_nodes[idx] = []
+                walk.append((idx, iter(successors(core[1]))))
+                break
         else:
             walk.pop()
+    for targets in out_nodes.values():
+        targets.sort()
 
-    n = len(node_old)
+    bits = [(1 << f, lit) for lit, f in literals.items()]
+    guards = [frozenset(lit for bit, lit in bits if old & bit) for old in node_old]
+    # One acceptance set per Until, holding the nodes that do not owe it or
+    # fulfil it here, kept as a bitmask per node.
+    masks = [0] * len(node_old)
+    for j, (f, right) in enumerate(untils):
+        owes = 1 << f
+        fulfils = 1 << right
+        for r, old in enumerate(node_old):
+            if not old & owes or old & fulfils:
+                masks[r] |= 1 << j
+    return guards, masks, out_nodes
+
+
+def _layered(start: int, rules: Sequence, literals: dict) -> Optional[tuple]:
+    """The degeneralized tableau's live part, as (states, initial state,
+    transitions, accepting states), or None when it accepts no run."""
+    untils = [(f, b) for f, (kind, _, b) in enumerate(rules) if kind == _UNTIL]
+    guards, masks, out_nodes = _tableau(start, rules, literals, untils)
+    n = len(guards)
     if n == 0:
-        return _single_state_nba(alphabet, universal=False)
-
-    literals = [
-        (1 << f, (nodes[f].name, isinstance(nodes[f], Atom)))
-        for f, rule in enumerate(rules)
-        if rule[0] == _LIT
-    ]
-    guards = [
-        frozenset(lit for bit, lit in literals if old & bit) for old in node_old
-    ]
-
-    # Every edge into node r carries r's guard, so a node's out-edges are
-    # its successor nodes, listed in ascending order.
-    out_sets: dict = {src: set() for src in range(-1, n)}
-    for r in range(n):
-        for q in node_incoming[r]:
-            out_sets[q].add(r)
-    out_nodes = {q: sorted(targets) for q, targets in out_sets.items()}
+        return None
 
     # If some node behaves exactly like the run start, use it as the initial
     # state instead of keeping a separate start state.
@@ -301,23 +337,12 @@ def ltl_to_nba(phi: Formula) -> BuchiAutomaton:
             init_node = r
             break
 
-    # Acceptance of the tableau: one set per Until, holding the nodes that
-    # do not owe it or fulfil it here, kept as a bitmask per node.
-    untils = [(f, b) for f, (kind, _, b) in enumerate(rules) if kind == _UNTIL]
-    k = len(untils)
-    masks = [0] * n
-    for j, (f, right) in enumerate(untils):
-        owes = 1 << f
-        fulfils = 1 << right
-        for r, old in enumerate(node_old):
-            if not old & owes or old & fulfils:
-                masks[r] |= 1 << j
-    full = (1 << k) - 1
-
     # A node is live when it reaches a cyclic component whose masks cover
     # every set: (node, layer) then has an accepting run for every layer,
     # and otherwise for none.  Components complete in reverse topological
     # order, so successors outside a component are decided before it.
+    k = len(untils)
+    full = (1 << k) - 1
     live = [False] * n
     for members, cyclic in _sccs(range(n), out_nodes.__getitem__):
         cover = 0
@@ -329,7 +354,7 @@ def ltl_to_nba(phi: Formula) -> BuchiAutomaton:
             for r in members:
                 live[r] = True
     if not any(live[r] for r in out_nodes[-1]):
-        return _single_state_nba(alphabet, universal=False)
+        return None
 
     # Degeneralize: the layer names the set a run waits for, and advances
     # when the run leaves a node in it.  A pair (node, layer) is keyed
@@ -362,8 +387,7 @@ def ltl_to_nba(phi: Formula) -> BuchiAutomaton:
             if live[target]:
                 edges.append((guards[target], names[succ]))
         transitions[names[pair]] = tuple(edges)
-
-    return _merge(tuple(order), "q0", transitions, accepting, alphabet)
+    return tuple(order), "q0", transitions, accepting
 
 
 def _merge(states, initial, transitions, accepting, alphabet) -> BuchiAutomaton:
@@ -601,9 +625,10 @@ class _Shape:
     """A core without its remainders: the plain obligations, by closure
     rank, and the budgeted operators holding a token, F[<=] before G[<=],
     each by rank.  `heads` and `tail` make the core's sort key, and the
-    kinds in `heads` give `dominates` its order."""
+    kinds in `heads` give `dominates` its order.  `seed` and `slots` hold
+    the closure indices of the plain obligations and of the operators."""
 
-    __slots__ = ("plain", "ops", "coords", "fulls", "heads", "tail")
+    __slots__ = ("plain", "ops", "coords", "fulls", "heads", "tail", "seed", "slots")
 
     def __init__(self, plain: tuple, ops: tuple, auto: "CostBuchiAutomaton"):
         self.plain = plain
@@ -614,6 +639,8 @@ class _Shape:
             ("G" if isinstance(f, GLe) else "F", auto._rank[f]) for f in ops
         )
         self.tail = [("f", auto._rank[f]) for f in plain]
+        self.seed = [auto._index[f] for f in plain]
+        self.slots = tuple(auto._index[f] for f in ops)
 
 
 def _remainders(recipe: tuple, rems: tuple) -> tuple:
@@ -643,13 +670,25 @@ class CostBuchiAutomaton:
     len(tracked) exactly when every one of them was discharged or absent
     since the last completion.
 
+    Shapes are expanded by the tableau's `_expand`, over the closure of
+    n nodes in `repr` order.  A budgeted operator at index i has two token
+    slots: its fresh token at i + n, with the full budget, and its carried
+    token at i + 2n, with the current core's remainder; the bare operator
+    forwards to its fresh token.  A core token at the full budget is
+    seeded as the fresh one, so the expansion meets the two once.  The
+    letter fixes each literal to true or false and, with the remainders'
+    comparisons, which tokens' costs fit their budgets.  A branch that
+    delays the Until or F[<=] node at index i sets bit i + 3n of its
+    next-set, from which `_settle` reads the move's `ok` mask.
+
     A search runs on flat nodes (x, shape id, remainders, layer), a state
     prefixed with a position x of the run (a system state, a trace slot).
     `successors` expands a whole node in one call, along every out-edge of
     x at once.  A core's moves depend on a remainder only through
     `cost <= remainder` and `remainder == full budget`, so each obligation
     shape is expanded once per letter and outcome of those comparisons,
-    into a template kept in `_templates`, the automaton's only cache.  A
+    into a template kept in `_templates`, the automaton's only cache
+    besides `_letter_rules`, the rule table of each letter's props.  A
     node is expanded from its templates directly: the remainders are only
     subtracted and compared.
 
@@ -681,55 +720,67 @@ class CostBuchiAutomaton:
 
     def __init__(self, phi: Formula, valuation: Mapping, d: int):
         validate_coords(phi, d)
-        self.phi, keys = _interned(simplify_constants(phi))
+        self.phi, nodes = _interned(simplify_constants(phi))
         self.valuation = dict(valuation)
         self.d = d
         for var, value in self.valuation.items():
             if value < 0:
                 raise FormulaError(f"negative budget for {var}: {value}")
-        subs = list(subformulas(self.phi))
-        self.tracked = tuple(
-            sorted(
-                (f for f in subs if isinstance(f, (Until, FLe))),
-                key=keys.__getitem__,
-            )
-        )
+        self.tracked = tuple(f for f in nodes if isinstance(f, (Until, FLe)))
         # Successors are ordered by closure rank: a repr key would walk
         # every formula again on each expansion, recursing with its depth.
-        self._rank = {f: i for i, f in enumerate(subs)}
+        self._rank = {f: i for i, f in enumerate(subformulas(self.phi))}
         # `ok` sets are bitmasks over the tracked obligations.
         self._bit = {f: 1 << j for j, f in enumerate(self.tracked)}
+        self._nodes = nodes
+        self._index = index = {f: i for i, f in enumerate(nodes)}
+        self._rules, self._literals = _rules(nodes, index)
+        self._fresh = [
+            (1 << a, f.coord - 1, self._full(f))
+            for f, (kind, a, _) in zip(nodes, self._rules)
+            if kind == _FORWARD
+        ]
         self._shape_ids: dict = {}
         self._shapes: list = []
         self._templates: dict = {}
+        self._letter_rules: dict = {}
 
     def _full(self, f) -> int:
         return self.valuation.get(f.var, 0)
 
     def initial_state(self) -> tuple:
-        sid, recipe = self._settle([("f", self.phi)], ())
+        sid, recipe, _ = self._settle(1 << self._index[self.phi], (), ())
         return (sid, _remainders(recipe, ()), 0)
 
     def is_accepting(self, node) -> bool:
         return not self.tracked or node[3] == len(self.tracked)
 
-    def _settle(self, nxt: Iterable, cost: tuple) -> tuple:
-        """(shape id, remainder recipe) of the core made of the next-items
-        `nxt`.  A bare F/G obligation becomes a full-budget token; a token
-        item (kind, f, src) has the remainder of its source, core token
-        `src` or the full budget when src < 0, less the letter's cost.
-        Tokens of one operator merge: F keeps the smallest remainder, G the
-        largest.  The recipe gives per token (is G, constant remainder or
-        None, source core token or None, cost to subtract from it)."""
+    def _settle(self, nxt: int, cost: tuple, slots: tuple) -> tuple:
+        """(shape id, remainder recipe, ok) of the next-set `nxt` of a core
+        whose tokens' operators sit at the closure indices `slots`.  A bare
+        F/G obligation becomes a full-budget token, a fresh token has the
+        full budget less the letter's cost, and a carried token the
+        remainder of the core's token less that cost.  Tokens of one
+        operator merge: F keeps the smallest remainder, G the largest.  The
+        recipe gives per token (is G, constant remainder or None, source
+        core token or None, cost to subtract from it); `ok` holds the
+        tracked obligations whose delay marker is not set."""
+        nodes = self._nodes
+        n = len(nodes)
         plain = []
         consts: dict = {}
         source: dict = {}
-        for item in nxt:
-            f = item[1]
-            if item[0] != "f":
-                if item[2] >= 0:
-                    source[f] = item[2]
-                    continue
+        ok = (1 << len(self.tracked)) - 1
+        for m in _members(nxt):
+            slot, i = divmod(m, n)
+            f = nodes[i]
+            if slot == 3:
+                ok &= ~self._bit[f]
+                continue
+            if slot == 2:
+                source[f] = slots.index(i)
+                continue
+            if slot == 1:
                 value = self._full(f) - cost[f.coord - 1]
             elif isinstance(f, (FLe, GLe)):
                 value = self._full(f)
@@ -756,105 +807,38 @@ class CostBuchiAutomaton:
         if sid is None:
             sid = self._shape_ids[key] = len(self._shapes)
             self._shapes.append(_Shape(key[0], key[1], self))
-        return sid, tuple(recipe)
+        return sid, tuple(recipe), ok
 
     def _template(
         self, shape: _Shape, flags: tuple, props: frozenset, cost: tuple
     ) -> tuple:
         """The moves shared by every core of `shape` whose remainders
         compare to the letter's costs as `flags` says, as (next shape id,
-        remainder recipe, ok) triples.  A core token whose remainder is the
-        full budget is the same item as the operator's fresh token, so the
-        `done` set expands it once."""
-        start = [("f", g) for g in shape.plain]
-        for i, f in enumerate(shape.ops):
-            kind = "G" if isinstance(f, GLe) else "F"
-            start.append((kind, f, -1 if flags[i][1] else i))
+        remainder recipe, ok) triples, from one `_expand` of the core under
+        the letter's literals.  A core token whose remainder is the full
+        budget is seeded as the operator's fresh token, so the expansion
+        meets it once."""
+        n = len(self._nodes)
+        seed = list(shape.seed)
+        fits = 0
+        for bit, coord, full in self._fresh:
+            if cost[coord] <= full:
+                fits |= bit
+        for i, (fit, at_full) in zip(shape.slots, flags):
+            if at_full:
+                seed.append(i + n)
+            else:
+                seed.append(i + 2 * n)
+                if fit:
+                    fits |= 1 << (i + 2 * n)
+        rules = self._letter_rules.get(props)
+        if rules is None:
+            rules = self._letter_rules[props] = list(self._rules)
+            for (name, positive), i in self._literals.items():
+                rules[i] = (_TT if (name in props) == positive else _FF, -1, -1)
         out: dict = {}
-        stack = [(start, set(), 0, set())]
-        while stack:
-            pending, nxt, delayed, done = stack.pop()
-            alive = True
-            while pending:
-                item = pending.pop()
-                if item in done:
-                    continue
-                done.add(item)
-                if item[0] != "f":
-                    f, src = item[1], item[2]
-                    if src < 0:
-                        fits = cost[f.coord - 1] <= self._full(f)
-                    else:
-                        fits = flags[src][0]
-                    if item[0] == "F":
-                        if fits:
-                            stack.append(
-                                (
-                                    list(pending),
-                                    nxt | {item},
-                                    delayed | self._bit[f],
-                                    set(done),
-                                )
-                            )
-                    elif fits:
-                        nxt.add(item)
-                    pending.append(("f", f.child))
-                    continue
-                f = item[1]
-                if is_tt(f):
-                    continue
-                if is_ff(f):
-                    alive = False
-                    break
-                if isinstance(f, Atom):
-                    if f.name not in props:
-                        alive = False
-                        break
-                elif isinstance(f, NegAtom):
-                    if f.name in props:
-                        alive = False
-                        break
-                elif isinstance(f, And):
-                    pending.append(("f", f.left))
-                    pending.append(("f", f.right))
-                elif isinstance(f, Or):
-                    stack.append(
-                        (pending + [("f", f.right)], set(nxt), delayed, set(done))
-                    )
-                    pending.append(("f", f.left))
-                elif isinstance(f, Next):
-                    nxt.add(("f", f.child))
-                elif isinstance(f, Until):
-                    stack.append(
-                        (
-                            pending + [("f", f.left)],
-                            nxt | {("f", f)},
-                            delayed | self._bit[f],
-                            set(done),
-                        )
-                    )
-                    pending.append(("f", f.right))
-                elif isinstance(f, Release):
-                    stack.append(
-                        (
-                            pending + [("f", f.right)],
-                            nxt | {("f", f)},
-                            delayed,
-                            set(done),
-                        )
-                    )
-                    pending.append(("f", f.left))
-                    pending.append(("f", f.right))
-                elif isinstance(f, FLe):
-                    pending.append(("F", f, -1))
-                elif isinstance(f, GLe):
-                    pending.append(("G", f, -1))
-                else:
-                    raise FormulaError(f"not a formula node: {f!r}")
-            if alive:
-                sid, recipe = self._settle(nxt, cost)
-                ok = ((1 << len(self.tracked)) - 1) & ~delayed
-                out[sid, recipe, ok] = None
+        for _, nxt in _expand(seed, rules, fits, 3 * n):
+            out[self._settle(nxt, cost, shape.slots)] = None
         return tuple(out)
 
     def _order(self, move) -> tuple:

@@ -357,6 +357,27 @@ def random_formula(rng, depth, d=1, f_vars=("x",), g_vars=(), props=("p", "q")):
     return GLe(rng.choice(g_vars), coord, sub())
 
 
+def random_ring(rng, n, d=1):
+    """Ring s0 -> s1 -> ... -> s0 plus one random edge, with random labels
+    and costs up to 3 in every coordinate, so that obligations lie behind
+    costly edges."""
+    labels = []
+    for _ in range(n):
+        label = {a for a in "pq" if rng.random() < 0.35}
+        label.update(kappa_name(k) for k in range(1, d + 1) if rng.random() < 0.6)
+        labels.append(label)
+    pairs = {(i, (i + 1) % n) for i in range(n)}
+    pairs.add((rng.randrange(n), rng.randrange(n)))
+    edges = {
+        (i, j): tuple(
+            rng.randint(1, 3) if kappa_name(k) in labels[j] else 0
+            for k in range(1, d + 1)
+        )
+        for i, j in sorted(pairs)
+    }
+    return build_system(labels, edges, d=d)
+
+
 def random_system(rng, max_states=3, d=1, props=("p", "q"), max_cost=3):
     """Seeded kappa-consistent system where every state has a successor."""
     n = rng.randint(1, max_states)

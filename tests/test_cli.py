@@ -1,11 +1,16 @@
 """Command line interface: verdict exit codes and key=value output."""
 
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import SYS_A_TEXT, SYS_STREETT_TEXT, T1_TEXT
 from cpltl.cli import main
@@ -404,6 +409,69 @@ def test_python_m_cpltl_exit_codes(tmp_path):
     assert malformed.returncode == 2
     assert malformed.stdout == ""
     assert malformed.stderr.startswith("error: ")
+
+
+# Malformed inputs: formulas joined from these tokens, some of them stray
+# or broken, and SYS_A_TEXT with some lines replaced by bad ones or added.
+FORMULA_PIECES = (
+    "p", "!q", "&", "|", "->", "(", ")", "X", "F", "G", "U", "R",
+    "F[<=x]", "G[<=y]", "F[<=x@0]", "F[<=x@2]", "G[<=x]", "F[<=", "]", "@1",
+)
+BAD_SYSTEM_LINES = (
+    "dim 0",
+    "dim two",
+    "state s2",
+    "state s0 init : p",
+    "state s1 : q kappa2",
+    "edge s0",
+    "edge s0 s9 : 1",
+    "edge s1 s0 : -1",
+    "edge s1 s0 : x",
+    "edge s0 s1 : 1 2",
+    "edge s0 s1 3",
+    "edge s0 s0 : 0",
+)
+
+
+@st.composite
+def edited_systems(draw):
+    lines = SYS_A_TEXT.splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        bad = draw(st.sampled_from(BAD_SYSTEM_LINES))
+        if draw(st.booleans()):
+            lines[at] = bad
+        else:
+            lines.insert(at, bad)
+    return "\n".join(lines) + "\n"
+
+
+@settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=150,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    st.lists(st.sampled_from(FORMULA_PIECES), min_size=1, max_size=6).map(" ".join),
+    edited_systems(),
+    st.sampled_from(((), ("--fixed",), ("--valuation", "x=1,y=2"), ("--forall",))),
+)
+def test_malformed_input_keeps_the_exit_code_contract(formula, system, mode):
+    # 0 holds, 1 fails, 2 error, and an error says so on stderr
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sys.txt")
+        with open(path, "w") as handle:
+            handle.write(system)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(["check", path, formula, *mode])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2), (formula, system, mode)
+    if code == 2:
+        assert "error:" in err.getvalue(), (formula, system, mode)
 
 
 def test_deep_formula_exits_with_error_not_verdict(capsys, sys_file):

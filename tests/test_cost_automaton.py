@@ -181,7 +181,8 @@ def reference_order(auto, move) -> tuple:
 
 
 # Operators nested inside one of the same variable, so that one core
-# holds tokens of one operator from two sources.
+# holds tokens of one operator from two sources, and Until and Release
+# chains with a budget inside.
 NESTED = (
     "F[<=x] F[<=x] p",
     "G[<=x2] F[<=y] F[<=y] q",
@@ -190,6 +191,10 @@ NESTED = (
     "F[<=x] (p U G[<=y] q) | G[<=y] F[<=x] p",
     "G (q -> F[<=x@2] p) & G[<=y] (p | X q)",
     "G (p | G[<=y] q)",
+    "q U (q U F[<=x] p)",
+    "q U (p U (q U G[<=y] p))",
+    "p R (q R F[<=x] !p)",
+    "q R (p R (q R G[<=y] p))",
 )
 
 literals = st.builds(

@@ -19,6 +19,7 @@ from conftest import (
     corner_valuation,
     oracle_holds,
     random_formula,
+    random_ring,
     random_system,
 )
 from cpltl.formula import (
@@ -469,8 +470,14 @@ def _assert_bound_corner_decides(system, phi):
 @given(seeds, seeds)
 def test_bound_corner_decides_exists_at_d1(system_seed, formula_seed):
     # depth 3 would nest F[<=] operators whose exists automata, chi_1
-    # conjoined, take up to 9 s each
-    system = random_system(random.Random(system_seed))
+    # conjoined, take up to 9 s each.  On random_system a bound of 2
+    # decides nearly every draw; on rings the obligations lie behind
+    # costly edges, where the budget matters.
+    rng = random.Random(system_seed)
+    if rng.random() < 0.5:
+        system = random_ring(rng, rng.randint(3, 6))
+    else:
+        system = random_system(rng)
     rng = random.Random(formula_seed)
     phi = random_formula(rng, rng.randint(1, 2), f_vars=("x",), g_vars=("y",))
     _assert_bound_corner_decides(system, phi)

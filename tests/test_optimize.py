@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from conftest import SYS_A_TEXT, box_optimum, build_system, oracle_holds
+from conftest import SYS_A_TEXT, box_optimum, oracle_holds, random_ring
 from cpltl import modelcheck, optimize
-from cpltl.formula import FragmentError, kappa_name, parse, var_profile
+from cpltl.formula import FragmentError, parse, var_profile
 from cpltl.modelcheck import check_fixed, check_forall, valuation_upper_bound
 from cpltl.optimize import (
     Objective,
@@ -248,25 +248,6 @@ D2_POOL_PLANS = (
 )
 
 
-def _d2_ring(rng, n):
-    """Ring s0 -> s1 -> ... -> s0 plus one random edge, with random labels
-    and costs up to 3 in both coordinates."""
-    labels = []
-    for _ in range(n):
-        label = {a for a in "pq" if rng.random() < 0.35}
-        label.update(kappa_name(k) for k in (1, 2) if rng.random() < 0.6)
-        labels.append(label)
-    pairs = {(i, (i + 1) % n) for i in range(n)}
-    pairs.add((rng.randrange(n), rng.randrange(n)))
-    edges = {
-        (i, j): tuple(
-            rng.randint(1, 3) if kappa_name(k) in labels[j] else 0 for k in (1, 2)
-        )
-        for i, j in sorted(pairs)
-    }
-    return build_system(labels, edges, d=2)
-
-
 def test_d2_pool_matches_box_scan():
     """Each result agrees with a scan of the box [0, 12]^k: the optimum
     when it lies in the box, no feasible point when infeasible or when a
@@ -274,7 +255,7 @@ def test_d2_pool_matches_box_scan():
     lies beyond it.  Witnesses also hold by the oracle."""
     hi = 12
     rng = random.Random(1717)
-    systems = [_d2_ring(rng, rng.randint(3, 5)) for _ in range(8)]
+    systems = [random_ring(rng, rng.randint(3, 5), d=2) for _ in range(8)]
     values = set()
     for system in systems:
         for text, objectives in D2_POOL_PLANS:
