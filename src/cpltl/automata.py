@@ -8,10 +8,10 @@ formulas with cost-bounded operators under a fixed valuation; its letters
 are pairs of a proposition set and a cost vector, and its states carry
 budget remainders, which stay outside the expansion.
 
-Membership of ultimately periodic words is decided by building the finite
-product of an automaton with the word's slot graph and searching for a
-reachable accepting cycle (find_accepting_lasso).  The slot layout of
-those words (PropLasso, cost traces) is trace.Lasso.
+find_accepting_lasso decides generalized Buchi emptiness of a graph
+spanned on the fly; the model checks run it over their products.  The slot
+layout of ultimately periodic words (PropLasso, cost traces) is
+trace.Lasso.
 """
 
 from __future__ import annotations
@@ -242,9 +242,9 @@ def ltl_to_nba(phi: Formula) -> BuchiAutomaton:
     tableau decides which nodes can still reach a cycle through every set
     (Couvreur 1999); only those nodes are degeneralized into (node, layer)
     states, and _merge then folds states with identical futures.  Exact on
-    ultimately periodic words: nba_accepts_lasso(ltl_to_nba(f), w) agrees
-    with evaluating f on w.  Each stage runs in its own helper, so its
-    tables are freed once the next stage is built.
+    ultimately periodic words: the automaton accepts w exactly when f
+    holds on w.  Each stage runs in its own helper, so its tables are
+    freed once the next stage is built.
     """
     profile = var_profile(phi)
     if profile.variables:
@@ -451,31 +451,53 @@ class PropLasso(Lasso[frozenset]):
 def find_accepting_lasso(
     initial,
     successors: Callable,
-    is_accepting: Callable,
+    acceptance: Callable,
+    full: int,
 ) -> Optional[tuple]:
-    """Find a reachable cycle through an accepting node.
+    """Find a reachable cycle that visits every acceptance set.
 
-    The graph is spanned on the fly by `successors`.  One SCC pass decides:
-    it stops at the first completed component that is cyclic and holds an
-    accepting node, and None means there is none.  Only then is a lasso
-    built from that component, as (prefix, loop) node lists: prefix is a
-    shortest path from the initial node up to but not including an
-    accepting member, and loop is a shortest cycle starting at that member
-    inside the component (the wrap edge loop[-1] -> loop[0] is implicit).
-    `is_accepting` is asked only by the decision pass.
+    Generalized Buchi acceptance: `acceptance(v)` is the bitmask of the
+    sets node v belongs to (a bool counts as set 1), and a cycle is fair
+    when the masks of its nodes cover `full` (any cycle when `full` is 0,
+    and then the prefix ends at any member).  The graph is spanned on the
+    fly by `successors`.  One SCC pass decides: it stops at the first
+    completed component that is cyclic and whose members' masks cover
+    `full`, and None means there is none.  Only then is a lasso built from
+    that component, as (prefix, loop) node lists: prefix is a shortest path
+    from the initial node up to but not including a member holding the
+    lowest set, and loop starts at that member.  From there, while some
+    set is not yet covered, the loop takes a shortest path inside the
+    component to a member holding the lowest such set, and it closes with a
+    shortest path back (the wrap edge loop[-1] -> loop[0] is implicit).
+    `acceptance` is asked only by the decision pass.
     """
     for members, cyclic in _sccs((initial,), successors):
         if cyclic:
-            targets = {v for v in members if is_accepting(v)}
-            if targets:
+            masks = [acceptance(v) for v in members]
+            cover = 0
+            for mask in masks:
+                cover |= mask
+            if cover & full == full:
                 break
     else:
         return None
-    path = _shortest_path((initial,), successors, targets)
+    mask_of = dict(zip(members, masks))
+
+    def holding(bit: int) -> set:
+        return {v for v, mask in mask_of.items() if mask & bit == bit}
+
+    path = _shortest_path((initial,), successors, holding(full & -full))
     head = path[-1]
-    inside = set(members)
-    back = _shortest_path(successors(head), successors, {head}, inside)
-    return path[:-1], [head] + back[:-1]
+    loop = [head]
+    missing = full & ~mask_of[head]
+    while missing:
+        goal = holding(missing & -missing)
+        leg = _shortest_path(successors(loop[-1]), successors, goal, mask_of)
+        for v in leg:
+            missing &= ~mask_of[v]
+        loop += leg
+    back = _shortest_path(successors(loop[-1]), successors, {head}, mask_of)
+    return path[:-1], loop + back[:-1]
 
 
 def _shortest_path(sources, successors: Callable, goal, inside=None) -> list:
@@ -565,59 +587,6 @@ def _sccs(roots: Iterable, successors: Callable) -> Iterator:
                 yield members, len(members) > 1 or node in out
 
 
-def nba_accepts_lasso(auto: BuchiAutomaton, word: PropLasso) -> bool:
-    """Membership of an ultimately periodic word."""
-
-    def successors(node):
-        slot, state = node
-        letter = word.letter_at_slot(slot)
-        nxt = word.succ_slot(slot)
-        return [
-            (nxt, dst)
-            for guard, dst in auto.transitions[state]
-            if guard_holds(guard, letter)
-        ]
-
-    def accepting(node) -> bool:
-        return node[1] in auto.accepting
-
-    found = find_accepting_lasso((0, auto.initial), successors, accepting)
-    return found is not None
-
-
-def buchi_empty(auto: BuchiAutomaton) -> Optional[PropLasso]:
-    """Emptiness check. Returns None when the language is empty, otherwise
-    an accepted lasso word (positive literals of the guards along a
-    reachable accepting cycle), re-verified before being returned."""
-
-    def successors(state):
-        return [dst for _, dst in auto.transitions[state]]
-
-    def accepting(state) -> bool:
-        return state in auto.accepting
-
-    found = find_accepting_lasso(auto.initial, successors, accepting)
-    if found is None:
-        return None
-    prefix, loop = found
-    letters = []
-    for src, dst in Lasso(tuple(prefix), tuple(loop)).steps():
-        guard = None
-        for g, tgt in auto.transitions[src]:
-            if tgt == dst:
-                guard = g
-                break
-        if guard is None:
-            raise AutomatonError("witness path uses a missing edge")
-        letters.append(frozenset(name for name, positive in guard if positive))
-    word = PropLasso(
-        tuple(letters[: len(prefix)]), tuple(letters[len(prefix):])
-    )
-    if not nba_accepts_lasso(auto, word):
-        raise AutomatonError("witness word rejected on re-check")
-    return word
-
-
 # --- cost automaton ---------------------------------------------------------
 
 
@@ -661,14 +630,14 @@ class CostBuchiAutomaton:
     """Acceptor for formulas with cost-bounded operators, fixed valuation.
 
     Letters are (props, cost vector) pairs as found on cost traces.  States
-    are (shape id, remainders, layer) triples.  The shape id and the
-    remainders make the core, the set of obligations holding at the
-    current position: the shape holds the obligations without their
-    budgets, and the remainders give each budgeted F[<=]/G[<=] operator of
-    the shape its remaining budget.  The layer cycles through the tracked
-    least-fixpoint obligations (Until and F[<=] nodes) and reaches
-    len(tracked) exactly when every one of them was discharged or absent
-    since the last completion.
+    are cores, (shape id, remainders) pairs: the set of obligations holding
+    at the current position.  The shape holds the obligations without
+    their budgets, and the remainders give each budgeted F[<=]/G[<=]
+    operator of the shape its remaining budget.  Acceptance is generalized
+    Buchi on the moves, one set per tracked least-fixpoint obligation
+    (Until and F[<=] nodes): a move's `ok` mask holds the tracked
+    obligations it did not delay, and a run is accepting when each of
+    them is undelayed infinitely often.
 
     Shapes are expanded by the tableau's `_expand`, over the closure of
     n nodes in `repr` order.  A budgeted operator at index i has two token
@@ -681,10 +650,16 @@ class CostBuchiAutomaton:
     delays the Until or F[<=] node at index i sets bit i + 3n of its
     next-set, from which `_settle` reads the move's `ok` mask.
 
-    A search runs on flat nodes (x, shape id, remainders, layer), a state
-    prefixed with a position x of the run (a system state, a trace slot).
-    `successors` expands a whole node in one call, along every out-edge of
-    x at once.  A core's moves depend on a remainder only through
+    A search runs on flat nodes (x, shape id, remainders, ok), a state
+    prefixed with a position x of the run (a system state, a trace slot)
+    and followed by the `ok` mask of the move that entered it (0 at the
+    start node), which is the node's acceptance mask (`acceptance`).  The
+    moves of a cyclic component of the search graph are exactly the moves
+    into its members, so the component holds a fair cycle exactly when its
+    members' masks cover `full` (find_accepting_lasso).
+
+    `successors` expands a whole node in one call, along every out-edge
+    of x at once.  A core's moves depend on a remainder only through
     `cost <= remainder` and `remainder == full budget`, so each obligation
     shape is expanded once per letter and outcome of those comparisons,
     into a template kept in `_templates`, the automaton's only cache
@@ -692,7 +667,7 @@ class CostBuchiAutomaton:
     node is expanded from its templates directly: the remainders are only
     subtracted and compared.
 
-    `dominates` orders the nodes of one (x, shape, layer) key: a dominates
+    `dominates` orders the nodes of one (x, shape, ok) key: a dominates
     n when each F[<=] token's remainder in a is at least n's and each
     G[<=] token's at most n's.  A dominating node accepts every run that n
     accepts, so a search may stand a node in for the nodes it dominates.
@@ -710,12 +685,12 @@ class CostBuchiAutomaton:
     subset of n's tracked obligations and its `ok` mask contains n's.
     Domination within a key is a special case of covering, and covering
     is transitive.  So take an accepting run n0 n1 ... and a graph whose
-    successors of a node replace each successor by a dominating node:
-    from q0 = n0 it has a path q0 q1 ... with each q_i covering n_i and
-    each step's `ok` mask containing the run's.  Every tracked obligation
-    is then undelayed infinitely often along the path, so its layers
-    complete infinitely often: if that graph is finite, it holds a
-    reachable cycle through an accepting node.
+    successors of a node replace each successor by a dominating node of
+    its key, which has the same mask: from q0 = n0 it has a path q0 q1 ...
+    with each q_i covering n_i and each q_i's mask containing n_i's.
+    Every tracked obligation is then undelayed infinitely often along the
+    path: if that graph is finite, the nodes the path visits infinitely
+    often lie in one cyclic component whose masks cover `full`.
     """
 
     def __init__(self, phi: Formula, valuation: Mapping, d: int):
@@ -732,6 +707,7 @@ class CostBuchiAutomaton:
         self._rank = {f: i for i, f in enumerate(subformulas(self.phi))}
         # `ok` sets are bitmasks over the tracked obligations.
         self._bit = {f: 1 << j for j, f in enumerate(self.tracked)}
+        self.full = (1 << len(self.tracked)) - 1
         self._nodes = nodes
         self._index = index = {f: i for i, f in enumerate(nodes)}
         self._rules, self._literals = _rules(nodes, index)
@@ -752,8 +728,10 @@ class CostBuchiAutomaton:
         sid, recipe, _ = self._settle(1 << self._index[self.phi], (), ())
         return (sid, _remainders(recipe, ()), 0)
 
-    def is_accepting(self, node) -> bool:
-        return not self.tracked or node[3] == len(self.tracked)
+    @staticmethod
+    def acceptance(node) -> int:
+        """The acceptance mask of a search node: its `ok` field."""
+        return node[3]
 
     def _settle(self, nxt: int, cost: tuple, slots: tuple) -> tuple:
         """(shape id, remainder recipe, ok) of the next-set `nxt` of a core
@@ -770,7 +748,7 @@ class CostBuchiAutomaton:
         plain = []
         consts: dict = {}
         source: dict = {}
-        ok = (1 << len(self.tracked)) - 1
+        ok = self.full
         for m in _members(nxt):
             slot, i = divmod(m, n)
             f = nodes[i]
@@ -841,11 +819,12 @@ class CostBuchiAutomaton:
             out[self._settle(nxt, cost, shape.slots)] = None
         return tuple(out)
 
-    def _order(self, move) -> tuple:
-        """Sort key of a move: its core's obligations as (kind, closure
-        rank[, remainder]) tuples in sorted order, then the indices of its
-        tracked obligations that were not delayed."""
-        sid, rems, ok = move
+    def _order(self, node) -> tuple:
+        """Sort key of the successors along one edge: the core's
+        obligations as (kind, closure rank[, remainder]) tuples in sorted
+        order, then the indices of the move's tracked obligations that were
+        not delayed."""
+        _, sid, rems, ok = node
         shape = self._shapes[sid]
         core = [head + (rem,) for head, rem in zip(shape.heads, rems)]
         return (
@@ -861,20 +840,13 @@ class CostBuchiAutomaton:
                 return False
         return True
 
-    def _advance(self, layer: int, ok: int) -> int:
-        k = len(self.tracked)
-        j = 0 if layer == k else layer
-        while j < k and ok >> j & 1:
-            j += 1
-        return j
-
     def successors(self, node, edges) -> list:
-        """The successors of the search node (x, shape id, remainders,
-        layer) along x's out-edges `edges`, (y, props, cost) triples where
-        props labels x and cost is the edge's: flat nodes (y, next shape
-        id, next remainders, next layer), in edge order and, per edge, in
-        `_order` of the moves."""
-        _, sid, rems, layer = node
+        """The successors of the search node (x, shape id, remainders, ok)
+        along x's out-edges `edges`, (y, props, cost) triples where props
+        labels x and cost is the edge's: flat nodes (y, next shape id, next
+        remainders, the move's ok), in edge order and, per edge, in `_order`
+        of the moves."""
+        _, sid, rems, _ = node
         shape = self._shapes[sid]
         templates = self._templates
         # Nearly every expanded core has one budgeted operator (99.7% of
@@ -901,36 +873,14 @@ class CostBuchiAutomaton:
             # Only two or more moves can coincide or need ordering.
             if len(template) == 1:
                 ((nsid, recipe, ok),) = template
-                out.append(
-                    (y, nsid, _remainders(recipe, rems), self._advance(layer, ok))
-                )
+                out.append((y, nsid, _remainders(recipe, rems), ok))
                 continue
             moves = {
-                (nsid, _remainders(recipe, rems), ok): None
+                (y, nsid, _remainders(recipe, rems), ok): None
                 for nsid, recipe, ok in template
             }
-            for nsid, nrems, ok in sorted(moves, key=self._order):
-                out.append((y, nsid, nrems, self._advance(layer, ok)))
+            out.extend(sorted(moves, key=self._order))
         return out
-
-    def accepts_trace(self, trace) -> bool:
-        """Membership of a cost trace (from position 0)."""
-        if trace.d != self.d:
-            raise FormulaError(
-                f"trace has {trace.d} cost coordinates, automaton expects {self.d}"
-            )
-
-        def successors(node):
-            slot = node[0]
-            step = trace.letter_at_slot(slot)
-            return self.successors(
-                node, [(trace.succ_slot(slot), step.props, step.cost)]
-            )
-
-        found = find_accepting_lasso(
-            (0,) + self.initial_state(), successors, self.is_accepting
-        )
-        return found is not None
 
 
 def cost_nba(phi: Formula, valuation: Mapping, d: int) -> CostBuchiAutomaton:

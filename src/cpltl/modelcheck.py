@@ -447,7 +447,7 @@ def pumpable_fair_path(graph: ColoredCostGraph) -> Optional[tuple]:
     def accepting(node) -> bool:
         return accept[node >> d]
 
-    found = find_accepting_lasso(cap[0], successors, accepting)
+    found = find_accepting_lasso(cap[0], successors, accepting, 1)
     if found is None:
         return None
     vertices = graph.vertices
@@ -705,12 +705,14 @@ def check_fixed(
     re-checked against the trace semantics before being returned.  The
     budget automaton rejects coordinates beyond the system's dimension and
     negative budgets.  The search's nodes are flat (system state, shape
-    id, remainders, layer) tuples, each expanded along all of its system
-    state's out-edges in one budget automaton call.
+    id, remainders, ok) tuples, each expanded along all of its system
+    state's out-edges in one budget automaton call; a node's `ok` mask,
+    the tracked obligations its entering move did not delay, is its
+    acceptance mask.
 
     The search runs first on a quotient that does not grow with the
     budget: each successor is replaced by an already kept node of its
-    (system state, shape, layer) key that dominates it
+    (system state, shape, ok) key that dominates it
     (`CostBuchiAutomaton.dominates`), and is kept itself when none does.
     Per key the kept nodes form an antichain, a single node for the
     shapes with one budgeted operator.  A node's quotient successors are
@@ -764,7 +766,9 @@ def check_fixed(
 
     keep(start)
     for successors in (quotient_successors, exact_successors):
-        found, explored = _decide(start, successors, auto.is_accepting)
+        found, explored = _decide(
+            start, successors, auto.acceptance, auto.full
+        )
         if found is None:
             return FixedResult(True, None, explored)
         prefix, loop = found
@@ -776,7 +780,9 @@ def check_fixed(
     )
 
 
-def _decide(start, successors: Callable, is_accepting: Callable) -> tuple:
+def _decide(
+    start, successors: Callable, acceptance: Callable, full: int
+) -> tuple:
     """find_accepting_lasso from `start`, and the number of nodes its
     decision pass expanded: every reachable node when there is no lasso,
     those up to the first fair component when there is one (the
@@ -788,13 +794,13 @@ def _decide(start, successors: Callable, is_accepting: Callable) -> tuple:
         explored += 1
         return successors(node)
 
-    def accepting(node) -> bool:
+    def accepting(node) -> int:
         # only the decision pass asks, so the last ask marks its end
         nonlocal decided
         decided = explored
-        return is_accepting(node)
+        return acceptance(node)
 
-    found = find_accepting_lasso(start, counted, accepting)
+    found = find_accepting_lasso(start, counted, accepting, full)
     return found, explored if found is None else decided
 
 

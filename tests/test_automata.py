@@ -9,7 +9,7 @@ import tracemalloc
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_formula, random_trace
@@ -17,11 +17,10 @@ from cpltl.automata import (
     AutomatonError,
     BuchiAutomaton,
     PropLasso,
-    buchi_empty,
     cost_nba,
     find_accepting_lasso,
+    guard_holds,
     ltl_to_nba,
-    nba_accepts_lasso,
 )
 from cpltl.formula import (
     And,
@@ -33,6 +32,73 @@ from cpltl.formula import (
     relativize,
 )
 from cpltl.trace import CostTrace, Lasso, evaluate, letter
+
+
+def nba_accepts_lasso(auto: BuchiAutomaton, word: PropLasso) -> bool:
+    """Membership of an ultimately periodic word: an accepting cycle in the
+    product of the automaton with the word's slot graph."""
+
+    def successors(node):
+        slot, state = node
+        letter = word.letter_at_slot(slot)
+        nxt = word.succ_slot(slot)
+        return [
+            (nxt, dst)
+            for guard, dst in auto.transitions[state]
+            if guard_holds(guard, letter)
+        ]
+
+    def accepting(node) -> bool:
+        return node[1] in auto.accepting
+
+    found = find_accepting_lasso((0, auto.initial), successors, accepting, 1)
+    return found is not None
+
+
+def buchi_empty(auto: BuchiAutomaton):
+    """Emptiness check. Returns None when the language is empty, otherwise
+    an accepted lasso word (positive literals of the guards along a
+    reachable accepting cycle), re-verified before being returned."""
+
+    def successors(state):
+        return [dst for _, dst in auto.transitions[state]]
+
+    def accepting(state) -> bool:
+        return state in auto.accepting
+
+    found = find_accepting_lasso(auto.initial, successors, accepting, 1)
+    if found is None:
+        return None
+    prefix, loop = found
+    letters = []
+    for src, dst in Lasso(tuple(prefix), tuple(loop)).steps():
+        guard = next(g for g, tgt in auto.transitions[src] if tgt == dst)
+        letters.append(frozenset(name for name, positive in guard if positive))
+    word = PropLasso(
+        tuple(letters[: len(prefix)]), tuple(letters[len(prefix):])
+    )
+    assert nba_accepts_lasso(auto, word), "witness word rejected on re-check"
+    return word
+
+
+def accepts_trace(auto, trace: CostTrace) -> bool:
+    """Membership of a cost trace (from position 0) in a budget automaton."""
+    if trace.d != auto.d:
+        raise FormulaError(
+            f"trace has {trace.d} cost coordinates, automaton expects {auto.d}"
+        )
+
+    def successors(node):
+        slot = node[0]
+        step = trace.letter_at_slot(slot)
+        return auto.successors(
+            node, [(trace.succ_slot(slot), step.props, step.cost)]
+        )
+
+    found = find_accepting_lasso(
+        (0,) + auto.initial_state(), successors, auto.acceptance, auto.full
+    )
+    return found is not None
 
 
 def zero_cost_trace(word: PropLasso) -> CostTrace:
@@ -123,7 +189,9 @@ def test_unreachable_accepting_state_is_empty():
 
 def test_find_accepting_lasso():
     edges = {1: (2,), 2: (3,), 3: (2,)}
-    found = find_accepting_lasso(1, lambda n: edges.get(n, ()), lambda n: n == 3)
+    found = find_accepting_lasso(
+        1, lambda n: edges.get(n, ()), lambda n: n == 3, 1
+    )
     assert found is not None
     prefix, loop = found
     assert list(prefix) + list(loop) and loop
@@ -133,7 +201,10 @@ def test_find_accepting_lasso():
     for a, b in zip(walk, walk[1:]):
         assert b in edges[a]
     assert loop[0] in edges[loop[-1]]
-    assert find_accepting_lasso(1, lambda n: edges.get(n, ()), lambda n: n == 9) is None
+    assert (
+        find_accepting_lasso(1, lambda n: edges.get(n, ()), lambda n: n == 9, 1)
+        is None
+    )
 
 
 def test_find_accepting_lasso_stops_at_the_first_fair_component():
@@ -151,7 +222,7 @@ def test_find_accepting_lasso_stops_at_the_first_fair_component():
             raise AssertionError("explored past the frontier")
         return [("chain", node[1] + 1)]
 
-    found = find_accepting_lasso("init", successors, lambda n: n == "fair")
+    found = find_accepting_lasso("init", successors, lambda n: n == "fair", 1)
     assert found == (["init"], ["fair"])
     assert all(isinstance(node, str) for node in expanded)
 
@@ -179,23 +250,47 @@ def _shortest_cycle(edges, v):
     return min(lengths, default=None)
 
 
+def _fair_components(edges, masks, full) -> list:
+    """The components reachable from node 0 that are cyclic and whose
+    members' masks cover `full`, by plain reachability."""
+    reach = {v: _distances(edges, v).keys() for v in edges}
+    fair = []
+    for v in reach[0]:
+        if _shortest_cycle(edges, v) is None:
+            continue
+        cover = 0
+        for w in reach[v]:
+            if v in reach[w]:
+                cover |= masks[w]
+        if cover & full == full:
+            fair.append(v)
+    return fair
+
+
+# (node count, edges, acceptance mask per node, full mask)
 small_graphs = st.integers(1, 8).flatmap(
     lambda n: st.tuples(
         st.just(n),
         st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
-        st.sets(st.integers(0, n - 1)),
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        st.sampled_from((1, 3)),
     )
 )
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(small_graphs)
+# two members each hold one of the two sets, neither holds both
+@example((3, {(0, 1), (1, 2), (2, 1)}, [0, 1, 2], 3))
+# the loop leaves its shortest cycle 1 -> 2 to reach 3, the second set
+@example((4, {(0, 1), (1, 2), (2, 1), (2, 3), (3, 1)}, [0, 1, 0, 2], 3))
+# the cyclic component covers only the first of two sets
+@example((3, {(0, 1), (1, 2), (2, 1)}, [3, 1, 1], 3))
 def test_find_accepting_lasso_matches_brute_force(graph):
-    n, edge_set, accepting = graph
+    n, edge_set, masks, full = graph
     edges = {v: sorted(w for u, w in edge_set if u == v) for v in range(n)}
-    found = find_accepting_lasso(0, edges.__getitem__, accepting.__contains__)
-    reachable = _distances(edges, 0).keys()
-    if all(_shortest_cycle(edges, v) is None for v in accepting & reachable):
+    found = find_accepting_lasso(0, edges.__getitem__, masks.__getitem__, full)
+    if not _fair_components(edges, masks, full):
         assert found is None
         return
     assert found is not None
@@ -204,20 +299,25 @@ def test_find_accepting_lasso_matches_brute_force(graph):
     assert run.letter(0) == 0
     for v, w in run.steps():
         assert w in edges[v]
-    assert accepting & set(loop)
+    cover = 0
+    for v in loop:
+        cover |= masks[v]
+    assert cover & full == full
     head = loop[0]
+    assert masks[head] & 1
     assert len(prefix) == _distances(edges, 0)[head]
-    assert len(loop) == _shortest_cycle(edges, head)
+    if full == 1:
+        assert len(loop) == _shortest_cycle(edges, head)
 
 
 def test_cost_acceptor_basics():
     phi = parse("F[<=x] p")
     trace = CostTrace((), (letter(["q"], 3), letter(["p", "kappa1"], 0)), 1)
-    assert cost_nba(phi, {"x": 3}, 1).accepts_trace(trace)
-    assert not cost_nba(phi, {"x": 2}, 1).accepts_trace(trace)
+    assert accepts_trace(cost_nba(phi, {"x": 3}, 1), trace)
+    assert not accepts_trace(cost_nba(phi, {"x": 2}, 1), trace)
     g = parse("G[<=y] q")
-    assert cost_nba(g, {"y": 2}, 1).accepts_trace(trace)
-    assert not cost_nba(g, {"y": 3}, 1).accepts_trace(trace)
+    assert accepts_trace(cost_nba(g, {"y": 2}, 1), trace)
+    assert not accepts_trace(cost_nba(g, {"y": 3}, 1), trace)
 
 
 def test_cost_acceptor_matches_evaluator():
@@ -236,7 +336,7 @@ def test_cost_acceptor_matches_evaluator():
         for _ in range(3):
             trace = random_trace(rng, d=d, max_prefix=5, max_loop=6)
             want = evaluate(trace, 0, val, phi)
-            assert auto.accepts_trace(trace) is want, (phi, val, trace)
+            assert accepts_trace(auto, trace) is want, (phi, val, trace)
 
 
 def test_cost_acceptor_dimension_mismatch():

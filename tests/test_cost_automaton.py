@@ -162,14 +162,10 @@ def concrete(auto, sid: int, rems: tuple) -> frozenset:
     return frozenset(items)
 
 
-def reference_advance(auto, layer: int, ok: frozenset) -> int:
-    """The layer after `layer` on a move that did not delay `ok`: from a
-    completed layer start over at 0, then pass every undelayed obligation."""
-    k = len(auto.tracked)
-    j = 0 if layer == k else layer
-    while j < k and auto.tracked[j] in ok:
-        j += 1
-    return j
+def reference_mask(auto, ok: frozenset) -> int:
+    """The acceptance mask of a move that did not delay `ok`: bit j set
+    when the j-th tracked obligation is in `ok`."""
+    return sum(1 << j for j, f in enumerate(auto.tracked) if f in ok)
 
 
 def reference_order(auto, move) -> tuple:
@@ -268,22 +264,22 @@ def test_template_expansion_matches_reference(phi, d, valuation, rng):
             )
             for y, props, cost in edges
         }
-        # The layers after a move, from every layer, fix its ok set.
-        for layer in range(len(auto.tracked) + 1):
-            node = ("x", sid, rems, layer)
+        # A node's successors do not depend on the mask it was entered with.
+        for mask in (0, auto.full):
+            node = ("x", sid, rems, mask)
             succ = auto.successors(node, edges)
             got = [
-                (y, concrete(auto, nsid, nrems), nlayer)
-                for y, nsid, nrems, nlayer in succ
+                (y, concrete(auto, nsid, nrems), nmask)
+                for y, nsid, nrems, nmask in succ
             ]
             want = [
-                (y, nxt, reference_advance(auto, layer, ok))
+                (y, nxt, reference_mask(auto, ok))
                 for y, _, _ in edges
                 for nxt, ok in moves[y]
             ]
-            assert got == want, (phi, valuation, core, layer, edges)
+            assert got == want, (phi, valuation, core, mask, edges)
             one_by_one = [t for edge in edges for t in auto.successors(node, [edge])]
-            assert succ == one_by_one, (phi, valuation, core, layer, edges)
+            assert succ == one_by_one, (phi, valuation, core, mask, edges)
         frontier.extend((nsid, nrems) for _, nsid, nrems, _ in succ)
 
 
@@ -302,12 +298,12 @@ auto = cost_nba(negate(parse("F[<=x2@2] X G[<=y] q")), {"x2": 0, "y": 0}, 2)
 
 
 def show(node):
-    x, sid, rems, layer = node
+    x, sid, rems, ok = node
     shape = auto._shapes[sid]
     items = [("f", pretty_print(g)) for g in shape.plain]
     for f, rem in zip(shape.ops, rems):
         items.append(("G" if isinstance(f, GLe) else "F", pretty_print(f), rem))
-    return x, sorted(items), layer
+    return x, sorted(items), ok
 
 
 edges = [
