@@ -3,15 +3,15 @@
 Two automata live here, built on one tableau expansion (_expand) over the
 interned closure of a formula.  ltl_to_nba translates a variable-free
 formula in negation normal form into a nondeterministic Buchi automaton
-whose guards are conjunctions of literals.  cost_nba builds an acceptor for
-formulas with cost-bounded operators under a fixed valuation; its letters
-are pairs of a proposition set and a cost vector, and its states carry
-budget remainders, which stay outside the expansion.
+whose guards are conjunctions of literals.  CostBuchiAutomaton is an
+acceptor for formulas with cost-bounded operators under a fixed valuation;
+its letters are pairs of a proposition set and a cost vector, and its
+states carry budget remainders, which stay outside the expansion.  Its
+closure, shapes and move templates do not depend on the valuation and live
+in a CostTableau that the automata of many valuations share.
 
 find_accepting_lasso decides generalized Buchi emptiness of a graph
-spanned on the fly; the model checks run it over their products.  The slot
-layout of ultimately periodic words (PropLasso, cost traces) is
-trace.Lasso.
+spanned on the fly; the model checks run it over their products.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .formula import (
     validate_coords,
     var_profile,
 )
-from .trace import Lasso
 
 # A guard is a conjunction of literals: a frozenset of (name, polarity).
 Guard = frozenset
@@ -431,23 +430,6 @@ def _merge(states, initial, transitions, accepting, alphabet) -> BuchiAutomaton:
     )
 
 
-# --- lasso words over proposition sets -------------------------------------
-
-
-@dataclass(frozen=True)
-class PropLasso(Lasso[frozenset]):
-    """Ultimately periodic word of proposition sets: prefix then loop."""
-
-    error = AutomatonError
-
-    @classmethod
-    def of(cls, prefix: Iterable, loop: Iterable) -> "PropLasso":
-        return cls(
-            tuple(frozenset(p) for p in prefix),
-            tuple(frozenset(p) for p in loop),
-        )
-
-
 def find_accepting_lasso(
     initial,
     successors: Callable,
@@ -590,26 +572,29 @@ def _sccs(roots: Iterable, successors: Callable) -> Iterator:
 # --- cost automaton ---------------------------------------------------------
 
 
+
+
 class _Shape:
     """A core without its remainders: the plain obligations, by closure
     rank, and the budgeted operators holding a token, F[<=] before G[<=],
     each by rank.  `heads` and `tail` make the core's sort key, and the
     kinds in `heads` give `dominates` its order.  `seed` and `slots` hold
-    the closure indices of the plain obligations and of the operators."""
+    the closure indices of the plain obligations and of the operators,
+    and `coords` the cost coordinate each operator reads."""
 
-    __slots__ = ("plain", "ops", "coords", "fulls", "heads", "tail", "seed", "slots")
+    __slots__ = ("plain", "ops", "coords", "heads", "tail", "seed", "slots")
 
-    def __init__(self, plain: tuple, ops: tuple, auto: "CostBuchiAutomaton"):
-        self.plain = plain
-        self.ops = ops
-        self.coords = tuple(f.coord - 1 for f in ops)
-        self.fulls = tuple(auto._full(f) for f in ops)
+    def __init__(self, seed: tuple, slots: tuple, tableau: "CostTableau"):
+        nodes, ranks = tableau._nodes, tableau._ranks
+        self.plain = tuple(nodes[i] for i in seed)
+        self.ops = tuple(nodes[i] for i in slots)
+        self.coords = tuple(tableau._ops[i][1] for i in slots)
         self.heads = tuple(
-            ("G" if isinstance(f, GLe) else "F", auto._rank[f]) for f in ops
+            ("G" if tableau._ops[i][0] else "F", ranks[i]) for i in slots
         )
-        self.tail = [("f", auto._rank[f]) for f in plain]
-        self.seed = [auto._index[f] for f in plain]
-        self.slots = tuple(auto._index[f] for f in ops)
+        self.tail = [("f", ranks[i]) for i in seed]
+        self.seed = seed
+        self.slots = slots
 
 
 def _remainders(recipe: tuple, rems: tuple) -> tuple:
@@ -626,6 +611,159 @@ def _remainders(recipe: tuple, rems: tuple) -> tuple:
     return tuple(out)
 
 
+class CostTableau:
+    """The part of a budget automaton that no valuation changes: the
+    interned closure with its ranks and expansion rules, the tracked
+    obligations, the obligation shapes and the move templates.  It is
+    built once per formula and dimension, and the automata of every
+    valuation (CostBuchiAutomaton) share it.
+
+    Shapes are expanded by `_expand`, over the closure of n nodes in
+    `repr` order.  A budgeted operator at index i has two token
+    slots: its fresh token at i + n, with the full budget, and its carried
+    token at i + 2n, with the current core's remainder; the bare operator
+    forwards to its fresh token.  A core token at the full budget is
+    seeded as the fresh one, so the expansion meets the two once.  The
+    letter fixes each literal to true or false and, with the remainders'
+    comparisons, which tokens' costs fit their budgets.  A branch that
+    delays the Until or F[<=] node at index i sets bit i + 3n of its
+    next-set, from which `_settle` reads the move's `ok` mask.
+
+    A template holds the moves of every core of one shape under one
+    letter, as (next shape id, remainder recipe, ok) triples from one
+    `_expand`.  The expansion reads the valuation only through the
+    budgets' comparisons with the letter's costs.  For the core's tokens,
+    whether the cost fits the remainder and whether the remainder is the
+    full budget are the template's `flags`; which fresh tokens' costs fit
+    the full budget is its `fresh` mask.  With both in the key, a template
+    holds for every valuation that gives the same key.  The recipes
+    give each constant remainder as an offset below its operator's full
+    budget: the letter's cost for a fresh token, 0 for a bare operator.
+    Each valuation's automaton subtracts the offsets from its own budgets.
+    """
+
+    def __init__(self, phi: Formula, d: int):
+        validate_coords(phi, d)
+        self.phi, nodes = _interned(simplify_constants(phi))
+        self.d = d
+        self.tracked = tuple(f for f in nodes if isinstance(f, (Until, FLe)))
+        # Successors are ordered by closure rank: a repr key would walk
+        # every formula again on each expansion, recursing with its depth.
+        self.rank = {f: i for i, f in enumerate(subformulas(self.phi))}
+        self.full = (1 << len(self.tracked)) - 1
+        self._nodes = nodes
+        index = {f: i for i, f in enumerate(nodes)}
+        self._rules, self._literals = _rules(nodes, index)
+        # `_settle` works on closure indices: `ok` sets are bitmasks over
+        # the tracked obligations, by index, and each budgeted operator's
+        # index gives (is G, cost coordinate).
+        self._bit = {index[f]: 1 << j for j, f in enumerate(self.tracked)}
+        self._ranks = [self.rank[f] for f in nodes]
+        self._ops = {
+            i: (isinstance(f, GLe), f.coord - 1)
+            for i, f in enumerate(nodes)
+            if isinstance(f, (FLe, GLe))
+        }
+        # (fresh token's bit, operator) per budgeted operator
+        self.fresh = [
+            (1 << a, f)
+            for f, (kind, a, _) in zip(nodes, self._rules)
+            if kind == _FORWARD
+        ]
+        self._shape_ids: dict = {}
+        self.shapes: list = []
+        self._templates: dict = {}
+        self._letter_rules: dict = {}
+        # The start core's shape id: its tokens are all at their full budgets.
+        self.start = self._settle(1 << index[self.phi], (), ())[0]
+
+    def _settle(self, nxt: int, cost: tuple, slots: tuple) -> tuple:
+        """(shape id, remainder recipe, ok) of the next-set `nxt` of a core
+        whose tokens' operators sit at the closure indices `slots`.  A bare
+        F/G obligation becomes a full-budget token, a fresh token has the
+        full budget less the letter's cost, and a carried token the
+        remainder of the core's token less that cost.  Tokens of one
+        operator merge: F keeps the smallest remainder, G the largest.  The
+        recipe gives per token (is G, offset of its constant remainder
+        below the full budget or None, source core token or None, cost to
+        subtract from it); `ok` holds the tracked obligations whose delay
+        marker is not set."""
+        n = len(self._nodes)
+        ops_of = self._ops
+        ranks = self._ranks
+        plain = []
+        offsets: dict = {}
+        source: dict = {}
+        ok = self.full
+        for m in _members(nxt):
+            slot, i = divmod(m, n)
+            if slot == 3:
+                ok &= ~self._bit[i]
+            elif slot == 2:
+                source[i] = slots.index(i)
+            elif slot == 1:
+                offsets.setdefault(i, []).append(cost[ops_of[i][1]])
+            elif i in ops_of:
+                offsets.setdefault(i, []).append(0)
+            else:
+                plain.append(i)
+        ops = sorted(
+            offsets.keys() | source.keys(),
+            key=lambda i: (ops_of[i][0], ranks[i]),
+        )
+        recipe = []
+        for i in ops:
+            is_g, coord = ops_of[i]
+            offset = None
+            if i in offsets:
+                offset = min(offsets[i]) if is_g else max(offsets[i])
+            src = source.get(i)
+            recipe.append(
+                (is_g, offset, src, 0 if src is None else cost[coord])
+            )
+        plain.sort(key=ranks.__getitem__)
+        key = (tuple(plain), tuple(ops))
+        sid = self._shape_ids.get(key)
+        if sid is None:
+            sid = self._shape_ids[key] = len(self.shapes)
+            self.shapes.append(_Shape(key[0], key[1], self))
+        return sid, tuple(recipe), ok
+
+    def template(
+        self, sid: int, flags: tuple, fresh: int, props: frozenset, cost: tuple
+    ) -> tuple:
+        """The moves shared by every core of shape `sid` whose remainders
+        compare to the letter's costs as `flags` says, under a valuation
+        whose fresh tokens' costs fit as the mask `fresh` says.  A core
+        token whose remainder is the full budget is seeded as the
+        operator's fresh token, so the expansion meets it once."""
+        key = (sid, flags, fresh, props, cost)
+        moves = self._templates.get(key)
+        if moves is not None:
+            return moves
+        shape = self.shapes[sid]
+        n = len(self._nodes)
+        seed = list(shape.seed)
+        fits = fresh
+        for i, (fit, at_full) in zip(shape.slots, flags):
+            if at_full:
+                seed.append(i + n)
+            else:
+                seed.append(i + 2 * n)
+                if fit:
+                    fits |= 1 << (i + 2 * n)
+        rules = self._letter_rules.get(props)
+        if rules is None:
+            rules = self._letter_rules[props] = list(self._rules)
+            for (name, positive), i in self._literals.items():
+                rules[i] = (_TT if (name in props) == positive else _FF, -1, -1)
+        out: dict = {}
+        for _, nxt in _expand(seed, rules, fits, 3 * n):
+            out[self._settle(nxt, cost, shape.slots)] = None
+        moves = self._templates[key] = tuple(out)
+        return moves
+
+
 class CostBuchiAutomaton:
     """Acceptor for formulas with cost-bounded operators, fixed valuation.
 
@@ -639,16 +777,16 @@ class CostBuchiAutomaton:
     obligations it did not delay, and a run is accepting when each of
     them is undelayed infinitely often.
 
-    Shapes are expanded by the tableau's `_expand`, over the closure of
-    n nodes in `repr` order.  A budgeted operator at index i has two token
-    slots: its fresh token at i + n, with the full budget, and its carried
-    token at i + 2n, with the current core's remainder; the bare operator
-    forwards to its fresh token.  A core token at the full budget is
-    seeded as the fresh one, so the expansion meets the two once.  The
-    letter fixes each literal to true or false and, with the remainders'
-    comparisons, which tokens' costs fit their budgets.  A branch that
-    delays the Until or F[<=] node at index i sets bit i + 3n of its
-    next-set, from which `_settle` reads the move's `ok` mask.
+    The automaton is a thin layer over its formula's CostTableau, which
+    holds the closure, the shapes and the move templates, and which the
+    automata of other valuations may share.  A shared template stays
+    valid for this valuation because its key records every comparison
+    of a budget with a cost that its expansion read, the fresh tokens'
+    fits included (CostTableau says why).  What stays per valuation is
+    the budgets: which fresh tokens' costs fit them, each shape's full
+    budgets (`_fulls`), and the concrete templates (`_templates`).  Each
+    tableau template the automaton meets is turned into concrete recipes
+    once, with the offsets subtracted from its own budgets.
 
     A search runs on flat nodes (x, shape id, remainders, ok), a state
     prefixed with a position x of the run (a system state, a trace slot)
@@ -661,11 +799,9 @@ class CostBuchiAutomaton:
     `successors` expands a whole node in one call, along every out-edge
     of x at once.  A core's moves depend on a remainder only through
     `cost <= remainder` and `remainder == full budget`, so each obligation
-    shape is expanded once per letter and outcome of those comparisons,
-    into a template kept in `_templates`, the automaton's only cache
-    besides `_letter_rules`, the rule table of each letter's props.  A
-    node is expanded from its templates directly: the remainders are only
-    subtracted and compared.
+    shape is expanded once per letter and outcome of those comparisons.
+    A node is expanded from its concrete templates directly: the
+    remainders are only subtracted and compared.
 
     `dominates` orders the nodes of one (x, shape, ok) key: a dominates
     n when each F[<=] token's remainder in a is at least n's and each
@@ -693,130 +829,63 @@ class CostBuchiAutomaton:
     often lie in one cyclic component whose masks cover `full`.
     """
 
-    def __init__(self, phi: Formula, valuation: Mapping, d: int):
-        validate_coords(phi, d)
-        self.phi, nodes = _interned(simplify_constants(phi))
+    def __init__(self, tableau: CostTableau, valuation: Mapping):
         self.valuation = dict(valuation)
-        self.d = d
         for var, value in self.valuation.items():
             if value < 0:
                 raise FormulaError(f"negative budget for {var}: {value}")
-        self.tracked = tuple(f for f in nodes if isinstance(f, (Until, FLe)))
-        # Successors are ordered by closure rank: a repr key would walk
-        # every formula again on each expansion, recursing with its depth.
-        self._rank = {f: i for i, f in enumerate(subformulas(self.phi))}
-        # `ok` sets are bitmasks over the tracked obligations.
-        self._bit = {f: 1 << j for j, f in enumerate(self.tracked)}
-        self.full = (1 << len(self.tracked)) - 1
-        self._nodes = nodes
-        self._index = index = {f: i for i, f in enumerate(nodes)}
-        self._rules, self._literals = _rules(nodes, index)
+        self.tableau = tableau
+        self.d = tableau.d
+        self.tracked = tableau.tracked
+        self.full = tableau.full
+        self._rank = tableau.rank
+        self._shapes = tableau.shapes
         self._fresh = [
-            (1 << a, f.coord - 1, self._full(f))
-            for f, (kind, a, _) in zip(nodes, self._rules)
-            if kind == _FORWARD
+            (bit, f.coord - 1, self._full(f)) for bit, f in tableau.fresh
         ]
-        self._shape_ids: dict = {}
-        self._shapes: list = []
+        self._fulls: dict = {}
         self._templates: dict = {}
-        self._letter_rules: dict = {}
 
     def _full(self, f) -> int:
         return self.valuation.get(f.var, 0)
 
     def initial_state(self) -> tuple:
-        sid, recipe, _ = self._settle(1 << self._index[self.phi], (), ())
-        return (sid, _remainders(recipe, ()), 0)
+        sid = self.tableau.start
+        return (sid, self._fulls_of(sid), 0)
 
     @staticmethod
     def acceptance(node) -> int:
         """The acceptance mask of a search node: its `ok` field."""
         return node[3]
 
-    def _settle(self, nxt: int, cost: tuple, slots: tuple) -> tuple:
-        """(shape id, remainder recipe, ok) of the next-set `nxt` of a core
-        whose tokens' operators sit at the closure indices `slots`.  A bare
-        F/G obligation becomes a full-budget token, a fresh token has the
-        full budget less the letter's cost, and a carried token the
-        remainder of the core's token less that cost.  Tokens of one
-        operator merge: F keeps the smallest remainder, G the largest.  The
-        recipe gives per token (is G, constant remainder or None, source
-        core token or None, cost to subtract from it); `ok` holds the
-        tracked obligations whose delay marker is not set."""
-        nodes = self._nodes
-        n = len(nodes)
-        plain = []
-        consts: dict = {}
-        source: dict = {}
-        ok = self.full
-        for m in _members(nxt):
-            slot, i = divmod(m, n)
-            f = nodes[i]
-            if slot == 3:
-                ok &= ~self._bit[f]
-                continue
-            if slot == 2:
-                source[f] = slots.index(i)
-                continue
-            if slot == 1:
-                value = self._full(f) - cost[f.coord - 1]
-            elif isinstance(f, (FLe, GLe)):
-                value = self._full(f)
-            else:
-                plain.append(f)
-                continue
-            consts.setdefault(f, []).append(value)
-        ops = sorted(
-            consts.keys() | source.keys(),
-            key=lambda f: (isinstance(f, GLe), self._rank[f]),
-        )
-        recipe = []
-        for f in ops:
-            is_g = isinstance(f, GLe)
-            const = None
-            if f in consts:
-                const = max(consts[f]) if is_g else min(consts[f])
-            src = source.get(f)
-            recipe.append(
-                (is_g, const, src, 0 if src is None else cost[f.coord - 1])
-            )
-        key = (tuple(sorted(plain, key=self._rank.__getitem__)), tuple(ops))
-        sid = self._shape_ids.get(key)
-        if sid is None:
-            sid = self._shape_ids[key] = len(self._shapes)
-            self._shapes.append(_Shape(key[0], key[1], self))
-        return sid, tuple(recipe), ok
+    def _fulls_of(self, sid: int) -> tuple:
+        """The full budgets of shape `sid`'s operators."""
+        fulls = self._fulls.get(sid)
+        if fulls is None:
+            ops = self._shapes[sid].ops
+            fulls = self._fulls[sid] = tuple([self._full(f) for f in ops])
+        return fulls
 
-    def _template(
-        self, shape: _Shape, flags: tuple, props: frozenset, cost: tuple
-    ) -> tuple:
-        """The moves shared by every core of `shape` whose remainders
-        compare to the letter's costs as `flags` says, as (next shape id,
-        remainder recipe, ok) triples, from one `_expand` of the core under
-        the letter's literals.  A core token whose remainder is the full
-        budget is seeded as the operator's fresh token, so the expansion
-        meets it once."""
-        n = len(self._nodes)
-        seed = list(shape.seed)
-        fits = 0
+    def _template(self, sid: int, flags: tuple, props: frozenset, cost: tuple):
+        """The tableau's template of shape `sid` under the letter (props,
+        cost), for cores whose remainders compare as `flags` says, with
+        each constant remainder's offset subtracted from this valuation's
+        full budget of its operator."""
+        fresh = 0
         for bit, coord, full in self._fresh:
             if cost[coord] <= full:
-                fits |= bit
-        for i, (fit, at_full) in zip(shape.slots, flags):
-            if at_full:
-                seed.append(i + n)
-            else:
-                seed.append(i + 2 * n)
-                if fit:
-                    fits |= 1 << (i + 2 * n)
-        rules = self._letter_rules.get(props)
-        if rules is None:
-            rules = self._letter_rules[props] = list(self._rules)
-            for (name, positive), i in self._literals.items():
-                rules[i] = (_TT if (name in props) == positive else _FF, -1, -1)
-        out: dict = {}
-        for _, nxt in _expand(seed, rules, fits, 3 * n):
-            out[self._settle(nxt, cost, shape.slots)] = None
+                fresh |= bit
+        out = []
+        for nsid, recipe, ok in self.tableau.template(
+            sid, flags, fresh, props, cost
+        ):
+            if recipe:
+                fulls = self._fulls.get(nsid) or self._fulls_of(nsid)
+                recipe = tuple([
+                    (is_g, offset if offset is None else full - offset, src, c)
+                    for (is_g, offset, src, c), full in zip(recipe, fulls)
+                ])
+            out.append((nsid, recipe, ok))
         return tuple(out)
 
     def _order(self, node) -> tuple:
@@ -847,15 +916,16 @@ class CostBuchiAutomaton:
         remainders, the move's ok), in edge order and, per edge, in `_order`
         of the moves."""
         _, sid, rems, _ = node
-        shape = self._shapes[sid]
+        coords = self._shapes[sid].coords
+        fulls = self._fulls[sid] if rems else ()
         templates = self._templates
         # Nearly every expanded core has one budgeted operator (99.7% of
         # the expansions in the budget-heavy benchmark workload); building
         # its flags directly skips the generator.
         one = len(rems) == 1
         if one:
-            rem, coord = rems[0], shape.coords[0]
-            full = rem == shape.fulls[0]
+            rem, coord = rems[0], coords[0]
+            full = rem == fulls[0]
         out = []
         for y, props, cost in edges:
             if one:
@@ -863,12 +933,12 @@ class CostBuchiAutomaton:
             else:
                 flags = tuple(
                     (cost[k] <= rem, rem == full)
-                    for k, rem, full in zip(shape.coords, rems, shape.fulls)
+                    for k, rem, full in zip(coords, rems, fulls)
                 )
             key = (sid, flags, props, cost)
             template = templates.get(key)
             if template is None:
-                template = self._template(shape, flags, props, cost)
+                template = self._template(sid, flags, props, cost)
                 templates[key] = template
             # Only two or more moves can coincide or need ordering.
             if len(template) == 1:
@@ -881,8 +951,3 @@ class CostBuchiAutomaton:
             }
             out.extend(sorted(moves, key=self._order))
         return out
-
-
-def cost_nba(phi: Formula, valuation: Mapping, d: int) -> CostBuchiAutomaton:
-    """Budget automaton for phi under a fixed valuation over d coordinates."""
-    return CostBuchiAutomaton(phi, valuation, d)

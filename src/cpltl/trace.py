@@ -1,9 +1,8 @@
 """Lassos, cost-trace lassos, the reference semantics evaluator, and colorings.
 
 `Lasso` is the one layout of an ultimately periodic word in the package:
-cost traces here, proposition words (automata.PropLasso), system paths
-(system.LassoPath) and product witnesses (modelcheck) all map positions
-to slots through it.  `Changepoints.blocks` is the one cut of a color
+cost traces here, system paths (system.LassoPath) and product witnesses
+(modelcheck) all map positions to slots through it.  `Changepoints.blocks` is the one cut of a color
 sequence into completed blocks; the coloring checks below and the
 pumpable-witness code in modelcheck both use it.
 

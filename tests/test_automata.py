@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import deque
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,8 +17,6 @@ from conftest import random_formula, random_trace
 from cpltl.automata import (
     AutomatonError,
     BuchiAutomaton,
-    PropLasso,
-    cost_nba,
     find_accepting_lasso,
     guard_holds,
     ltl_to_nba,
@@ -31,7 +30,22 @@ from cpltl.formula import (
     parse,
     relativize,
 )
+from cpltl.modelcheck import cost_nba
 from cpltl.trace import CostTrace, Lasso, evaluate, letter
+
+
+@dataclass(frozen=True)
+class PropLasso(Lasso[frozenset]):
+    """Ultimately periodic word of proposition sets: prefix then loop."""
+
+    error = AutomatonError
+
+    @classmethod
+    def of(cls, prefix, loop) -> "PropLasso":
+        return cls(
+            tuple(frozenset(p) for p in prefix),
+            tuple(frozenset(p) for p in loop),
+        )
 
 
 def nba_accepts_lasso(auto: BuchiAutomaton, word: PropLasso) -> bool:

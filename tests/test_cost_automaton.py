@@ -13,7 +13,7 @@ import sys
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cpltl.automata import cost_nba
+from cpltl.modelcheck import cost_nba
 from cpltl.formula import (
     And,
     Atom,
@@ -289,7 +289,7 @@ def test_template_expansion_matches_reference(phi, d, valuation, rng):
 # formulas whose templates have several moves.
 SUCCESSOR_SCRIPT = """
 import itertools
-from cpltl.automata import cost_nba
+from cpltl.modelcheck import cost_nba
 from cpltl.formula import GLe, negate, parse, pretty_print
 from cpltl.modelcheck import check_fixed
 from cpltl.system import parse_system

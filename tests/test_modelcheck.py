@@ -296,6 +296,101 @@ def test_translation_cache_drops_its_oldest_entry(monkeypatch):
     assert modelcheck._pipeline_nba(targets[0]) is not first
 
 
+def test_tableau_and_translation_share_the_table_without_colliding(monkeypatch):
+    monkeypatch.setattr(modelcheck, "_NBA_CACHE", {})
+    phi = parse("F p")
+    nba = modelcheck._pipeline_nba(phi)
+    auto = modelcheck.cost_nba(phi, {}, 1)
+    assert list(modelcheck._NBA_CACHE) == [phi, (phi, 1)]
+    assert modelcheck._pipeline_nba(phi) is nba
+    assert modelcheck.cost_nba(phi, {"x": 4}, 1).tableau is auto.tableau
+    assert modelcheck.cost_nba(phi, {}, 2).tableau is not auto.tableau
+
+
+# Seeded cases whose tableaux serve many valuations: two budgeted operators
+# in one shape, two tokens of one operator, two coordinates.
+WARM_CASES = (
+    ("G (q -> F[<=x] p) & G[<=y] (p | X q)", 1),
+    ("G[<=y] F[<=x] p", 1),
+    ("F[<=x] F[<=x] p | G[<=y] G[<=y] q", 1),
+    ("F G[<=y] G[<=y] X !p", 1),
+    ("G (q -> F[<=x@2] p) & F[<=x2] (q | G[<=y@2] p)", 2),
+    ("F[<=x] p & F[<=x2@2] q & G[<=y@2] (p | q)", 2),
+)
+
+
+def test_warm_tableau_answers_like_a_cold_one(monkeypatch):
+    # A tableau keeps its shapes and templates for every later valuation,
+    # so an answer must not depend on which valuations ran before it.
+    def outcome(system, phi, valuation):
+        r = check_fixed(system, phi, valuation)
+        return r.holds, r.explored, r.counterexample
+
+    rng = random.Random(2030)
+    cases = []
+    for text, d in WARM_CASES:
+        for _ in range(2):
+            cases.append((random_system(rng, max_states=3, d=d), parse(text)))
+    for d in (1, 2):
+        for _ in range(4):
+            phi = random_formula(
+                rng, 3, d=d, f_vars=("x", "x2"), g_vars=("y",)
+            )
+            cases.append((random_system(rng, max_states=3, d=d), phi))
+    warm_hits = 0
+    for system, phi in cases:
+        names = sorted(var_profile(phi).variables)
+        valuations = [dict.fromkeys(names, b) for b in (0, 1, 3, 12)] + [
+            {v: rng.randint(0, 5) for v in names} for _ in range(3)
+        ]
+        cold = []
+        for valuation in valuations:
+            monkeypatch.setattr(modelcheck, "_NBA_CACHE", {})
+            cold.append(outcome(system, phi, valuation))
+        for order in (range(len(valuations)), reversed(range(len(valuations)))):
+            monkeypatch.setattr(modelcheck, "_NBA_CACHE", {})
+            for i in order:
+                assert outcome(system, phi, valuations[i]) == cold[i], (
+                    phi, valuations[i], system,
+                )
+            warm_hits += len(modelcheck._NBA_CACHE) == 1
+        if names:
+            with pytest.raises(FormulaError, match="negative budget"):
+                check_fixed(system, phi, {**valuations[-1], names[0]: -1})
+    # one tableau served each whole order
+    assert warm_hits == 2 * len(cases)
+
+
+def test_optimizer_and_forall_build_one_tableau_per_formula(monkeypatch, sys_a):
+    built = []
+    init = modelcheck.CostTableau.__init__
+
+    def counted(self, phi, d):
+        built.append(phi)
+        init(self, phi, d)
+
+    monkeypatch.setattr(modelcheck.CostTableau, "__init__", counted)
+    monkeypatch.setattr(modelcheck, "_NBA_CACHE", {})
+    best = optimize_mc(sys_a, parse(MC1), Objective.MIN_MIN)
+    assert (best.value, best.probes) == (3, 6)
+    assert built == [negate(parse(MC1))]
+
+    rungs = []
+
+    def rung(system, phi, valuation):
+        rungs.append(valuation)
+        return check_fixed(system, phi, valuation)
+
+    monkeypatch.setattr(modelcheck, "check_fixed", rung)
+    for text in ("G[<=y] q", "G[<=y] (p | q)", "G[<=y] q & G[<=y2] (p | q)"):
+        built.clear()
+        rungs.clear()
+        result = check_forall(sys_a, parse(text))
+        # forall_holds checks the formula with its bounds dropped, then
+        # each rung of a failing formula's ladder checks phi itself
+        assert len(built) == len(set(built)) <= 2, text
+        if not result.holds:
+            assert len(rungs) > 3, text
 def test_check_exists_positive(sys_a):
     result = check_exists(sys_a, parse(MC1))
     assert result.holds
