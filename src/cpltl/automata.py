@@ -6,9 +6,10 @@ formula in negation normal form into a nondeterministic Buchi automaton
 whose guards are conjunctions of literals.  CostBuchiAutomaton is an
 acceptor for formulas with cost-bounded operators under a fixed valuation;
 its letters are pairs of a proposition set and a cost vector, and its
-states carry budget remainders, which stay outside the expansion.  Its
-closure, shapes and move templates do not depend on the valuation and live
-in a CostTableau that the automata of many valuations share.
+states carry the cost each budget token has spent, which stays outside
+the expansion.  Its closure, shapes and move templates do not depend on
+the valuation or on the letters' costs and live in a CostTableau that the
+automata of every valuation share.
 
 find_accepting_lasso decides generalized Buchi emptiness of a graph
 spanned on the fly; the model checks run it over their products.
@@ -572,10 +573,8 @@ def _sccs(roots: Iterable, successors: Callable) -> Iterator:
 # --- cost automaton ---------------------------------------------------------
 
 
-
-
 class _Shape:
-    """A core without its remainders: the plain obligations, by closure
+    """A core without its spent costs: the plain obligations, by closure
     rank, and the budgeted operators holding a token, F[<=] before G[<=],
     each by rank.  `heads` and `tail` make the core's sort key, and the
     kinds in `heads` give `dominates` its order.  `seed` and `slots` hold
@@ -597,49 +596,48 @@ class _Shape:
         self.slots = slots
 
 
-def _remainders(recipe: tuple, rems: tuple) -> tuple:
-    """The next core's remainders from the current core's `rems`."""
+def _spent(recipe: tuple, spent: tuple, cost: tuple) -> tuple:
+    """The next core's spent costs from the current core's `spent` and
+    the letter's `cost`."""
     out = []
-    for is_g, const, src, cost in recipe:
-        if src is None:
-            out.append(const)
-            continue
-        rem = rems[src] - cost
-        if const is not None:
-            rem = max(rem, const) if is_g else min(rem, const)
-        out.append(rem)
+    for src, coord in recipe:
+        if coord is None:
+            out.append(0)
+        elif src is None:
+            out.append(cost[coord])
+        else:
+            out.append(spent[src] + cost[coord])
     return tuple(out)
 
 
 class CostTableau:
-    """The part of a budget automaton that no valuation changes: the
-    interned closure with its ranks and expansion rules, the tracked
-    obligations, the obligation shapes and the move templates.  It is
-    built once per formula and dimension, and the automata of every
-    valuation (CostBuchiAutomaton) share it.
+    """The budget automaton without its valuation: the interned closure
+    with its ranks and expansion rules, the tracked obligations, the
+    obligation shapes and the move templates.  It is built once per
+    formula and dimension, and the automata of every valuation
+    (CostBuchiAutomaton) share it.
 
     Shapes are expanded by `_expand`, over the closure of n nodes in
-    `repr` order.  A budgeted operator at index i has two token
-    slots: its fresh token at i + n, with the full budget, and its carried
-    token at i + 2n, with the current core's remainder; the bare operator
-    forwards to its fresh token.  A core token at the full budget is
-    seeded as the fresh one, so the expansion meets the two once.  The
-    letter fixes each literal to true or false and, with the remainders'
-    comparisons, which tokens' costs fit their budgets.  A branch that
-    delays the Until or F[<=] node at index i sets bit i + 3n of its
-    next-set, from which `_settle` reads the move's `ok` mask.
+    `repr` order.  A budgeted operator at index i has two token slots:
+    its fresh token at i + n, which has spent nothing, and its carried
+    token at i + 2n, which has spent what the current core's token has;
+    the bare operator forwards to its fresh token.  A core token that has
+    spent nothing is seeded as the fresh one, so the expansion meets the
+    two once.  The letter fixes each literal to true or false and, with
+    the budgets' comparisons, which tokens' costs fit their budgets.  A
+    branch that delays the Until or F[<=] node at index i sets bit i + 3n
+    of its next-set, from which `_settle` reads the move's `ok` mask.
 
     A template holds the moves of every core of one shape under one
-    letter, as (next shape id, remainder recipe, ok) triples from one
-    `_expand`.  The expansion reads the valuation only through the
-    budgets' comparisons with the letter's costs.  For the core's tokens,
-    whether the cost fits the remainder and whether the remainder is the
-    full budget are the template's `flags`; which fresh tokens' costs fit
-    the full budget is its `fresh` mask.  With both in the key, a template
-    holds for every valuation that gives the same key.  The recipes
-    give each constant remainder as an offset below its operator's full
-    budget: the letter's cost for a fresh token, 0 for a bare operator.
-    Each valuation's automaton subtracts the offsets from its own budgets.
+    letter, as (next shape id, spent recipe, ok) triples from one
+    `_expand`.  The expansion reads the budgets and the letter's costs
+    only through comparisons.  For the core's tokens, whether the spent
+    cost plus the letter's fits the budget and whether the token has
+    spent nothing are the template's `flags`; which fresh tokens' costs
+    fit their budgets is its `fresh` mask.  With both and the letter's
+    propositions in the key, a template holds for every valuation and
+    every cost vector that give the same key.  Its recipes hold no
+    number: the search adds the letter's cost in (`_spent`).
     """
 
     def __init__(self, phi: Formula, d: int):
@@ -674,70 +672,65 @@ class CostTableau:
         self.shapes: list = []
         self._templates: dict = {}
         self._letter_rules: dict = {}
-        # The start core's shape id: its tokens are all at their full budgets.
-        self.start = self._settle(1 << index[self.phi], (), ())[0]
+        # The start core's shape id: its tokens have spent nothing.
+        self.start = self._settle(1 << index[self.phi], ())[0]
 
-    def _settle(self, nxt: int, cost: tuple, slots: tuple) -> tuple:
-        """(shape id, remainder recipe, ok) of the next-set `nxt` of a core
-        whose tokens' operators sit at the closure indices `slots`.  A bare
-        F/G obligation becomes a full-budget token, a fresh token has the
-        full budget less the letter's cost, and a carried token the
-        remainder of the core's token less that cost.  Tokens of one
-        operator merge: F keeps the smallest remainder, G the largest.  The
-        recipe gives per token (is G, offset of its constant remainder
-        below the full budget or None, source core token or None, cost to
-        subtract from it); `ok` holds the tracked obligations whose delay
-        marker is not set."""
+    def _settle(self, nxt: int, slots: tuple) -> tuple:
+        """(shape id, spent recipe, ok) of the next-set `nxt` of a core
+        whose tokens' operators sit at the closure indices `slots`.  A
+        token of the next core is bare (from a bare F/G obligation, spent
+        0), fresh (spent the letter's cost on its operator's coordinate) or
+        carried (the core token's spent plus that cost).  Tokens of one
+        operator merge: F keeps the largest spent, G the smallest.  Spent
+        costs and letter costs are never negative, so bare <= fresh <=
+        carried under every letter, which is the order of their slots:
+        the merge keeps the last slot listed for F and the first for G.
+        The recipe gives per token (source core token or None, cost
+        coordinate or None): its spent is the source's (0 without one)
+        plus the letter's cost on the coordinate (0 without one).  `ok`
+        holds the tracked obligations whose delay marker is not set."""
         n = len(self._nodes)
         ops_of = self._ops
         ranks = self._ranks
         plain = []
-        offsets: dict = {}
-        source: dict = {}
+        slot_of: dict = {}
         ok = self.full
+        # ascending, so the slots of one operator come in their order
         for m in _members(nxt):
             slot, i = divmod(m, n)
             if slot == 3:
                 ok &= ~self._bit[i]
-            elif slot == 2:
-                source[i] = slots.index(i)
-            elif slot == 1:
-                offsets.setdefault(i, []).append(cost[ops_of[i][1]])
-            elif i in ops_of:
-                offsets.setdefault(i, []).append(0)
+            elif slot or i in ops_of:
+                if i not in slot_of or not ops_of[i][0]:
+                    slot_of[i] = slot
             else:
                 plain.append(i)
-        ops = sorted(
-            offsets.keys() | source.keys(),
-            key=lambda i: (ops_of[i][0], ranks[i]),
-        )
-        recipe = []
-        for i in ops:
-            is_g, coord = ops_of[i]
-            offset = None
-            if i in offsets:
-                offset = min(offsets[i]) if is_g else max(offsets[i])
-            src = source.get(i)
-            recipe.append(
-                (is_g, offset, src, 0 if src is None else cost[coord])
+        ops = sorted(slot_of, key=lambda i: (ops_of[i][0], ranks[i]))
+        recipe = tuple(
+            (
+                slots.index(i) if slot_of[i] == 2 else None,
+                ops_of[i][1] if slot_of[i] else None,
             )
+            for i in ops
+        )
         plain.sort(key=ranks.__getitem__)
         key = (tuple(plain), tuple(ops))
         sid = self._shape_ids.get(key)
         if sid is None:
             sid = self._shape_ids[key] = len(self.shapes)
             self.shapes.append(_Shape(key[0], key[1], self))
-        return sid, tuple(recipe), ok
+        return sid, recipe, ok
 
     def template(
-        self, sid: int, flags: tuple, fresh: int, props: frozenset, cost: tuple
+        self, sid: int, flags: tuple, fresh: int, props: frozenset
     ) -> tuple:
-        """The moves shared by every core of shape `sid` whose remainders
-        compare to the letter's costs as `flags` says, under a valuation
-        whose fresh tokens' costs fit as the mask `fresh` says.  A core
-        token whose remainder is the full budget is seeded as the
-        operator's fresh token, so the expansion meets it once."""
-        key = (sid, flags, fresh, props, cost)
+        """The moves shared by every core of shape `sid` whose tokens
+        compare to the letter's costs as `flags` says, (fits, has spent
+        nothing) per token, under a valuation whose fresh tokens' costs
+        fit as the mask `fresh` says.  A core token that has spent nothing
+        is seeded as the operator's fresh token, so the expansion meets it
+        once."""
+        key = (sid, flags, fresh, props)
         moves = self._templates.get(key)
         if moves is not None:
             return moves
@@ -745,8 +738,8 @@ class CostTableau:
         n = len(self._nodes)
         seed = list(shape.seed)
         fits = fresh
-        for i, (fit, at_full) in zip(shape.slots, flags):
-            if at_full:
+        for i, (fit, unspent) in zip(shape.slots, flags):
+            if unspent:
                 seed.append(i + n)
             else:
                 seed.append(i + 2 * n)
@@ -759,7 +752,7 @@ class CostTableau:
                 rules[i] = (_TT if (name in props) == positive else _FF, -1, -1)
         out: dict = {}
         for _, nxt in _expand(seed, rules, fits, 3 * n):
-            out[self._settle(nxt, cost, shape.slots)] = None
+            out[self._settle(nxt, shape.slots)] = None
         moves = self._templates[key] = tuple(out)
         return moves
 
@@ -768,59 +761,57 @@ class CostBuchiAutomaton:
     """Acceptor for formulas with cost-bounded operators, fixed valuation.
 
     Letters are (props, cost vector) pairs as found on cost traces.  States
-    are cores, (shape id, remainders) pairs: the set of obligations holding
-    at the current position.  The shape holds the obligations without
-    their budgets, and the remainders give each budgeted F[<=]/G[<=]
-    operator of the shape its remaining budget.  Acceptance is generalized
-    Buchi on the moves, one set per tracked least-fixpoint obligation
-    (Until and F[<=] nodes): a move's `ok` mask holds the tracked
-    obligations it did not delay, and a run is accepting when each of
-    them is undelayed infinitely often.
+    are cores, (shape id, spent) pairs: the set of obligations holding at
+    the current position.  The shape holds the obligations without their
+    budgets, and `spent` gives each budgeted F[<=]/G[<=] operator of the
+    shape the cost its token has spent; the valuation's budget less that
+    is what the token has left.  Acceptance is generalized Buchi on the
+    moves, one set per tracked least-fixpoint obligation (Until and F[<=]
+    nodes): a move's `ok` mask holds the tracked obligations it did not
+    delay, and a run is accepting when each of them is undelayed
+    infinitely often.
 
     The automaton is a thin layer over its formula's CostTableau, which
-    holds the closure, the shapes and the move templates, and which the
-    automata of other valuations may share.  A shared template stays
-    valid for this valuation because its key records every comparison
-    of a budget with a cost that its expansion read, the fresh tokens'
-    fits included (CostTableau says why).  What stays per valuation is
-    the budgets: which fresh tokens' costs fit them, each shape's full
-    budgets (`_fulls`), and the concrete templates (`_templates`).  Each
-    tableau template the automaton meets is turned into concrete recipes
-    once, with the offsets subtracted from its own budgets.
+    holds the closure, the shapes and the move templates and which the
+    automata of every valuation share: nothing in it depends on the
+    valuation (CostTableau says why).  What stays per valuation is the
+    budgets, and with them the fresh-fit test: which fresh tokens' costs
+    fit their budgets under a letter.
 
-    A search runs on flat nodes (x, shape id, remainders, ok), a state
-    prefixed with a position x of the run (a system state, a trace slot)
-    and followed by the `ok` mask of the move that entered it (0 at the
-    start node), which is the node's acceptance mask (`acceptance`).  The
-    moves of a cyclic component of the search graph are exactly the moves
-    into its members, so the component holds a fair cycle exactly when its
+    A search runs on flat nodes (x, shape id, spent, ok), a state prefixed
+    with a position x of the run (a system state, a trace slot) and
+    followed by the `ok` mask of the move that entered it (0 at the start
+    node), which is the node's acceptance mask (`acceptance`).  The moves
+    of a cyclic component of the search graph are exactly the moves into
+    its members, so the component holds a fair cycle exactly when its
     members' masks cover `full` (find_accepting_lasso).
 
     `successors` expands a whole node in one call, along every out-edge
-    of x at once.  A core's moves depend on a remainder only through
-    `cost <= remainder` and `remainder == full budget`, so each obligation
-    shape is expanded once per letter and outcome of those comparisons.
-    A node is expanded from its concrete templates directly: the
-    remainders are only subtracted and compared.
+    of x at once.  A core's moves depend on a token's spent cost only
+    through `spent + cost <= budget` and `spent == 0`, so each obligation
+    shape is expanded once per letter's propositions and outcome of those
+    comparisons.  A node is expanded from the tableau's templates
+    directly: the letter's cost is only added and compared.
 
     `dominates` orders the nodes of one (x, shape, ok) key: a dominates
-    n when each F[<=] token's remainder in a is at least n's and each
-    G[<=] token's at most n's.  A dominating node accepts every run that n
+    n when each F[<=] token in a has spent at most what n's has and each
+    G[<=] token at least.  A dominating node accepts every run that n
     accepts, so a search may stand a node in for the nodes it dominates.
     Why.  Say a covers n when they share x, and each obligation of a's
     core is one of n's: the same plain obligation, an F[<=] token of the
-    same operator with a remainder at least n's, or a G[<=] token with a
-    remainder at most n's.  a has no more obligations than n to meet.
-    Then a can mirror each move of n along the same edge: it makes the
-    same choices for the obligations it shares with n.  An F token n may
-    delay (cost <= remainder) a may delay too, and a G token only expires
-    sooner in a.  `_settle` merges tokens of one operator by min (F) and
-    max (G), and a core token at the full budget merges with the
-    operator's fresh token; both are monotone, so the next core of a
-    covers n's.  a meets a subset of n's pending items, so it delays a
-    subset of n's tracked obligations and its `ok` mask contains n's.
-    Domination within a key is a special case of covering, and covering
-    is transitive.  So take an accepting run n0 n1 ... and a graph whose
+    same operator that has spent at most n's, or a G[<=] token that has
+    spent at least n's.  a has no more obligations than n to meet.  Then
+    a can mirror each move of n along the same edge: it makes the same
+    choices for the obligations it shares with n.  An F token n may delay
+    (spent + cost <= budget) a may delay too, and a G token only expires
+    sooner in a.  Both add the letter's cost to what they spent, and
+    `_settle` merges tokens of one operator by the largest spent (F) and
+    the smallest (G), a token that has spent nothing with the operator's
+    fresh token; all three are monotone, so the next core of a covers
+    n's.  a meets a subset of n's pending items, so it delays a subset of
+    n's tracked obligations and its `ok` mask contains n's.  Domination
+    within a key is a special case of covering, and covering is
+    transitive.  So take an accepting run n0 n1 ... and a graph whose
     successors of a node replace each successor by a dominating node of
     its key, which has the same mask: from q0 = n0 it has a path q0 q1 ...
     with each q_i covering n_i and each q_i's mask containing n_i's.
@@ -840,113 +831,98 @@ class CostBuchiAutomaton:
         self.full = tableau.full
         self._rank = tableau.rank
         self._shapes = tableau.shapes
+        # budget per budgeted operator, by closure index
+        self._budgets = [
+            self._full(f) if i in tableau._ops else 0
+            for i, f in enumerate(tableau._nodes)
+        ]
         self._fresh = [
             (bit, f.coord - 1, self._full(f)) for bit, f in tableau.fresh
         ]
-        self._fulls: dict = {}
-        self._templates: dict = {}
 
     def _full(self, f) -> int:
         return self.valuation.get(f.var, 0)
 
     def initial_state(self) -> tuple:
         sid = self.tableau.start
-        return (sid, self._fulls_of(sid), 0)
+        return (sid, (0,) * len(self._shapes[sid].slots), 0)
 
     @staticmethod
     def acceptance(node) -> int:
         """The acceptance mask of a search node: its `ok` field."""
         return node[3]
 
-    def _fulls_of(self, sid: int) -> tuple:
-        """The full budgets of shape `sid`'s operators."""
-        fulls = self._fulls.get(sid)
-        if fulls is None:
-            ops = self._shapes[sid].ops
-            fulls = self._fulls[sid] = tuple([self._full(f) for f in ops])
-        return fulls
-
-    def _template(self, sid: int, flags: tuple, props: frozenset, cost: tuple):
-        """The tableau's template of shape `sid` under the letter (props,
-        cost), for cores whose remainders compare as `flags` says, with
-        each constant remainder's offset subtracted from this valuation's
-        full budget of its operator."""
-        fresh = 0
-        for bit, coord, full in self._fresh:
-            if cost[coord] <= full:
-                fresh |= bit
-        out = []
-        for nsid, recipe, ok in self.tableau.template(
-            sid, flags, fresh, props, cost
-        ):
-            if recipe:
-                fulls = self._fulls.get(nsid) or self._fulls_of(nsid)
-                recipe = tuple([
-                    (is_g, offset if offset is None else full - offset, src, c)
-                    for (is_g, offset, src, c), full in zip(recipe, fulls)
-                ])
-            out.append((nsid, recipe, ok))
-        return tuple(out)
+    def _fresh_fits(self, cost: tuple) -> int:
+        """The mask of fresh tokens whose cost under `cost` fits their
+        budgets."""
+        mask = 0
+        for bit, coord, budget in self._fresh:
+            if cost[coord] <= budget:
+                mask |= bit
+        return mask
 
     def _order(self, node) -> tuple:
         """Sort key of the successors along one edge: the core's
-        obligations as (kind, closure rank[, remainder]) tuples in sorted
+        obligations as (kind, closure rank[, minus spent]) tuples in sorted
         order, then the indices of the move's tracked obligations that were
         not delayed."""
-        _, sid, rems, ok = node
+        _, sid, spent, ok = node
         shape = self._shapes[sid]
-        core = [head + (rem,) for head, rem in zip(shape.heads, rems)]
+        core = [head + (-s,) for head, s in zip(shape.heads, spent)]
         return (
             core + shape.tail,
             [j for j in range(len(self.tracked)) if ok >> j & 1],
         )
 
     def dominates(self, sid: int, big: tuple, small: tuple) -> bool:
-        """Do the remainders `big` dominate `small` on shape `sid`: each
-        F[<=] token's at least small's, each G[<=] token's at most?"""
+        """Do the spent costs `big` dominate `small` on shape `sid`: each
+        F[<=] token's at most small's, each G[<=] token's at least?"""
         for (kind, _), b, s in zip(self._shapes[sid].heads, big, small):
-            if b < s if kind == "F" else b > s:
+            if b > s if kind == "F" else b < s:
                 return False
         return True
 
     def successors(self, node, edges) -> list:
-        """The successors of the search node (x, shape id, remainders, ok)
-        along x's out-edges `edges`, (y, props, cost) triples where props
-        labels x and cost is the edge's: flat nodes (y, next shape id, next
-        remainders, the move's ok), in edge order and, per edge, in `_order`
-        of the moves."""
-        _, sid, rems, _ = node
-        coords = self._shapes[sid].coords
-        fulls = self._fulls[sid] if rems else ()
-        templates = self._templates
+        """The successors of the search node (x, shape id, spent, ok) along
+        x's out-edges `edges`, (y, props, cost) triples where props labels
+        x and cost is the edge's: flat nodes (y, next shape id, next spent,
+        the move's ok), in edge order and, per edge, in `_order` of the
+        moves."""
+        _, sid, spent, _ = node
+        shape = self._shapes[sid]
+        coords = shape.coords
+        budgets = self._budgets
+        templates = self.tableau._templates
         # Nearly every expanded core has one budgeted operator (99.7% of
         # the expansions in the budget-heavy benchmark workload); building
         # its flags directly skips the generator.
-        one = len(rems) == 1
+        one = len(spent) == 1
         if one:
-            rem, coord = rems[0], coords[0]
-            full = rem == fulls[0]
+            used, coord = spent[0], coords[0]
+            budget = budgets[shape.slots[0]]
+            unspent = used == 0
+        else:
+            limits = [budgets[i] for i in shape.slots]
         out = []
         for y, props, cost in edges:
             if one:
-                flags = ((cost[coord] <= rem, full),)
+                flags = ((used + cost[coord] <= budget, unspent),)
             else:
                 flags = tuple(
-                    (cost[k] <= rem, rem == full)
-                    for k, rem, full in zip(coords, rems, fulls)
+                    (s + cost[k] <= b, s == 0)
+                    for k, s, b in zip(coords, spent, limits)
                 )
-            key = (sid, flags, props, cost)
-            template = templates.get(key)
+            fresh = self._fresh_fits(cost)
+            template = templates.get((sid, flags, fresh, props))
             if template is None:
-                template = self._template(sid, flags, props, cost)
-                templates[key] = template
+                template = self.tableau.template(sid, flags, fresh, props)
             # Only two or more moves can coincide or need ordering.
             if len(template) == 1:
                 ((nsid, recipe, ok),) = template
-                out.append((y, nsid, _remainders(recipe, rems), ok))
+                out.append((y, nsid, _spent(recipe, spent, cost), ok))
                 continue
             moves = {
-                (y, nsid, _remainders(recipe, rems), ok): None
+                (y, nsid, _spent(recipe, spent, cost), ok): None
                 for nsid, recipe, ok in template
             }
             out.extend(sorted(moves, key=self._order))

@@ -343,7 +343,8 @@ def main(argv=None) -> int:
         return args.run(args)
     except Exception as exc:
         # Exit code 1 means "property fails"; no error may be mistaken for it.
-        print(f"error: {exc}", file=sys.stderr)
+        # Some errors, MemoryError among them, carry no message.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

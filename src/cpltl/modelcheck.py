@@ -594,8 +594,10 @@ def bound_value(n_states: int, n_auto: int, d: int, max_cost: int) -> int:
 
 # Automata are kept across queries in one table: the Buchi automata of
 # _pipeline_nba, keyed by their target formula, and the budget automata's
-# tableaux (cost_nba), keyed by (formula, dimension) pairs, which no formula
-# equals.  The optimizer's probes and check_forall's ladder ask for one
+# tableaux, keyed by (formula, dimension) for cost_nba and by (formula,
+# dimension, "negated") for check_fixed, whose tableau is that of the
+# negated formula, so a probe need not negate it again.  No key of one
+# kind equals a key of another.  The optimizer's probes and check_forall's ladder ask for one
 # tableau at each valuation: a pass of the budget-heavy benchmark workload
 # builds 86 budget automata on 28 tableaux.  The test suite asks for the
 # same few targets again and again: without this table it runs about five
@@ -719,29 +721,34 @@ def check_fixed(
     negated formula.  A failing verdict comes with a lasso counterexample,
     re-checked against the trace semantics before being returned.  The
     budget automaton rejects coordinates beyond the system's dimension and
-    negative budgets; its valuation-free tableau comes from the table that
-    cost_nba shares with the translations, so checks of one formula at
-    other valuations reuse its shapes and templates.  The search's nodes
-    are flat (system state, shape id, remainders, ok) tuples, each
-    expanded along all of its system state's out-edges in one budget
-    automaton call; a node's `ok` mask, the tracked obligations its
-    entering move did not delay, is its acceptance mask.
+    negative budgets; its tableau holds nothing of the valuation and comes
+    from the table that cost_nba shares with the translations, keyed by
+    phi itself, so checks of one formula at other valuations neither
+    negate it again nor expand its templates again.  The search's nodes
+    are flat (system state, shape id, spent, ok) tuples, each expanded
+    along all of its system state's out-edges in one budget automaton
+    call; a node's `ok` mask, the tracked obligations its entering move
+    did not delay, is its acceptance mask.
 
     The search runs first on a quotient that does not grow with the
     budget: each successor is replaced by an already kept node of its
-    (system state, shape, ok) key that dominates it
+    (system state, shape, ok) key that dominates it, having spent no more
+    on each F[<=] token and no less on each G[<=] token
     (`CostBuchiAutomaton.dominates`), and is kept itself when none does.
     Per key the kept nodes form an antichain, a single node for the
     shapes with one budgeted operator.  A node's quotient successors are
     computed once, so the lasso search sees the graph the decision pass
-    saw.  No fair component in the quotient means the formula holds: an
-    accepting run of the negation would map to an accepting path of the
+    saw.  No fair component in the quotient means the formula holds: a
+    dominating node mirrors every move of the node it stands in for, so
+    an accepting run of the negation maps to an accepting path of the
     finite quotient (the argument is in `CostBuchiAutomaton`'s
     docstring).  A fair component gives a system lasso, which `evaluate`
     judges: violating phi, it is the counterexample; satisfying phi, the
     quotient's cycle was spurious and the exact search decides.
     """
-    auto = cost_nba(negate(phi), valuation, system.d)
+    d = system.d
+    tableau = _cached((phi, d, "negated"), lambda: CostTableau(negate(phi), d))
+    auto = CostBuchiAutomaton(tableau, valuation)
     expand = auto.successors
     dominates = auto.dominates
     labels = system.labels
@@ -754,8 +761,8 @@ def check_fixed(
     quotient: dict = {}
 
     def keep(node):
-        rems = node[2]
-        if not rems:
+        spent = node[2]
+        if not spent:
             return node
         key = (node[0], node[1], node[3])
         front = kept.get(key)
@@ -764,9 +771,9 @@ def check_fixed(
             return node
         sid = node[1]
         for other in front:
-            if dominates(sid, other[2], rems):
+            if dominates(sid, other[2], spent):
                 return other
-        front[:] = [a for a in front if not dominates(sid, rems, a[2])]
+        front[:] = [a for a in front if not dominates(sid, spent, a[2])]
         front.append(node)
         return node
 

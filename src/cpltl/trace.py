@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, Generic, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .formula import (
-    COLOR_PREFIX,
     And,
     Atom,
     FLe,
@@ -370,41 +369,6 @@ def check_spaced(trace: CostTrace, k: int, coord: int = 1) -> bool:
     """Every completed block costs at least k; the tail is exempt."""
     blocks, _ = changepoints(trace, coord).blocks()
     return all(_block_cost(trace, block, coord) >= k for block in blocks)
-
-
-def strip_colors(trace: CostTrace) -> CostTrace:
-    """Remove all coloring propositions, keeping letters and costs."""
-    def bare(lt: CostLetter) -> CostLetter:
-        return CostLetter(
-            frozenset(p for p in lt.props if not p.startswith(COLOR_PREFIX)),
-            lt.cost,
-        )
-
-    return CostTrace(
-        tuple(bare(lt) for lt in trace.prefix),
-        tuple(bare(lt) for lt in trace.loop),
-        trace.d,
-    )
-
-
-def is_coloring_of(colored: CostTrace, base: CostTrace) -> bool:
-    """Does `colored` equal `base` once coloring propositions are removed?
-
-    The two lassos may carve up the same infinite word differently, so
-    compare position-wise across a full joint period.
-    """
-    if colored.d != base.d:
-        return False
-    horizon = (
-        max(len(colored.prefix), len(base.prefix))
-        + 2 * math.lcm(len(colored.loop), len(base.loop))
-    )
-    stripped = strip_colors(colored)
-    for n in range(horizon):
-        a, b = stripped.letter(n), base.letter(n)
-        if a.props != b.props or a.cost != b.cost:
-            return False
-    return True
 
 
 def make_spaced_coloring(trace: CostTrace, k: int) -> CostTrace:

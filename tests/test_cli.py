@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import SYS_A_TEXT, SYS_STREETT_TEXT, T1_TEXT
+from cpltl import cli
 from cpltl.cli import main
 
 MC1 = "G (q -> F[<=x] p)"
@@ -133,6 +134,17 @@ def test_check_forall_rejects_f_parameters(capsys, sys_file):
     code, _, captured = run(capsys, "check", sys_file, MC1, "--forall")
     assert code == 2
     assert "error:" in captured.err
+
+
+def test_error_without_message_names_its_type(capsys, sys_file, monkeypatch):
+    # Running out of memory raises a MemoryError with an empty message.
+    def exhausted(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_cmd_check", exhausted)
+    code, _, captured = run(capsys, "check", sys_file, MC1)
+    assert code == 2
+    assert captured.err == "error: MemoryError\n"
 
 
 def test_optimize_min_min(capsys, sys_file):

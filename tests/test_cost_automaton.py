@@ -13,6 +13,7 @@ import sys
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cpltl.automata import CostBuchiAutomaton, CostTableau
 from cpltl.modelcheck import cost_nba
 from cpltl.formula import (
     And,
@@ -153,12 +154,13 @@ def reference_expand(auto, core: frozenset, props: frozenset, cost: tuple) -> se
     return out
 
 
-def concrete(auto, sid: int, rems: tuple) -> frozenset:
-    """The items of the core (shape id, remainders)."""
+def concrete(auto, sid: int, spent: tuple) -> frozenset:
+    """The items of the core (shape id, spent), each token with what it
+    has left of its budget."""
     shape = auto._shapes[sid]
     items = {("f", g) for g in shape.plain}
-    for f, rem in zip(shape.ops, rems):
-        items.add(("G" if isinstance(f, GLe) else "F", f, rem))
+    for f, used in zip(shape.ops, spent):
+        items.add(("G" if isinstance(f, GLe) else "F", f, auto._full(f) - used))
     return frozenset(items)
 
 
@@ -247,8 +249,8 @@ def test_template_expansion_matches_reference(phi, d, valuation, rng):
     auto = cost_nba(phi, valuation, d)
     frontier = [auto.initial_state()[:2]]
     for _ in range(12):
-        sid, rems = rng.choice(frontier)
-        core = concrete(auto, sid, rems)
+        sid, spent = rng.choice(frontier)
+        core = concrete(auto, sid, spent)
         edges = [
             (
                 y,
@@ -266,11 +268,11 @@ def test_template_expansion_matches_reference(phi, d, valuation, rng):
         }
         # A node's successors do not depend on the mask it was entered with.
         for mask in (0, auto.full):
-            node = ("x", sid, rems, mask)
+            node = ("x", sid, spent, mask)
             succ = auto.successors(node, edges)
             got = [
-                (y, concrete(auto, nsid, nrems), nmask)
-                for y, nsid, nrems, nmask in succ
+                (y, concrete(auto, nsid, nspent), nmask)
+                for y, nsid, nspent, nmask in succ
             ]
             want = [
                 (y, nxt, reference_mask(auto, ok))
@@ -280,7 +282,7 @@ def test_template_expansion_matches_reference(phi, d, valuation, rng):
             assert got == want, (phi, valuation, core, mask, edges)
             one_by_one = [t for edge in edges for t in auto.successors(node, [edge])]
             assert succ == one_by_one, (phi, valuation, core, mask, edges)
-        frontier.extend((nsid, nrems) for _, nsid, nrems, _ in succ)
+        frontier.extend((nsid, nspent) for _, nsid, nspent, _ in succ)
 
 
 # One expansion of this automaton yields the same next core with two
@@ -298,10 +300,11 @@ auto = cost_nba(negate(parse("F[<=x2@2] X G[<=y] q")), {"x2": 0, "y": 0}, 2)
 
 
 def show(node):
-    x, sid, rems, ok = node
+    x, sid, spent, ok = node
     shape = auto._shapes[sid]
     items = [("f", pretty_print(g)) for g in shape.plain]
-    for f, rem in zip(shape.ops, rems):
+    for f, used in zip(shape.ops, spent):
+        rem = auto._full(f) - used
         items.append(("G" if isinstance(f, GLe) else "F", pretty_print(f), rem))
     return x, sorted(items), ok
 
@@ -360,3 +363,14 @@ def test_successor_order_is_independent_of_hash_seed():
         outputs.add(proc.stdout)
     assert len(outputs) == 1
     assert outputs.pop().count("\n") > 10
+
+
+def test_letters_that_differ_only_in_cost_share_a_template():
+    # The letter's cost enters a template's key only through the budget
+    # comparisons, so both edges below expand the start shape once.
+    auto = CostBuchiAutomaton(CostTableau(parse("F[<=x] p"), 1), {"x": 10})
+    node = ("x",) + auto.initial_state()
+    edges = [(0, frozenset(), (1,)), (1, frozenset(), (2,))]
+    succ = auto.successors(node, edges)
+    assert len(auto.tableau._templates) == 1
+    assert [(y, spent) for y, _, spent, _ in succ] == [(0, (1,)), (1, (2,))]

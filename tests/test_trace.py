@@ -1,12 +1,13 @@
 """Cost traces: representation, evaluation, colorings."""
 
+import math
 import random
 import time
 
 import pytest
 
 from conftest import T1_TEXT, random_trace
-from cpltl.formula import parse
+from cpltl.formula import COLOR_PREFIX, parse
 from cpltl.trace import (
     CostLetter,
     CostTrace,
@@ -16,14 +17,47 @@ from cpltl.trace import (
     check_spaced,
     evaluate,
     format_trace,
-    is_coloring_of,
     kappa_violations,
     letter,
     make_spaced_coloring,
     parse_trace,
-    strip_colors,
 )
 from cpltl.trace import Lasso, changepoints_of
+
+
+def strip_colors(trace: CostTrace) -> CostTrace:
+    """Remove all coloring propositions, keeping letters and costs."""
+    def bare(lt: CostLetter) -> CostLetter:
+        return CostLetter(
+            frozenset(p for p in lt.props if not p.startswith(COLOR_PREFIX)),
+            lt.cost,
+        )
+
+    return CostTrace(
+        tuple(bare(lt) for lt in trace.prefix),
+        tuple(bare(lt) for lt in trace.loop),
+        trace.d,
+    )
+
+
+def is_coloring_of(colored: CostTrace, base: CostTrace) -> bool:
+    """Does `colored` equal `base` once coloring propositions are removed?
+
+    The two lassos may carve up the same infinite word differently, so
+    compare position-wise across a full joint period.
+    """
+    if colored.d != base.d:
+        return False
+    horizon = (
+        max(len(colored.prefix), len(base.prefix))
+        + 2 * math.lcm(len(colored.loop), len(base.loop))
+    )
+    stripped = strip_colors(colored)
+    for n in range(horizon):
+        a, b = stripped.letter(n), base.letter(n)
+        if a.props != b.props or a.cost != b.cost:
+            return False
+    return True
 
 
 def test_t1_shape():
