@@ -4,12 +4,11 @@ Two automata live here, built on one tableau expansion (_expand) over the
 interned closure of a formula.  ltl_to_nba translates a variable-free
 formula in negation normal form into a nondeterministic Buchi automaton
 whose guards are conjunctions of literals.  CostBuchiAutomaton is an
-acceptor for formulas with cost-bounded operators under a fixed valuation;
-its letters are pairs of a proposition set and a cost vector, and its
-states carry the cost each budget token has spent, which stays outside
-the expansion.  Its closure, shapes and move templates do not depend on
-the valuation or on the letters' costs and live in a CostTableau that the
-automata of every valuation share.
+acceptor for formulas with cost-bounded operators; its letters are pairs
+of a proposition set and a cost vector, and its states carry the cost
+each budget token has spent, which stays outside the expansion.  It is
+built once per formula: nothing in it depends on a valuation, which a
+search hands to `successors` only as the budgets it compares against.
 
 find_accepting_lasso decides generalized Buchi emptiness of a graph
 spanned on the fly; the model checks run it over their products.
@@ -574,23 +573,19 @@ def _sccs(roots: Iterable, successors: Callable) -> Iterator:
 
 
 class _Shape:
-    """A core without its spent costs: the plain obligations, by closure
-    rank, and the budgeted operators holding a token, F[<=] before G[<=],
-    each by rank.  `heads` and `tail` make the core's sort key, and the
-    kinds in `heads` give `dominates` its order.  `seed` and `slots` hold
-    the closure indices of the plain obligations and of the operators,
-    and `coords` the cost coordinate each operator reads."""
+    """A core without its spent costs: the closure indices of its plain
+    obligations (`seed`) and of its budgeted operators holding a token,
+    F[<=] before G[<=] (`slots`), each group by closure rank.  `heads`
+    and `tail` make the core's sort key, and the kinds in `heads` give
+    `dominates` its order.  `coords` holds the cost coordinate each
+    operator reads."""
 
-    __slots__ = ("plain", "ops", "coords", "heads", "tail", "seed", "slots")
+    __slots__ = ("coords", "heads", "tail", "seed", "slots")
 
-    def __init__(self, seed: tuple, slots: tuple, tableau: "CostTableau"):
-        nodes, ranks = tableau._nodes, tableau._ranks
-        self.plain = tuple(nodes[i] for i in seed)
-        self.ops = tuple(nodes[i] for i in slots)
-        self.coords = tuple(tableau._ops[i][1] for i in slots)
-        self.heads = tuple(
-            ("G" if tableau._ops[i][0] else "F", ranks[i]) for i in slots
-        )
+    def __init__(self, seed: tuple, slots: tuple, auto: "CostBuchiAutomaton"):
+        ops, ranks = auto._ops, auto._ranks
+        self.coords = tuple(ops[i][1] for i in slots)
+        self.heads = tuple(("G" if ops[i][0] else "F", ranks[i]) for i in slots)
         self.tail = [("f", ranks[i]) for i in seed]
         self.seed = seed
         self.slots = slots
@@ -610,12 +605,24 @@ def _spent(recipe: tuple, spent: tuple, cost: tuple) -> tuple:
     return tuple(out)
 
 
-class CostTableau:
-    """The budget automaton without its valuation: the interned closure
-    with its ranks and expansion rules, the tracked obligations, the
-    obligation shapes and the move templates.  It is built once per
-    formula and dimension, and the automata of every valuation
-    (CostBuchiAutomaton) share it.
+class CostBuchiAutomaton:
+    """Acceptor for formulas with cost-bounded operators, built once per
+    formula and dimension and shared by every valuation.
+
+    Letters are (props, cost vector) pairs as found on cost traces.  States
+    are cores, (shape id, spent) pairs: the set of obligations holding at
+    the current position.  The shape holds the obligations without their
+    budgets, and `spent` gives each budgeted F[<=]/G[<=] operator of the
+    shape the cost its token has spent; the valuation's budget less that
+    is what the token has left.  Acceptance is generalized Buchi on the
+    moves, one set per tracked least-fixpoint obligation (Until and F[<=]
+    nodes): a move's `ok` mask holds the tracked obligations it did not
+    delay, and a run is accepting when each of them is undelayed
+    infinitely often.
+
+    Nothing in the closure, its expansion rules, the shapes or the move
+    templates depends on the valuation: a valuation is only the budgets
+    that `successors` reads, which `budgets` computes once per search.
 
     Shapes are expanded by `_expand`, over the closure of n nodes in
     `repr` order.  A budgeted operator at index i has two token slots:
@@ -638,33 +645,74 @@ class CostTableau:
     propositions in the key, a template holds for every valuation and
     every cost vector that give the same key.  Its recipes hold no
     number: the search adds the letter's cost in (`_spent`).
+
+    A search runs on flat nodes (x, shape id, spent, ok), a state prefixed
+    with a position x of the run (a system state, a trace slot) and
+    followed by the `ok` mask of the move that entered it (0 at the start
+    node), which is the node's acceptance mask (`acceptance`).  The moves
+    of a cyclic component of the search graph are exactly the moves into
+    its members, so the component holds a fair cycle exactly when its
+    members' masks cover `full` (find_accepting_lasso).
+
+    `successors` expands a whole node in one call, along every out-edge
+    of x at once.  A core's moves depend on a token's spent cost only
+    through `spent + cost <= budget` and `spent == 0`, so each obligation
+    shape is expanded once per letter's propositions and outcome of those
+    comparisons.  A node is expanded from the templates directly: the
+    letter's cost is only added and compared.
+
+    `dominates` orders the nodes of one (x, shape, ok) key: a dominates
+    n when each F[<=] token in a has spent at most what n's has and each
+    G[<=] token at least.  A dominating node accepts every run that n
+    accepts, so a search may stand a node in for the nodes it dominates.
+    Why.  Say a covers n when they share x, and each obligation of a's
+    core is one of n's: the same plain obligation, an F[<=] token of the
+    same operator that has spent at most n's, or a G[<=] token that has
+    spent at least n's.  a has no more obligations than n to meet.  Then
+    a can mirror each move of n along the same edge: it makes the same
+    choices for the obligations it shares with n.  An F token n may delay
+    (spent + cost <= budget) a may delay too, and a G token only expires
+    sooner in a.  Both add the letter's cost to what they spent, and
+    `_settle` merges tokens of one operator by the largest spent (F) and
+    the smallest (G), a token that has spent nothing with the operator's
+    fresh token; all three are monotone, so the next core of a covers
+    n's.  a meets a subset of n's pending items, so it delays a subset of
+    n's tracked obligations and its `ok` mask contains n's.  Domination
+    within a key is a special case of covering, and covering is
+    transitive.  So take an accepting run n0 n1 ... and a graph whose
+    successors of a node replace each successor by a dominating node of
+    its key, which has the same mask: from q0 = n0 it has a path q0 q1 ...
+    with each q_i covering n_i and each q_i's mask containing n_i's.
+    Every tracked obligation is then undelayed infinitely often along the
+    path: if that graph is finite, the nodes the path visits infinitely
+    often lie in one cyclic component whose masks cover `full`.
     """
 
     def __init__(self, phi: Formula, d: int):
         validate_coords(phi, d)
-        self.phi, nodes = _interned(simplify_constants(phi))
+        phi, nodes = _interned(simplify_constants(phi))
         self.d = d
         self.tracked = tuple(f for f in nodes if isinstance(f, (Until, FLe)))
-        # Successors are ordered by closure rank: a repr key would walk
-        # every formula again on each expansion, recursing with its depth.
-        self.rank = {f: i for i, f in enumerate(subformulas(self.phi))}
         self.full = (1 << len(self.tracked)) - 1
         self._nodes = nodes
         index = {f: i for i, f in enumerate(nodes)}
         self._rules, self._literals = _rules(nodes, index)
         # `_settle` works on closure indices: `ok` sets are bitmasks over
         # the tracked obligations, by index, and each budgeted operator's
-        # index gives (is G, cost coordinate).
+        # index gives (is G, cost coordinate).  Successors are ordered by
+        # closure rank: a repr key would walk every formula again on each
+        # expansion, recursing with its depth.
         self._bit = {index[f]: 1 << j for j, f in enumerate(self.tracked)}
-        self._ranks = [self.rank[f] for f in nodes]
+        rank = {f: i for i, f in enumerate(subformulas(phi))}
+        self._ranks = [rank[f] for f in nodes]
         self._ops = {
             i: (isinstance(f, GLe), f.coord - 1)
             for i, f in enumerate(nodes)
             if isinstance(f, (FLe, GLe))
         }
-        # (fresh token's bit, operator) per budgeted operator
-        self.fresh = [
-            (1 << a, f)
+        # (fresh token's bit, cost coordinate, variable) per budgeted operator
+        self._fresh = [
+            (1 << a, f.coord - 1, f.var)
             for f, (kind, a, _) in zip(nodes, self._rules)
             if kind == _FORWARD
         ]
@@ -673,7 +721,31 @@ class CostTableau:
         self._templates: dict = {}
         self._letter_rules: dict = {}
         # The start core's shape id: its tokens have spent nothing.
-        self.start = self._settle(1 << index[self.phi], ())[0]
+        self.start = self._settle(1 << index[phi], ())[0]
+
+    def budgets(self, valuation: Mapping) -> tuple:
+        """What `successors` reads of `valuation`: the budget of each
+        budgeted operator by closure index (0 at other nodes), and per
+        budgeted operator (fresh token's bit, cost coordinate, budget).
+        A variable the valuation leaves out has budget 0."""
+        for var, value in valuation.items():
+            if value < 0:
+                raise FormulaError(f"negative budget for {var}: {value}")
+        limits = [
+            valuation.get(f.var, 0) if i in self._ops else 0
+            for i, f in enumerate(self._nodes)
+        ]
+        fresh = [(bit, k, valuation.get(var, 0)) for bit, k, var in self._fresh]
+        return limits, fresh
+
+    def initial_state(self) -> tuple:
+        sid = self.start
+        return (sid, (0,) * len(self.shapes[sid].slots), 0)
+
+    @staticmethod
+    def acceptance(node) -> int:
+        """The acceptance mask of a search node: its `ok` field."""
+        return node[3]
 
     def _settle(self, nxt: int, slots: tuple) -> tuple:
         """(shape id, spent recipe, ok) of the next-set `nxt` of a core
@@ -756,118 +828,13 @@ class CostTableau:
         moves = self._templates[key] = tuple(out)
         return moves
 
-
-class CostBuchiAutomaton:
-    """Acceptor for formulas with cost-bounded operators, fixed valuation.
-
-    Letters are (props, cost vector) pairs as found on cost traces.  States
-    are cores, (shape id, spent) pairs: the set of obligations holding at
-    the current position.  The shape holds the obligations without their
-    budgets, and `spent` gives each budgeted F[<=]/G[<=] operator of the
-    shape the cost its token has spent; the valuation's budget less that
-    is what the token has left.  Acceptance is generalized Buchi on the
-    moves, one set per tracked least-fixpoint obligation (Until and F[<=]
-    nodes): a move's `ok` mask holds the tracked obligations it did not
-    delay, and a run is accepting when each of them is undelayed
-    infinitely often.
-
-    The automaton is a thin layer over its formula's CostTableau, which
-    holds the closure, the shapes and the move templates and which the
-    automata of every valuation share: nothing in it depends on the
-    valuation (CostTableau says why).  What stays per valuation is the
-    budgets, and with them the fresh-fit test: which fresh tokens' costs
-    fit their budgets under a letter.
-
-    A search runs on flat nodes (x, shape id, spent, ok), a state prefixed
-    with a position x of the run (a system state, a trace slot) and
-    followed by the `ok` mask of the move that entered it (0 at the start
-    node), which is the node's acceptance mask (`acceptance`).  The moves
-    of a cyclic component of the search graph are exactly the moves into
-    its members, so the component holds a fair cycle exactly when its
-    members' masks cover `full` (find_accepting_lasso).
-
-    `successors` expands a whole node in one call, along every out-edge
-    of x at once.  A core's moves depend on a token's spent cost only
-    through `spent + cost <= budget` and `spent == 0`, so each obligation
-    shape is expanded once per letter's propositions and outcome of those
-    comparisons.  A node is expanded from the tableau's templates
-    directly: the letter's cost is only added and compared.
-
-    `dominates` orders the nodes of one (x, shape, ok) key: a dominates
-    n when each F[<=] token in a has spent at most what n's has and each
-    G[<=] token at least.  A dominating node accepts every run that n
-    accepts, so a search may stand a node in for the nodes it dominates.
-    Why.  Say a covers n when they share x, and each obligation of a's
-    core is one of n's: the same plain obligation, an F[<=] token of the
-    same operator that has spent at most n's, or a G[<=] token that has
-    spent at least n's.  a has no more obligations than n to meet.  Then
-    a can mirror each move of n along the same edge: it makes the same
-    choices for the obligations it shares with n.  An F token n may delay
-    (spent + cost <= budget) a may delay too, and a G token only expires
-    sooner in a.  Both add the letter's cost to what they spent, and
-    `_settle` merges tokens of one operator by the largest spent (F) and
-    the smallest (G), a token that has spent nothing with the operator's
-    fresh token; all three are monotone, so the next core of a covers
-    n's.  a meets a subset of n's pending items, so it delays a subset of
-    n's tracked obligations and its `ok` mask contains n's.  Domination
-    within a key is a special case of covering, and covering is
-    transitive.  So take an accepting run n0 n1 ... and a graph whose
-    successors of a node replace each successor by a dominating node of
-    its key, which has the same mask: from q0 = n0 it has a path q0 q1 ...
-    with each q_i covering n_i and each q_i's mask containing n_i's.
-    Every tracked obligation is then undelayed infinitely often along the
-    path: if that graph is finite, the nodes the path visits infinitely
-    often lie in one cyclic component whose masks cover `full`.
-    """
-
-    def __init__(self, tableau: CostTableau, valuation: Mapping):
-        self.valuation = dict(valuation)
-        for var, value in self.valuation.items():
-            if value < 0:
-                raise FormulaError(f"negative budget for {var}: {value}")
-        self.tableau = tableau
-        self.d = tableau.d
-        self.tracked = tableau.tracked
-        self.full = tableau.full
-        self._rank = tableau.rank
-        self._shapes = tableau.shapes
-        # budget per budgeted operator, by closure index
-        self._budgets = [
-            self._full(f) if i in tableau._ops else 0
-            for i, f in enumerate(tableau._nodes)
-        ]
-        self._fresh = [
-            (bit, f.coord - 1, self._full(f)) for bit, f in tableau.fresh
-        ]
-
-    def _full(self, f) -> int:
-        return self.valuation.get(f.var, 0)
-
-    def initial_state(self) -> tuple:
-        sid = self.tableau.start
-        return (sid, (0,) * len(self._shapes[sid].slots), 0)
-
-    @staticmethod
-    def acceptance(node) -> int:
-        """The acceptance mask of a search node: its `ok` field."""
-        return node[3]
-
-    def _fresh_fits(self, cost: tuple) -> int:
-        """The mask of fresh tokens whose cost under `cost` fits their
-        budgets."""
-        mask = 0
-        for bit, coord, budget in self._fresh:
-            if cost[coord] <= budget:
-                mask |= bit
-        return mask
-
     def _order(self, node) -> tuple:
         """Sort key of the successors along one edge: the core's
         obligations as (kind, closure rank[, minus spent]) tuples in sorted
         order, then the indices of the move's tracked obligations that were
         not delayed."""
         _, sid, spent, ok = node
-        shape = self._shapes[sid]
+        shape = self.shapes[sid]
         core = [head + (-s,) for head, s in zip(shape.heads, spent)]
         return (
             core + shape.tail,
@@ -877,32 +844,32 @@ class CostBuchiAutomaton:
     def dominates(self, sid: int, big: tuple, small: tuple) -> bool:
         """Do the spent costs `big` dominate `small` on shape `sid`: each
         F[<=] token's at most small's, each G[<=] token's at least?"""
-        for (kind, _), b, s in zip(self._shapes[sid].heads, big, small):
+        for (kind, _), b, s in zip(self.shapes[sid].heads, big, small):
             if b > s if kind == "F" else b < s:
                 return False
         return True
 
-    def successors(self, node, edges) -> list:
+    def successors(self, node, edges, budgets) -> list:
         """The successors of the search node (x, shape id, spent, ok) along
         x's out-edges `edges`, (y, props, cost) triples where props labels
-        x and cost is the edge's: flat nodes (y, next shape id, next spent,
-        the move's ok), in edge order and, per edge, in `_order` of the
-        moves."""
+        x and cost is the edge's, under `budgets` (from `budgets`): flat
+        nodes (y, next shape id, next spent, the move's ok), in edge order
+        and, per edge, in `_order` of the moves."""
         _, sid, spent, _ = node
-        shape = self._shapes[sid]
+        limits, fresh = budgets
+        shape = self.shapes[sid]
         coords = shape.coords
-        budgets = self._budgets
-        templates = self.tableau._templates
+        templates = self._templates
         # Nearly every expanded core has one budgeted operator (99.7% of
         # the expansions in the budget-heavy benchmark workload); building
         # its flags directly skips the generator.
         one = len(spent) == 1
         if one:
             used, coord = spent[0], coords[0]
-            budget = budgets[shape.slots[0]]
+            budget = limits[shape.slots[0]]
             unspent = used == 0
         else:
-            limits = [budgets[i] for i in shape.slots]
+            caps = [limits[i] for i in shape.slots]
         out = []
         for y, props, cost in edges:
             if one:
@@ -910,12 +877,15 @@ class CostBuchiAutomaton:
             else:
                 flags = tuple(
                     (s + cost[k] <= b, s == 0)
-                    for k, s, b in zip(coords, spent, limits)
+                    for k, s, b in zip(coords, spent, caps)
                 )
-            fresh = self._fresh_fits(cost)
-            template = templates.get((sid, flags, fresh, props))
+            fits = 0
+            for bit, k, b in fresh:
+                if cost[k] <= b:
+                    fits |= bit
+            template = templates.get((sid, flags, fits, props))
             if template is None:
-                template = self.tableau.template(sid, flags, fresh, props)
+                template = self.template(sid, flags, fits, props)
             # Only two or more moves can coincide or need ordering.
             if len(template) == 1:
                 ((nsid, recipe, ok),) = template

@@ -640,6 +640,16 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def is_identifier(text: str) -> bool:
+    """Does a formula read `text` as one proposition name?  The reserved
+    atoms, the coloring propositions p@i and $true, are not read so."""
+    try:
+        tokens = _tokenize(text)
+    except ParseError:
+        return False
+    return len(tokens) == 2 and tokens[0].kind == "ident"
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)

@@ -24,7 +24,6 @@ from typing import Callable, Iterator, Mapping, Optional
 from .automata import (
     BuchiAutomaton,
     CostBuchiAutomaton,
-    CostTableau,
     find_accepting_lasso,
     guard_holds,
     ltl_to_nba,
@@ -593,13 +592,11 @@ def bound_value(n_states: int, n_auto: int, d: int, max_cost: int) -> int:
 
 
 # Automata are kept across queries in one table: the Buchi automata of
-# _pipeline_nba, keyed by their target formula, and the budget automata's
-# tableaux, keyed by (formula, dimension) for cost_nba and by (formula,
-# dimension, "negated") for check_fixed, whose tableau is that of the
-# negated formula, so a probe need not negate it again.  No key of one
-# kind equals a key of another.  The optimizer's probes and check_forall's ladder ask for one
-# tableau at each valuation: a pass of the budget-heavy benchmark workload
-# builds 86 budget automata on 28 tableaux.  The test suite asks for the
+# _pipeline_nba, keyed by their target formula, and cost_nba's budget
+# automata, keyed by (formula, dimension); a formula never equals a pair.
+# The optimizer's probes and check_forall's ladder ask for one budget
+# automaton at each valuation: a pass of the budget-heavy benchmark
+# workload runs 86 checks on 28 budget automata.  The test suite asks for the
 # same few targets again and again: without this table it runs about five
 # times longer.  Past _NBA_CACHE_SIZE entries the oldest one is dropped, so
 # a long-lived process keeps a bounded number of automata.
@@ -621,11 +618,11 @@ def _pipeline_nba(target: Formula) -> BuchiAutomaton:
     return _cached(target, lambda: ltl_to_nba(target))
 
 
-def cost_nba(phi: Formula, valuation: Mapping, d: int) -> CostBuchiAutomaton:
-    """Budget automaton for phi under a fixed valuation over d coordinates,
-    on the tableau the table keeps for (phi, d)."""
-    tableau = _cached((phi, d), lambda: CostTableau(phi, d))
-    return CostBuchiAutomaton(tableau, valuation)
+def cost_nba(phi: Formula, d: int) -> CostBuchiAutomaton:
+    """The budget automaton of !phi over d coordinates, kept in the table
+    under (phi, d), so checks of phi at other valuations neither negate it
+    again nor expand its templates again."""
+    return _cached((phi, d), lambda: CostBuchiAutomaton(negate(phi), d))
 
 
 def _negated_relativized(phi: Formula, d: int) -> Formula:
@@ -720,15 +717,14 @@ def check_fixed(
     Emptiness of the system composed with a budget automaton for the
     negated formula.  A failing verdict comes with a lasso counterexample,
     re-checked against the trace semantics before being returned.  The
-    budget automaton rejects coordinates beyond the system's dimension and
-    negative budgets; its tableau holds nothing of the valuation and comes
-    from the table that cost_nba shares with the translations, keyed by
-    phi itself, so checks of one formula at other valuations neither
-    negate it again nor expand its templates again.  The search's nodes
-    are flat (system state, shape id, spent, ok) tuples, each expanded
-    along all of its system state's out-edges in one budget automaton
-    call; a node's `ok` mask, the tracked obligations its entering move
-    did not delay, is its acceptance mask.
+    budget automaton, from cost_nba, holds nothing of the valuation and
+    rejects coordinates beyond the system's dimension; its `budgets`
+    rejects negative budgets and gives the one per-check object, the
+    budgets its `successors` compares against.  The search's nodes are
+    flat (system state, shape id, spent, ok) tuples, each expanded along
+    all of its system state's out-edges in one budget automaton call; a
+    node's `ok` mask, the tracked obligations its entering move did not
+    delay, is its acceptance mask.
 
     The search runs first on a quotient that does not grow with the
     budget: each successor is replaced by an already kept node of its
@@ -746,9 +742,8 @@ def check_fixed(
     judges: violating phi, it is the counterexample; satisfying phi, the
     quotient's cycle was spurious and the exact search decides.
     """
-    d = system.d
-    tableau = _cached((phi, d, "negated"), lambda: CostTableau(negate(phi), d))
-    auto = CostBuchiAutomaton(tableau, valuation)
+    auto = cost_nba(phi, system.d)
+    budgets = auto.budgets(valuation)
     expand = auto.successors
     dominates = auto.dominates
     labels = system.labels
@@ -781,12 +776,12 @@ def check_fixed(
         out = quotient.get(node)
         if out is None:
             out = quotient[node] = [
-                keep(w) for w in expand(node, edges[node[0]])
+                keep(w) for w in expand(node, edges[node[0]], budgets)
             ]
         return out
 
     def exact_successors(node):
-        return expand(node, edges[node[0]])
+        return expand(node, edges[node[0]], budgets)
 
     keep(start)
     for successors in (quotient_successors, exact_successors):

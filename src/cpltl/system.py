@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .formula import KAPPA_PREFIX, kappa_name
+from .formula import KAPPA_PREFIX, is_identifier, kappa_name
 from .trace import CostLetter, CostTrace, Lasso
 
 
@@ -49,6 +49,9 @@ def validate(system: TransitionSystem) -> list[str]:
     for state in system.states:
         if not system.successors(state):
             problems.append(f"state {state!r} has no outgoing edge")
+        for prop in sorted(system.labels.get(state, ())):
+            if not is_identifier(prop):
+                problems.append(f"state {state!r}: label {prop!r} is not a proposition name")
     for (src, dst), vec in system.cost.items():
         if len(vec) != system.d:
             problems.append(f"edge {src}->{dst}: cost arity {len(vec)}, expected {system.d}")

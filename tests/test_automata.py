@@ -17,6 +17,7 @@ from conftest import random_formula, random_trace
 from cpltl.automata import (
     AutomatonError,
     BuchiAutomaton,
+    CostBuchiAutomaton,
     find_accepting_lasso,
     guard_holds,
     ltl_to_nba,
@@ -30,7 +31,6 @@ from cpltl.formula import (
     parse,
     relativize,
 )
-from cpltl.modelcheck import cost_nba
 from cpltl.trace import CostTrace, Lasso, evaluate, letter
 
 
@@ -95,8 +95,9 @@ def buchi_empty(auto: BuchiAutomaton):
     return word
 
 
-def accepts_trace(auto, trace: CostTrace) -> bool:
-    """Membership of a cost trace (from position 0) in a budget automaton."""
+def accepts_trace(auto, budgets, trace: CostTrace) -> bool:
+    """Membership of a cost trace (from position 0) in a budget automaton
+    under `budgets`, from its `budgets` method."""
     if trace.d != auto.d:
         raise FormulaError(
             f"trace has {trace.d} cost coordinates, automaton expects {auto.d}"
@@ -106,7 +107,7 @@ def accepts_trace(auto, trace: CostTrace) -> bool:
         slot = node[0]
         step = trace.letter_at_slot(slot)
         return auto.successors(
-            node, [(trace.succ_slot(slot), step.props, step.cost)]
+            node, [(trace.succ_slot(slot), step.props, step.cost)], budgets
         )
 
     found = find_accepting_lasso(
@@ -325,13 +326,13 @@ def test_find_accepting_lasso_matches_brute_force(graph):
 
 
 def test_cost_acceptor_basics():
-    phi = parse("F[<=x] p")
+    f = CostBuchiAutomaton(parse("F[<=x] p"), 1)
     trace = CostTrace((), (letter(["q"], 3), letter(["p", "kappa1"], 0)), 1)
-    assert accepts_trace(cost_nba(phi, {"x": 3}, 1), trace)
-    assert not accepts_trace(cost_nba(phi, {"x": 2}, 1), trace)
-    g = parse("G[<=y] q")
-    assert accepts_trace(cost_nba(g, {"y": 2}, 1), trace)
-    assert not accepts_trace(cost_nba(g, {"y": 3}, 1), trace)
+    assert accepts_trace(f, f.budgets({"x": 3}), trace)
+    assert not accepts_trace(f, f.budgets({"x": 2}), trace)
+    g = CostBuchiAutomaton(parse("G[<=y] q"), 1)
+    assert accepts_trace(g, g.budgets({"y": 2}), trace)
+    assert not accepts_trace(g, g.budgets({"y": 3}), trace)
 
 
 def test_cost_acceptor_matches_evaluator():
@@ -346,17 +347,18 @@ def test_cost_acceptor_matches_evaluator():
             g_vars=("y",),
         )
         val = {"x": rng.randint(0, 12), "y": rng.randint(0, 12)}
-        auto = cost_nba(phi, val, d)
+        auto = CostBuchiAutomaton(phi, d)
+        budgets = auto.budgets(val)
         for _ in range(3):
             trace = random_trace(rng, d=d, max_prefix=5, max_loop=6)
             want = evaluate(trace, 0, val, phi)
-            assert accepts_trace(auto, trace) is want, (phi, val, trace)
+            assert accepts_trace(auto, budgets, trace) is want, (phi, val, trace)
 
 
 def test_cost_acceptor_dimension_mismatch():
     phi = parse("F[<=x@2] p")
     with pytest.raises((AutomatonError, FormulaError)):
-        cost_nba(phi, {"x": 1}, 1)
+        CostBuchiAutomaton(phi, 1)
 
 
 def test_prop_lasso_needs_loop():

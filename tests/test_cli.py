@@ -53,6 +53,33 @@ def test_check_exists(capsys, sys_file):
     assert int(pairs["product-vertices"]) > 0
 
 
+# p labels no state of this system, so F[<=x] p fails at every valuation.
+NO_P_TEXT = """dim 1
+state s0 init : q
+state s1 : q kappa1
+edge s0 s1 : 1
+edge s1 s0 : 0
+edge s1 s1 : 1
+"""
+
+
+def test_reserved_coloring_label_is_an_error(capsys, tmp_path):
+    # Read as the coloring proposition, a label p@1 on both states made
+    # the exists check of F[<=x] p hold on this system.
+    labelled = tmp_path / "labelled.txt"
+    labelled.write_text(NO_P_TEXT.replace(": q", ": q p@1"))
+    code, pairs, captured = run(capsys, "check", str(labelled), "F[<=x] p")
+    assert code == 2
+    assert "holds" not in pairs
+    assert "label 'p@1'" in captured.err
+    plain = tmp_path / "plain.txt"
+    plain.write_text(NO_P_TEXT)
+    for mode in ((), ("--valuation", "x=100")):
+        code, pairs, _ = run(capsys, "check", str(plain), "F[<=x] p", *mode)
+        assert code == 1
+        assert pairs["holds"] == "false"
+
+
 def test_check_exists_negative_prints_witness(capsys, sys_file):
     code, pairs, captured = run(capsys, "check", sys_file, "G (q -> F[<=x] r)")
     assert code == 1

@@ -9,12 +9,12 @@ expands each obligation shape once per letter.
 import os
 import subprocess
 import sys
+from functools import lru_cache
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cpltl.automata import CostBuchiAutomaton, CostTableau
-from cpltl.modelcheck import cost_nba
+from cpltl.automata import CostBuchiAutomaton
 from cpltl.formula import (
     And,
     Atom,
@@ -34,7 +34,11 @@ from cpltl.formula import (
 )
 
 
-def reference_normalize(auto, items) -> frozenset:
+def budget(valuation, f) -> int:
+    return valuation.get(f.var, 0)
+
+
+def reference_normalize(valuation, items) -> frozenset:
     plain = set()
     fmin: dict = {}
     gmax: dict = {}
@@ -42,10 +46,10 @@ def reference_normalize(auto, items) -> frozenset:
         if item[0] == "f":
             f = item[1]
             if isinstance(f, FLe):
-                r = auto._full(f)
+                r = budget(valuation, f)
                 fmin[f] = min(fmin.get(f, r), r)
             elif isinstance(f, GLe):
-                r = auto._full(f)
+                r = budget(valuation, f)
                 gmax[f] = max(gmax.get(f, r), r)
             else:
                 plain.add(item)
@@ -61,7 +65,9 @@ def reference_normalize(auto, items) -> frozenset:
     return frozenset(core)
 
 
-def reference_expand(auto, core: frozenset, props: frozenset, cost: tuple) -> set:
+def reference_expand(
+    auto, valuation, core: frozenset, props: frozenset, cost: tuple
+) -> set:
     """(next core, ok) pairs of a concrete core: ok is the frozenset of
     tracked obligations that were not delayed."""
     out = set()
@@ -141,26 +147,28 @@ def reference_expand(auto, core: frozenset, props: frozenset, cost: tuple) -> se
                 pending.append(("f", f.left))
                 pending.append(("f", f.right))
             elif isinstance(f, FLe):
-                pending.append(("F", f, auto._full(f)))
+                pending.append(("F", f, budget(valuation, f)))
             elif isinstance(f, GLe):
-                pending.append(("G", f, auto._full(f)))
+                pending.append(("G", f, budget(valuation, f)))
         if alive:
             out.add(
                 (
-                    reference_normalize(auto, nxt),
+                    reference_normalize(valuation, nxt),
                     frozenset(set(auto.tracked) - delayed),
                 )
             )
     return out
 
 
-def concrete(auto, sid: int, spent: tuple) -> frozenset:
+def concrete(auto, valuation, sid: int, spent: tuple) -> frozenset:
     """The items of the core (shape id, spent), each token with what it
     has left of its budget."""
-    shape = auto._shapes[sid]
-    items = {("f", g) for g in shape.plain}
-    for f, used in zip(shape.ops, spent):
-        items.add(("G" if isinstance(f, GLe) else "F", f, auto._full(f) - used))
+    shape = auto.shapes[sid]
+    items = {("f", auto._nodes[i]) for i in shape.seed}
+    for i, used in zip(shape.slots, spent):
+        f = auto._nodes[i]
+        kind = "G" if isinstance(f, GLe) else "F"
+        items.add((kind, f, budget(valuation, f) - used))
     return frozenset(items)
 
 
@@ -174,7 +182,8 @@ def reference_order(auto, move) -> tuple:
     """Successor order: the core's items as (kind, closure rank[,
     remainder]) in sorted order, ties broken by the indices of `ok`."""
     core, ok = move
-    items = sorted((item[0], auto._rank[item[1]]) + item[2:] for item in core)
+    rank = dict(zip(auto._nodes, auto._ranks))
+    items = sorted((item[0], rank[item[1]]) + item[2:] for item in core)
     return items, sorted(auto.tracked.index(f) for f in ok)
 
 
@@ -231,6 +240,10 @@ generated = st.recursive(
 
 formulas = st.one_of(st.sampled_from(NESTED).map(parse), generated)
 
+# One automaton per formula and dimension, as check_fixed keeps them, so
+# examples that share a formula expand its templates under many valuations.
+automaton = lru_cache(maxsize=None)(CostBuchiAutomaton)
+
 
 @settings(
     derandomize=True,
@@ -246,11 +259,12 @@ formulas = st.one_of(st.sampled_from(NESTED).map(parse), generated)
 )
 def test_template_expansion_matches_reference(phi, d, valuation, rng):
     d = max(d, max_coord(phi))
-    auto = cost_nba(phi, valuation, d)
+    auto = automaton(phi, d)
+    budgets = auto.budgets(valuation)
     frontier = [auto.initial_state()[:2]]
     for _ in range(12):
         sid, spent = rng.choice(frontier)
-        core = concrete(auto, sid, spent)
+        core = concrete(auto, valuation, sid, spent)
         edges = [
             (
                 y,
@@ -261,7 +275,7 @@ def test_template_expansion_matches_reference(phi, d, valuation, rng):
         ]
         moves = {
             y: sorted(
-                reference_expand(auto, core, props, cost),
+                reference_expand(auto, valuation, core, props, cost),
                 key=lambda move: reference_order(auto, move),
             )
             for y, props, cost in edges
@@ -269,9 +283,9 @@ def test_template_expansion_matches_reference(phi, d, valuation, rng):
         # A node's successors do not depend on the mask it was entered with.
         for mask in (0, auto.full):
             node = ("x", sid, spent, mask)
-            succ = auto.successors(node, edges)
+            succ = auto.successors(node, edges, budgets)
             got = [
-                (y, concrete(auto, nsid, nspent), nmask)
+                (y, concrete(auto, valuation, nsid, nspent), nmask)
                 for y, nsid, nspent, nmask in succ
             ]
             want = [
@@ -280,7 +294,9 @@ def test_template_expansion_matches_reference(phi, d, valuation, rng):
                 for nxt, ok in moves[y]
             ]
             assert got == want, (phi, valuation, core, mask, edges)
-            one_by_one = [t for edge in edges for t in auto.successors(node, [edge])]
+            one_by_one = [
+                t for edge in edges for t in auto.successors(node, [edge], budgets)
+            ]
             assert succ == one_by_one, (phi, valuation, core, mask, edges)
         frontier.extend((nsid, nspent) for _, nsid, nspent, _ in succ)
 
@@ -292,19 +308,22 @@ def test_template_expansion_matches_reference(phi, d, valuation, rng):
 SUCCESSOR_SCRIPT = """
 import itertools
 from cpltl.modelcheck import cost_nba
-from cpltl.formula import GLe, negate, parse, pretty_print
+from cpltl.formula import GLe, parse, pretty_print
 from cpltl.modelcheck import check_fixed
 from cpltl.system import parse_system
 
-auto = cost_nba(negate(parse("F[<=x2@2] X G[<=y] q")), {"x2": 0, "y": 0}, 2)
+valuation = {"x2": 0, "y": 0}
+auto = cost_nba(parse("F[<=x2@2] X G[<=y] q"), 2)
+budgets = auto.budgets(valuation)
 
 
 def show(node):
     x, sid, spent, ok = node
-    shape = auto._shapes[sid]
-    items = [("f", pretty_print(g)) for g in shape.plain]
-    for f, used in zip(shape.ops, spent):
-        rem = auto._full(f) - used
+    shape = auto.shapes[sid]
+    items = [("f", pretty_print(auto._nodes[i])) for i in shape.seed]
+    for i, used in zip(shape.slots, spent):
+        f = auto._nodes[i]
+        rem = valuation.get(f.var, 0) - used
         items.append(("G" if isinstance(f, GLe) else "F", pretty_print(f), rem))
     return x, sorted(items), ok
 
@@ -320,7 +339,7 @@ seen = {start[1:]}
 todo = [start]
 while todo:
     node = todo.pop()
-    succ = auto.successors(node, edges)
+    succ = auto.successors(node, edges, budgets)
     for y, props, cost in edges:
         print(show(node), sorted(props), cost, [show(t) for t in succ if t[0] == y])
     for t in succ:
@@ -368,9 +387,9 @@ def test_successor_order_is_independent_of_hash_seed():
 def test_letters_that_differ_only_in_cost_share_a_template():
     # The letter's cost enters a template's key only through the budget
     # comparisons, so both edges below expand the start shape once.
-    auto = CostBuchiAutomaton(CostTableau(parse("F[<=x] p"), 1), {"x": 10})
+    auto = CostBuchiAutomaton(parse("F[<=x] p"), 1)
     node = ("x",) + auto.initial_state()
     edges = [(0, frozenset(), (1,)), (1, frozenset(), (2,))]
-    succ = auto.successors(node, edges)
-    assert len(auto.tableau._templates) == 1
+    succ = auto.successors(node, edges, auto.budgets({"x": 10}))
+    assert len(auto._templates) == 1
     assert [(y, spent) for y, _, spent, _ in succ] == [(0, (1,)), (1, (2,))]

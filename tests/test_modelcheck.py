@@ -44,7 +44,7 @@ from cpltl.formula import (
     relativize,
     var_profile,
 )
-from cpltl import modelcheck
+from cpltl import modelcheck, optimize
 from cpltl.automata import BuchiAutomaton, find_accepting_lasso, ltl_to_nba
 from cpltl.modelcheck import (
     bound_value,
@@ -300,11 +300,12 @@ def test_tableau_and_translation_share_the_table_without_colliding(monkeypatch):
     monkeypatch.setattr(modelcheck, "_NBA_CACHE", {})
     phi = parse("F p")
     nba = modelcheck._pipeline_nba(phi)
-    auto = modelcheck.cost_nba(phi, {}, 1)
+    auto = modelcheck.cost_nba(phi, 1)
     assert list(modelcheck._NBA_CACHE) == [phi, (phi, 1)]
     assert modelcheck._pipeline_nba(phi) is nba
-    assert modelcheck.cost_nba(phi, {"x": 4}, 1).tableau is auto.tableau
-    assert modelcheck.cost_nba(phi, {}, 2).tableau is not auto.tableau
+    assert modelcheck.cost_nba(phi, 1) is auto
+    assert modelcheck.cost_nba(phi, 2) is not auto
+    assert list(modelcheck._NBA_CACHE) == [phi, (phi, 1), (phi, 2)]
 
 
 # Seeded cases whose tableaux serve many valuations: two budgeted operators
@@ -363,13 +364,13 @@ def test_warm_tableau_answers_like_a_cold_one(monkeypatch):
 
 def test_optimizer_and_forall_build_one_tableau_per_formula(monkeypatch, sys_a):
     built = []
-    init = modelcheck.CostTableau.__init__
+    init = modelcheck.CostBuchiAutomaton.__init__
 
     def counted(self, phi, d):
         built.append(phi)
         init(self, phi, d)
 
-    monkeypatch.setattr(modelcheck.CostTableau, "__init__", counted)
+    monkeypatch.setattr(modelcheck.CostBuchiAutomaton, "__init__", counted)
     monkeypatch.setattr(modelcheck, "_NBA_CACHE", {})
     best = optimize_mc(sys_a, parse(MC1), Objective.MIN_MIN)
     assert (best.value, best.probes) == (3, 6)
@@ -391,6 +392,38 @@ def test_optimizer_and_forall_build_one_tableau_per_formula(monkeypatch, sys_a):
         assert len(built) == len(set(built)) <= 2, text
         if not result.holds:
             assert len(rungs) > 3, text
+
+
+def test_each_fixed_check_asks_cost_nba_once(monkeypatch, sys_a):
+    # Budget automaton set-up is timed by wrapping cost_nba, so every
+    # check_fixed, optimizer probes and forall rungs included, asks it once.
+    asked = []
+    checks = []
+    cost_nba = modelcheck.cost_nba
+    fixed = modelcheck.check_fixed
+
+    def counted_nba(phi, d):
+        asked.append((phi, d))
+        return cost_nba(phi, d)
+
+    def counted_check(system, phi, valuation):
+        checks.append(phi)
+        return fixed(system, phi, valuation)
+
+    monkeypatch.setattr(modelcheck, "cost_nba", counted_nba)
+    for valuation in ({"x": 0}, {"x": 3}, {"x": 40}):
+        asked.clear()
+        fixed(sys_a, parse(MC1), valuation)
+        assert asked == [(parse(MC1), 1)]
+    monkeypatch.setattr(optimize, "check_fixed", counted_check)
+    monkeypatch.setattr(modelcheck, "check_fixed", counted_check)
+    asked.clear()
+    best = optimize_mc(sys_a, parse(MC1), Objective.MIN_MIN)
+    assert len(asked) == len(checks) == best.probes
+    asked.clear()
+    checks.clear()
+    assert not check_forall(sys_a, parse("G[<=y] q")).holds
+    assert len(asked) == len(checks) > 3
 def test_check_exists_positive(sys_a):
     result = check_exists(sys_a, parse(MC1))
     assert result.holds

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import numpy
 import pytest
@@ -49,6 +50,17 @@ def test_format_round_trip():
     for _ in range(40):
         system = random_system(rng, d=rng.choice((1, 2)))
         assert parse_system(format_system(system)) == system
+
+
+@pytest.mark.parametrize("label", ["p@1", "p@2", "$true", "p-q", "1p"])
+def test_parse_system_rejects_labels_a_formula_cannot_name(label):
+    # p@i and $true are reserved: the exists product chooses the coloring
+    # propositions itself, so a system label p@1 read as a color that is
+    # always chosen
+    text = SYS_A_TEXT.replace("state s0 init : q", f"state s0 init : q {label}")
+    assert text != SYS_A_TEXT
+    with pytest.raises(SystemFormatError, match=re.escape(repr(label))):
+        parse_system(text)
 
 
 def test_validate_rejects_kappa_mutations():
