@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .formula import (
@@ -44,6 +43,7 @@ from .formula import (
     validate_coords,
     var_profile,
 )
+from .record import Record
 
 # A guard is a conjunction of literals: a frozenset of (name, polarity).
 Guard = frozenset
@@ -66,21 +66,17 @@ def guard_text(guard: Guard) -> str:
     return " & ".join(parts)
 
 
-@dataclass(frozen=True, eq=False)
-class BuchiAutomaton:
+class BuchiAutomaton(Record):
     """Nondeterministic Buchi automaton with literal-conjunction guards.
 
     A letter is read on each transition; a run on w = w0 w1 ... is a state
     sequence q0 q1 ... with q0 = initial and an edge (guard, q_{n+1}) out of
     q_n whose guard holds on w_n.  Acceptance: some state in `accepting` is
-    visited infinitely often.
+    visited infinitely often.  `transitions[q]` holds q's edges as
+    (guard, destination) pairs.
     """
 
-    states: tuple
-    initial: str
-    transitions: dict
-    accepting: frozenset
-    alphabet: frozenset
+    __slots__ = __match_args__ = ("states", "initial", "transitions", "accepting", "alphabet")
 
     @property
     def n_states(self) -> int:

@@ -1,14 +1,15 @@
 """Cost-parametric LTL formulas in negation normal form.
 
-Syntax trees are immutable dataclasses.  Negation exists only on atoms;
+Syntax trees are immutable records.  Negation exists only on atoms;
 `negate` pushes negation through any formula.  The parameterized operators
 F[<=x] and G[<=y] bound accumulated *cost* (per coordinate), not time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, TypeVar
+
+from .record import Record, ValueRecord, set_fields
 
 # Reserved internal atom backing tt/ff.  The "$" keeps it out of the
 # identifier namespace, so user formulas can never collide with it.
@@ -32,18 +33,19 @@ class FragmentError(FormulaError):
     """Formula lies outside the fragment an operation requires."""
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Formula:
+class Formula(Record):
     """A syntax-tree node.
 
-    Children are built before their parents, so each node hashes its field
-    tuple once, with the value the dataclass hash would give.  Hashing,
-    equality and `repr` never recurse, so a formula may nest to any depth.
+    Each node class names its fields in `__slots__` and `__match_args__`.
+    Children are built before their parents, so the constructor hashes the
+    field tuple once and stores it.  Hashing, equality and `repr` never
+    recurse, so a formula may nest to any depth.
     """
 
-    def __post_init__(self):
-        fields = tuple(getattr(self, name) for name in self.__match_args__)
-        object.__setattr__(self, "_hash", hash(fields))
+    __slots__ = ("_hash",)
+
+    def __init__(self, *args, **kwargs):
+        object.__setattr__(self, "_hash", hash(set_fields(self, args, kwargs)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -74,68 +76,46 @@ class Formula:
         return fold(self, repr_step)
 
 
-def _node(cls):
-    """Frozen dataclass node that keeps Formula's hash, equality and repr."""
-    return dataclass(frozen=True, eq=False, repr=False)(cls)
-
-
-@_node
 class Atom(Formula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
 
-@_node
 class NegAtom(Formula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
 
-@_node
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@_node
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@_node
 class Next(Formula):
-    child: Formula
+    __slots__ = __match_args__ = ("child",)
 
 
-@_node
 class Until(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@_node
 class Release(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@_node
 class FLe(Formula):
     """Eventually within cost bound: some position with accumulated
     cost (in `coord`) at most the value of `var` satisfies the child."""
 
-    var: str
-    coord: int
-    child: Formula
+    __slots__ = __match_args__ = ("var", "coord", "child")
 
 
-@_node
 class GLe(Formula):
     """Always within cost bound: every position with accumulated
     cost (in `coord`) at most the value of `var` satisfies the child."""
 
-    var: str
-    coord: int
-    child: Formula
+    __slots__ = __match_args__ = ("var", "coord", "child")
 
 
 def tt() -> Formula:
@@ -265,8 +245,8 @@ def rebuild(node: Formula, kids: list) -> Formula:
 
 
 def repr_step(node: Formula, kids: list) -> str:
-    """The dataclass `repr` of a node, given its children's: the step that
-    `Formula.__repr__` folds."""
+    """The `repr` of a node, `Name(field=value, ...)`, given its children's:
+    the step that `Formula.__repr__` folds."""
     kid_text = iter(kids)
     fields = ", ".join(
         f"{name}={next(kid_text) if isinstance(value, Formula) else repr(value)}"
@@ -297,10 +277,8 @@ def size(phi: Formula) -> int:
     return len(closure(phi))
 
 
-@dataclass(frozen=True)
-class VarProfile:
-    var_f: frozenset[str]
-    var_g: frozenset[str]
+class VarProfile(ValueRecord):
+    __slots__ = __match_args__ = ("var_f", "var_g")
 
     @property
     def well_formed(self) -> bool:
@@ -593,11 +571,8 @@ def _operand(printed: Optional[tuple[str, int]], min_prec: int) -> str:
 _KEYWORDS = {"tt", "ff", "X", "F", "G", "U", "R"}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
+class _Token(ValueRecord):
+    __slots__ = __match_args__ = ("kind", "text", "pos")
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -616,9 +591,9 @@ def _tokenize(text: str) -> list[_Token]:
             tokens.append(_Token("ident", text[i:j], i))
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("int", text[i:j], i))
             i = j

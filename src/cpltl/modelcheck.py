@@ -17,7 +17,6 @@ for a counterexample, at budgets 0, 1, 2, 4, ... up to a computable bound.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, Optional
 
@@ -42,7 +41,8 @@ from .formula import (
     require_well_formed,
     validate_coords,
 )
-from .system import LassoPath, TransitionSystem, canonical_lasso, trace_of
+from .record import Record
+from .system import TransitionSystem, canonical_lasso, trace_of
 from .trace import Lasso, changepoints_of, evaluate
 
 
@@ -53,8 +53,7 @@ class ModelCheckError(RuntimeError):
 # --- colored product --------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ColoredCostGraph:
+class ColoredCostGraph(Record):
     """Product of a system with an automaton, with free color choices.
 
     A vertex is (system state, automaton state, color set); the automaton
@@ -79,20 +78,13 @@ class ColoredCostGraph:
     grow with the square of the state count).  The vertex tuples,
     `vertices`, are decoded from the arrays on first use, and so are the
     views built on them: `initial`, `edges`, `accepting` and `index`
-    (vertex -> id).
+    (vertex -> id).  The cached views live in the instance `__dict__`.
     """
 
-    succ: list
-    place: list
-    auto: list
-    color: list
-    accept: list
-    positive_bits: dict
-    states: tuple
-    auto_states: tuple
-    system_cost: dict
-    colors: tuple
-    d: int
+    __match_args__ = (
+        "succ", "place", "auto", "color", "accept", "positive_bits",
+        "states", "auto_states", "system_cost", "colors", "d",
+    )
 
     @cached_property
     def vertices(self) -> tuple:
@@ -652,33 +644,31 @@ def valuation_upper_bound(system: TransitionSystem, phi: Formula) -> int:
 # --- results ----------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ExistsResult:
-    holds: bool
-    bound: int
-    witness: Optional[tuple]
-    product_vertices: int
-    product_edges: int
-    automaton_states: int
+class ExistsResult(Record):
+    """`witness` is the pumpable fair path (prefix, loop) of product
+    vertices, None when phi holds."""
+
+    __slots__ = __match_args__ = (
+        "holds", "bound", "witness", "product_vertices", "product_edges", "automaton_states",
+    )
 
 
-@dataclass(frozen=True, eq=False)
-class FixedResult:
-    holds: bool
-    counterexample: Optional[LassoPath]
-    # Search nodes the decision pass expanded: every reachable node when
-    # the formula holds, and those up to the first fair component when it
-    # fails (the counterexample search is not counted).  They are quotient
-    # nodes, or the exact search's nodes after a spurious quotient lasso.
-    explored: int
+class FixedResult(Record):
+    """`counterexample` is a LassoPath, None when phi holds.  `explored`
+    counts the search nodes the decision pass expanded: every reachable
+    node when the formula holds, and those up to the first fair component
+    when it fails (the counterexample search is not counted).  They are
+    quotient nodes, or the exact search's nodes after a spurious quotient
+    lasso."""
+
+    __slots__ = __match_args__ = ("holds", "counterexample", "explored")
 
 
-@dataclass(frozen=True, eq=False)
-class ForallResult:
-    holds: bool
-    bound: int
-    corner: dict
-    counterexample: Optional[LassoPath]
+class ForallResult(Record):
+    """`corner` maps each variable to a value (a dict); `counterexample`
+    is a LassoPath, None when phi holds."""
+
+    __slots__ = __match_args__ = ("holds", "bound", "corner", "counterexample")
 
 
 # --- checks -----------------------------------------------------------------

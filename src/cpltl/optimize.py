@@ -25,7 +25,6 @@ more translation than one.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from .formula import (
@@ -41,6 +40,7 @@ from .modelcheck import (
     forall_holds,
     valuation_upper_bound,
 )
+from .record import Record
 from .system import TransitionSystem
 
 
@@ -56,14 +56,11 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True, eq=False)
-class OptimizeResult:
-    status: str
-    value: Optional[int]
-    witness: Optional[dict]
-    bound: int
-    probes: int
-    empty_domain: bool = False
+class OptimizeResult(Record):
+    __slots__ = __match_args__ = ("status", "value", "witness", "bound", "probes", "empty_domain")
+
+    def __init__(self, status, value, witness, bound, probes, empty_domain=False):
+        super().__init__(status, value, witness, bound, probes, empty_domain)
 
 
 def binary_search_threshold(

@@ -11,10 +11,10 @@ in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .formula import KAPPA_PREFIX, is_identifier, kappa_name
+from .record import ValueRecord
 from .trace import CostLetter, CostTrace, Lasso
 
 
@@ -22,14 +22,12 @@ class SystemFormatError(ValueError):
     """Malformed system description or validation failure."""
 
 
-@dataclass(frozen=True)
-class TransitionSystem:
-    states: tuple[str, ...]
-    initial: str
-    edges: dict[str, tuple[str, ...]]
-    labels: dict[str, frozenset[str]]
-    cost: dict[tuple[str, str], tuple[int, ...]]
-    d: int
+class TransitionSystem(ValueRecord):
+    """A system over d cost coordinates: `states` in declaration order,
+    `edges[src]` the successors of src in edge order, `labels[state]` its
+    propositions and `cost[src, dst]` the cost vector of an edge."""
+
+    __slots__ = __match_args__ = ("states", "initial", "edges", "labels", "cost", "d")
 
     def successors(self, state: str) -> tuple[str, ...]:
         return self.edges.get(state, ())
@@ -93,7 +91,7 @@ def parse_system(text: str) -> TransitionSystem:
         if fields[0] == "dim":
             if d is not None:
                 raise SystemFormatError(f"line {lineno}: duplicate dim line")
-            if len(fields) != 2 or not fields[1].isdigit() or int(fields[1]) < 1:
+            if len(fields) != 2 or not fields[1].isdecimal() or int(fields[1]) < 1:
                 raise SystemFormatError(f"line {lineno}: expected 'dim D' with D >= 1")
             d = int(fields[1])
             continue
@@ -183,10 +181,10 @@ def format_system(system: TransitionSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
 class LassoPath(Lasso[str]):
     """Ultimately periodic path through a system: prefix then loop."""
 
+    __slots__ = ()
     error = SystemFormatError
 
 

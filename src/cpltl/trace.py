@@ -16,7 +16,6 @@ position (position 0 itself is unconstrained).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, ClassVar, Generic, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .formula import (
@@ -34,6 +33,7 @@ from .formula import (
     fold,
     kappa_name,
 )
+from .record import ValueRecord
 
 Valuation = Mapping[str, int]
 
@@ -42,10 +42,11 @@ class TraceError(ValueError):
     """Malformed cost-trace or trace-file input."""
 
 
-@dataclass(frozen=True)
-class CostLetter:
-    props: frozenset[str]
-    cost: tuple[int, ...]
+class CostLetter(ValueRecord):
+    """A trace position: the propositions that hold there (a frozenset) and
+    the cost vector of the step leaving it (a tuple)."""
+
+    __slots__ = __match_args__ = ("props", "cost")
 
 
 def letter(props: Iterable[str], *cost: int) -> CostLetter:
@@ -55,23 +56,22 @@ def letter(props: Iterable[str], *cost: int) -> CostLetter:
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class Lasso(Generic[T]):
+class Lasso(ValueRecord, Generic[T]):
     """Ultimately periodic word: a finite prefix, then a non-empty loop
-    repeated forever.
+    repeated forever, both tuples.
 
     Slots 0 .. n_slots-1 index prefix + loop.  Position n of the infinite
     word is slot n inside prefix + loop, and past it the loop slot that is
     congruent to n modulo the period.
     """
 
-    prefix: tuple[T, ...]
-    loop: tuple[T, ...]
+    __slots__ = __match_args__ = ("prefix", "loop")
 
     # Raised on an empty loop; each subclass names its module's error type.
     error: ClassVar[type[Exception]] = ValueError
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         if not self.loop:
             raise self.error("loop must be non-empty")
 
@@ -114,16 +114,16 @@ class Lasso(Generic[T]):
         ]
 
 
-@dataclass(frozen=True)
 class CostTrace(Lasso[CostLetter]):
     """Lasso of cost letters over d cost coordinates."""
 
-    d: int
+    __slots__ = ("d",)
+    __match_args__ = ("prefix", "loop", "d")
 
     error = TraceError
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         if self.d < 0:
             raise TraceError("dimension must be non-negative")
         for where, seq in (("prefix", self.prefix), ("loop", self.loop)):
@@ -277,8 +277,7 @@ def evaluate(
 # --- colorings ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Changepoints:
+class Changepoints(ValueRecord):
     """Color-change positions of a coloring, finitely represented.
 
     `initial` lists every changepoint at position <= prefix + period.
@@ -286,9 +285,7 @@ class Changepoints:
     recur at q + k*period for all k; empty means finitely many overall.
     """
 
-    initial: tuple[int, ...]
-    repeating: tuple[int, ...]
-    period: int
+    __slots__ = __match_args__ = ("initial", "repeating", "period")
 
     @property
     def finite(self) -> bool:
@@ -432,7 +429,7 @@ def parse_trace(text: str) -> CostTrace:
             if d is not None:
                 raise TraceError(f"line {lineno}: duplicate dim line")
             parts = line.split()
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise TraceError(f"line {lineno}: expected 'dim D'")
             d = int(parts[1])
             continue

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tracemalloc
 from collections import deque
-from dataclasses import dataclass
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,7 +33,6 @@ from cpltl.formula import (
 from cpltl.trace import CostTrace, Lasso, evaluate, letter
 
 
-@dataclass(frozen=True)
 class PropLasso(Lasso[frozenset]):
     """Ultimately periodic word of proposition sets: prefix then loop."""
 

@@ -1,6 +1,5 @@
 """Formula layer: parser, printer, negation, closure, rewrites."""
 
-import dataclasses
 import random
 import time
 
@@ -92,7 +91,10 @@ def test_parse_constants():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "p &", "& p", "(p", "p)", "F[<=] p", "F[<=x p", "p q", "U p", "F[<=x@0] p"],
+    [
+        "", "p &", "& p", "(p", "p)", "F[<=] p", "F[<=x p", "p q", "U p", "F[<=x@0] p",
+        "F[<=x@\u00b2] p",  # a superscript digit, which int() does not read
+    ],
 )
 def test_parse_errors(text):
     with pytest.raises(ParseError) as info:
@@ -167,11 +169,11 @@ def test_eliminate_parametric_always_shape():
 
 
 def test_node_hash_is_the_field_tuple_hash(formula_pool):
-    # the dataclass hash, so set orders (and the automata built from them)
-    # do not change when the hash is stored
+    # the hash of the field tuple, so set orders (and the automata built
+    # from them) do not change when the hash is stored
     for phi in formula_pool:
         for node in subformulas(phi):
-            fields = tuple(getattr(node, f.name) for f in dataclasses.fields(node))
+            fields = tuple(getattr(node, name) for name in node.__match_args__)
             assert hash(node) == hash(fields)
     deep = Atom("p")
     for _ in range(5000):

@@ -130,6 +130,7 @@ def test_validate_structural_faults():
         "dim 1\nstate s0 init :\nedge s0 s0 0\n",
         "dim 2\nstate s0 init :\nedge s0 s0 : 0\n",
         "nonsense\n",
+        "dim \u00b2\nstate s0 init :\nedge s0 s0 : 0\n",  # int() does not read it
     ],
 )
 def test_parse_system_errors(text):

@@ -288,6 +288,7 @@ def test_format_parse_round_trip():
         "dim 1\nloop:\n{p} 1\n",
         "dim 1\nloop:\n{p} -> -1\n",
         "loop:\n{p} -> 1\n",
+        "dim \u00b2\nloop:\n{p} -> 1\n",  # a superscript digit, which int() does not read
     ],
 )
 def test_parse_trace_errors(text):
