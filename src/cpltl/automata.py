@@ -233,13 +233,35 @@ def ltl_to_nba(phi: Formula) -> BuchiAutomaton:
     """Translate a variable-free formula into a Buchi automaton.
 
     Tableau expansion over the formula's closure gives a generalized Buchi
-    automaton with one acceptance set per Until.  One SCC pass over the
-    tableau decides which nodes can still reach a cycle through every set
-    (Couvreur 1999); only those nodes are degeneralized into (node, layer)
-    states, and _merge then folds states with identical futures.  Exact on
-    ultimately periodic words: the automaton accepts w exactly when f
-    holds on w.  Each stage runs in its own helper, so its tables are
-    freed once the next stage is built.
+    automaton with one acceptance set per Until; of the cores a next-set
+    expands into, only the undominated ones become nodes (_undominated,
+    after Gastin and Oddoux 2001).  One SCC pass over the tableau decides
+    which nodes can still reach a cycle through every set (Couvreur 1999);
+    only those nodes are degeneralized into (node, layer) states, and
+    _merge then folds states with identical futures.  Exact on ultimately
+    periodic words: the automaton accepts w exactly when f holds on w.
+    Each stage runs in its own helper, so its tables are freed once the
+    next stage is built.
+
+    Dropping dominated cores keeps the language.  Say core c' is at most
+    core c when c' has a subset of c's old, a subset of c's next-set, and
+    lies in every Until's acceptance set that c lies in.  For any core c
+    of a next-set N and any N' within N, the expansion of N' has a core
+    c'' at most c: follow c's branch choices, taking the fulfilling branch
+    at each Until whose right argument c holds.  Every node that branch
+    meets is in c's old, so its literals agree with c's, its Next nodes
+    put their children into c's next-set, and an Until it holds owes only
+    where c owes it.  Being at most is a partial order on distinct cores,
+    so some undominated core of N' is at most c''.  Now take an accepting
+    run c0 c1 ... of the tableau without pruning.  The pruned tableau has
+    a run d0 d1 ... on the same word with each d_i at most c_i: d_{i+1}
+    comes from the expansion of d_i's next-set, a subset of c_i's.  Its
+    guards are weaker, and it lies in every acceptance set c_i lies in,
+    so it is accepting too.  The pruned tableau is a sub-automaton of the
+    full one, so it accepts no more either.  Without the acceptance
+    condition the order is wrong: in G (a & X (a U b)) the core that owes
+    `a U b` has a smaller old than the one that fulfils it and the same
+    next-set, and keeping only it leaves no accepting run.
     """
     profile = var_profile(phi)
     if profile.variables:
@@ -270,10 +292,11 @@ def _tableau(start: int, rules: Sequence, literals: dict, untils: list) -> tuple
 
     Nodes are numbered by their (old, nxt) cores.  Source -1 denotes the
     run start.  A node's successors depend only on its next-set, so each
-    distinct next-set is expanded once; a new node's successors are walked
-    before its parent's remaining ones, which fixes the node numbering.
-    Every edge into node r carries r's guard, so a node's out-edges are its
-    successor nodes, listed in ascending order."""
+    distinct next-set is expanded once, into its undominated cores (see
+    ltl_to_nba); a new node's successors are walked before its parent's
+    remaining ones, which fixes the node numbering.  Every edge into node r
+    carries r's guard, so a node's out-edges are its successor nodes,
+    listed in ascending order."""
     node_old: list = []
     out_nodes: dict = {-1: []}
     by_core: dict = {}
@@ -282,7 +305,8 @@ def _tableau(start: int, rules: Sequence, literals: dict, untils: list) -> tuple
     def successors(nxt: int) -> list:
         cores = expanded.get(nxt)
         if cores is None:
-            cores = expanded[nxt] = _expand(_members(nxt), rules, 0, 0)
+            cores = _expand(_members(nxt), rules, 0, 0)
+            cores = expanded[nxt] = _undominated(cores, untils, len(rules))
         return cores
 
     walk = [(-1, iter(successors(start)))]
@@ -313,6 +337,49 @@ def _tableau(start: int, rules: Sequence, literals: dict, untils: list) -> tuple
             if not old & owes or old & fulfils:
                 masks[r] |= 1 << j
     return guards, masks, out_nodes
+
+
+def _undominated(cores: list, untils: list, width: int) -> list:
+    """The cores no other core dominates, in their order.  A core (old',
+    nxt') dominates (old, nxt) when old' is a subset of old, nxt' of nxt,
+    and the Untils that old' owes, holding the Until and not its right
+    argument, are a subset of those old owes.  Cores are keyed by
+    old | nxt << width, and a dominating core's key is a strict subset, so
+    it has fewer bits.  Domination is transitive, so scanning by ascending
+    bit count, a core need only be compared with the kept cores of fewer
+    bits."""
+    if len(cores) < 2:
+        return cores
+    olds = {old | nxt << width: old for old, nxt in cores}
+    owed: dict = {}
+
+    def owes(key: int) -> int:
+        out = owed.get(key)
+        if out is None:
+            old = olds[key]
+            out = 0
+            for f, right in untils:
+                if old >> f & 1 and not old >> right & 1:
+                    out |= 1 << f
+            owed[key] = out
+        return out
+
+    kept: list = []
+    level: list = []
+    size = -1
+    for key in sorted(olds, key=int.bit_count):
+        if key.bit_count() != size:
+            kept += level
+            level = []
+            size = key.bit_count()
+        outside = ~key
+        for small in kept:
+            if not small & outside and not owes(small) & ~owes(key):
+                break
+        else:
+            level.append(key)
+    keep = set(kept + level)
+    return [core for core, key in zip(cores, olds) if key in keep]
 
 
 def _layered(start: int, rules: Sequence, literals: dict) -> Optional[tuple]:
@@ -353,14 +420,12 @@ def _layered(start: int, rules: Sequence, literals: dict) -> Optional[tuple]:
 
     # Degeneralize: the layer names the set a run waits for, and advances
     # when the run leaves a node in it.  A pair (node, layer) is keyed
-    # node * width + layer.  The breadth-first search numbers every pair it
-    # discovers, dead ones too, so the names are those of the whole layered
-    # automaton.  Only live pairs become states; edges into dead pairs are
-    # dropped, so a dead pair, whose successors are all dead, has none.
+    # node * width + layer.  The breadth-first search numbers the live
+    # pairs in the order it discovers them; edges into dead pairs are
+    # dropped.
     width = k or 1
     start = init_node * width
     names: dict = {start: "q0"}
-    order = ["q0"]
     queue = deque([start])
     transitions: dict = {}
     accepting = set()
@@ -368,21 +433,19 @@ def _layered(start: int, rules: Sequence, literals: dict) -> Optional[tuple]:
         pair = queue.popleft()
         node, layer = divmod(pair, width)
         passed = node != -1 and (k == 0 or masks[node] >> layer & 1)
-        if passed and layer == 0 and live[node]:
+        if passed and layer == 0:
             accepting.add(names[pair])
         succ_layer = (layer + 1) % width if passed else layer
         edges = []
         for target in out_nodes[node]:
-            succ = target * width + succ_layer
-            if succ not in names:
-                names[succ] = f"q{len(names)}"
-                queue.append(succ)
-                if live[target]:
-                    order.append(names[succ])
             if live[target]:
+                succ = target * width + succ_layer
+                if succ not in names:
+                    names[succ] = f"q{len(names)}"
+                    queue.append(succ)
                 edges.append((guards[target], names[succ]))
         transitions[names[pair]] = tuple(edges)
-    return tuple(order), "q0", transitions, accepting
+    return tuple(names.values()), "q0", transitions, accepting
 
 
 def _merge(states, initial, transitions, accepting, alphabet) -> BuchiAutomaton:

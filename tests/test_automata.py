@@ -23,9 +23,17 @@ from cpltl.automata import (
 )
 from cpltl.formula import (
     And,
+    Atom,
     FormulaError,
+    NegAtom,
+    Next,
+    Or,
+    Release,
+    Until,
+    always,
     chi_formula,
     eliminate_parametric_always,
+    eventually,
     negate,
     parse,
     relativize,
@@ -156,6 +164,67 @@ def test_nba_language_matches_evaluator():
             word = random_word(rng)
             want = evaluate(zero_cost_trace(word), 0, {}, phi)
             assert nba_accepts_lasso(auto, word) is want, (phi, word)
+
+
+def nested_formula(rng, depth):
+    """Seeded plain formula whose X and U sit under G, F, U and R, as in
+    G (p & X (p U q)): tableau cores that differ only in the Untils they
+    owe."""
+    kinds = ("and", "or", "next", "until", "release", "always", "eventually")
+    if depth == 0 or rng.random() < 0.15:
+        name = rng.choice(("p", "q"))
+        return Atom(name) if rng.random() < 0.5 else NegAtom(name)
+    kind = rng.choice(kinds)
+
+    def sub():
+        return nested_formula(rng, depth - 1)
+
+    if kind == "and":
+        return And(sub(), sub())
+    if kind == "or":
+        return Or(sub(), sub())
+    if kind == "next":
+        return Next(sub())
+    if kind == "until":
+        return Until(sub(), sub())
+    if kind == "release":
+        return Release(sub(), sub())
+    return (always if kind == "always" else eventually)(sub())
+
+
+def test_nba_language_matches_evaluator_on_nested_formulas():
+    # Deeper than test_nba_language_matches_evaluator's sample, with G and
+    # F over X and U, and each formula's negation too: a subsumption that
+    # ignores which Untils a core owes accepts words these reject.
+    rng = random.Random(2001)
+    for _ in range(150):
+        phi = nested_formula(rng, rng.randint(2, 5))
+        for target in (phi, negate(phi)):
+            auto = ltl_to_nba(target)
+            for _ in range(6):
+                word = random_word(rng)
+                want = evaluate(zero_cost_trace(word), 0, {}, target)
+                assert nba_accepts_lasso(auto, word) is want, (target, word)
+
+
+def test_subsumption_keeps_the_owed_until():
+    # The core that owes `p U q` has a smaller `old` than the one that
+    # fulfils it and the same next-set; dropping the fulfilling one leaves
+    # only runs that owe the Until forever, and the automaton empty.
+    auto = ltl_to_nba(parse("G (p & X (p U q))"))
+    assert auto.n_states == 3
+    assert nba_accepts_lasso(auto, PropLasso.of([], [{"p", "q"}]))
+    assert not nba_accepts_lasso(auto, PropLasso.of([], [{"p"}]))
+
+
+def test_dominated_cores_are_dropped():
+    # Sizes, not times: the negated chain's first expansion has 2^10 cores
+    # and 2 undominated ones (11 states before subsumption), and the
+    # relativized negation of F[<=x]^4 p had 152 states.
+    chain = parse("q U " * 10 + "p")
+    assert ltl_to_nba(negate(chain)).n_states == 2
+    nested = parse("F[<=x] " * 4 + "p")
+    assert ltl_to_nba(negate(relativize(nested, 1))).n_states <= 18
 
 
 def test_nba_accepts_lasso_frozen():
@@ -382,24 +451,24 @@ def pin(auto: BuchiAutomaton) -> tuple:
     "make, expected",
     [
         (lambda: exists_target("G (q -> F[<=x] p)"),
-         (237, 1026, 25, "befb8a78468a69b4")),
+         (180, 710, 20, "56ece21ffca7b523")),
         (lambda: exists_target("X G (q -> F[<=x] p)"),
-         (249, 1110, 24, "eeae77964ee1be68")),
+         (207, 888, 20, "0020fdcab824da73")),
         (lambda: exists_target("G[<=y] q"),
-         (97, 358, 18, "cc43eead65d42cf9")),
+         (97, 358, 18, "4ff3f63b7cef2e0c")),
         (lambda: exists_target("F G (q -> F[<=x] p)"),
-         (382, 3596, 21, "f4f9fc57ae54bbae")),
+         (245, 1810, 18, "d1366e8e2c9cb478")),
         (lambda: exists_target("F[<=x] p | F[<=x] q"),
-         (555, 3024, 61, "fd65a7c697cff43d")),
-        (lambda: chi_formula(1), (43, 128, 9, "affcdcb59eed672a")),
-        (lambda: chi_formula(2), (679, 5072, 81, "6447a9b6b9fdccfc")),
+         (138, 524, 21, "38311ec9df652293")),
+        (lambda: chi_formula(1), (43, 128, 9, "a85715eb63a63973")),
+        (lambda: chi_formula(2), (679, 5072, 81, "b66814c07a3deae2")),
     ],
     ids=["lift", "next-lift", "g-bounded", "fg-lift", "two-f", "chi1", "chi2"],
 )
 def test_translation_is_pinned(make, expected):
-    # The exists automata, state names included, as the tableau built them
-    # when it expanded every node's next-set anew; the README's bound=5690
-    # rests on lift's 237 states.
+    # The exists automata, state names included, as the tableau builds them
+    # from the undominated cores of each next-set; the README's bound=4322
+    # rests on lift's 180 states.
     assert pin(ltl_to_nba(make())) == expected
 
 
@@ -435,9 +504,8 @@ def _states_on_accepting_cycles(auto: BuchiAutomaton) -> set:
 
 def test_random_translations_are_pinned_and_live():
     # States, names, edge order and acceptance of 400 translations, as the
-    # translation built them when it degeneralized the whole tableau and
-    # trimmed afterwards.  The sample holds Until-free formulas and 22
-    # empty automata.
+    # translation builds them from undominated cores, naming live states
+    # only.  The sample holds Until-free formulas and 22 empty automata.
     rng = random.Random(411)
     digest = hashlib.sha256()
     empty = 0
@@ -461,7 +529,7 @@ def test_random_translations_are_pinned_and_live():
         assert _states_on_accepting_cycles(auto) == set(auto.states), phi
     assert empty == 22
     assert digest.hexdigest() == (
-        "24e1fc7e630d82db87918a48dbf56074c26c960a80a2381526f463c199c38466"
+        "ca6110b7eb047b01074f115c141b7b8557248c686129c635abce4ce719a4b9c6"
     )
 
 
@@ -489,8 +557,8 @@ def test_translation_is_independent_of_hash_seed():
         )
         outputs.add(proc.stdout)
     assert outputs == {
-        "(237, 1026, 25, 'befb8a78468a69b4')\n"
-        "(679, 5072, 81, '6447a9b6b9fdccfc')\n"
+        "(180, 710, 20, '56ece21ffca7b523')\n"
+        "(679, 5072, 81, 'b66814c07a3deae2')\n"
     }
 
 

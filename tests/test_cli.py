@@ -387,7 +387,7 @@ def test_translate_product_output_is_pinned(capsys, sys_file, sys_a):
     assert len(lines) == 202
     digest = hashlib.sha256(captured.out.encode()).hexdigest()
     assert digest == (
-        "2aba74a3fbfaccac81fe9288c21920da2a1aca053dcf9b67465430e3a7395e47"
+        "f0d3feb4e609c0f52e5749736bc76d33f3a4673122567f7f3beb7a7e5122a3ef"
     )
     # every edge costs what the system charges between the two states
     edges = [line.split() for line in lines if line.startswith("edge ")]
@@ -415,10 +415,10 @@ def test_translate_product_output_is_pinned_at_d2(capsys, tmp_path):
         capsys, "translate", "G[<=y@2] q", "--emit", "product", "--system", str(path)
     )
     assert code == 0
-    assert len(captured.out) == 6849
+    assert len(captured.out) == 6833
     digest = hashlib.sha256(captured.out.encode()).hexdigest()
     assert digest == (
-        "f6495a14b397758d6f8ad0c263634999839772f54672905ebaa42be02b35dfa2"
+        "c8e125494236dddc8dd8575d00d13903fc7fdf51e187785e93a2c1dedec2e8eb"
     )
 
 

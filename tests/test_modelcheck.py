@@ -460,6 +460,26 @@ def test_check_exists_bounded_always(sys_a):
     assert check_exists(sys_a, parse("G[<=y] r")).holds is False
 
 
+def test_check_exists_keeps_every_owed_until():
+    # The only run is (a b)^w, where G (a & X (a U b)) holds, so its
+    # negation fails.  The automaton of G (a & X (a U b)) is empty when the
+    # tableau drops the core that fulfils `a U b` for one that owes it.
+    system = parse_system("dim 1\nstate s0 init : a b kappa1\nedge s0 s0 : 1\n")
+    phi = parse("! G (a & X (a U b))")
+    result = check_exists(system, phi)
+    assert not result.holds
+    prefix, loop = result.witness
+    assert verify_pumpable(exists_product(system, phi), prefix, loop) == []
+
+
+def test_check_exists_of_an_until_chain_is_small(sys_a):
+    # The exists automaton of a 6-operator chain had 295 states before the
+    # tableau dropped dominated cores.
+    result = check_exists(sys_a, parse("q U " * 6 + "p"))
+    assert result.holds
+    assert result.automaton_states == 85
+
+
 def test_check_forall(sys_a):
     narrow = check_forall(sys_a, parse("G[<=y] q"))
     assert not narrow.holds
