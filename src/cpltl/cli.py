@@ -26,11 +26,11 @@ from .formula import (
     var_profile,
 )
 from .modelcheck import (
-    _exists_automaton,
     build_product,
     check_exists,
     check_fixed,
     check_forall,
+    exists_automaton,
 )
 from .optimize import Objective, optimize_mc
 from .system import TransitionSystem, parse_system, trace_of
@@ -220,25 +220,26 @@ def _cmd_translate(args) -> int:
         return 2
     require_well_formed(phi)
     validate_coords(phi, system.d)
-    graph = build_product(system, _exists_automaton(phi, system.d))
+    graph = build_product(system, exists_automaton(phi, system.d))
 
     def vertex_name(vertex) -> str:
         state, auto_state, colors = vertex
         shown = ",".join(sorted(colors)) if colors else "-"
         return f"{state}|{auto_state}|{shown}"
 
+    names = [vertex_name(v) for v in graph.vertices]
+    states = [graph.states[p] for p in graph.place]
     _say("emit", "product")
     _say("vertices", graph.n_vertices)
     _say("edges", graph.n_edges())
-    _say("accepting", sum(1 for v in graph.vertices if v in graph.accepting))
-    _say("initial", vertex_name(graph.initial))
-    for vertex in graph.vertices:
-        mark = " accepting" if vertex in graph.accepting else ""
-        print(f"vertex {vertex_name(vertex)}{mark}")
-    for vertex in graph.vertices:
-        for succ in graph.edges[vertex]:
-            shown = " ".join(str(c) for c in graph.step(vertex, succ))
-            print(f"edge {vertex_name(vertex)} {vertex_name(succ)} : {shown}")
+    _say("accepting", sum(graph.accept))
+    _say("initial", names[0])
+    for name, ok in zip(names, graph.accept):
+        print(f"vertex {name}{' accepting' if ok else ''}")
+    for u, out in enumerate(graph.succ):
+        for w in out:
+            cost = graph.system_cost[states[u], states[w]]
+            print(f"edge {names[u]} {names[w]} : {' '.join(map(str, cost))}")
     return 0
 
 

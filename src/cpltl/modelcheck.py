@@ -16,11 +16,11 @@ for a counterexample, at budgets 0, 1, 2, 4, ... up to a computable bound.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, Optional
 
 from .automata import (
+    AutomatonError,
     BuchiAutomaton,
     CostBuchiAutomaton,
     find_accepting_lasso,
@@ -77,13 +77,13 @@ class ColoredCostGraph(Record):
     order as over the full product.
 
     The graph keeps no cost per edge: an edge's cost is the system's cost
-    between the two vertices' states (`step`), and `positive_bits[place[u]
-    * len(states) + place[w]]` is the bitmask of the coordinates in which
-    it is positive (keyed by the system's edges only, so its size does not
-    grow with the square of the state count).  The vertex tuples,
-    `vertices`, are decoded from the arrays on first use, and so are the
-    views built on them: `initial`, `edges`, `accepting` and `index`
-    (vertex -> id).  The cached views live in the instance `__dict__`.
+    between the two vertices' states, `system_cost[states[place[u]],
+    states[place[w]]]`, and `positive_bits[place[u] * len(states) +
+    place[w]]` is the bitmask of the coordinates in which it is positive
+    (keyed by the system's edges only, so its size does not grow with the
+    square of the state count).  The searches work on ids alone; the only
+    decoded views are the vertex tuples, `vertices`, and `index` (vertex
+    -> id), both built on first use and cached in the instance `__dict__`.
     """
 
     __match_args__ = (
@@ -101,10 +101,6 @@ class ColoredCostGraph(Record):
         )
 
     @property
-    def initial(self) -> tuple:
-        return self.vertices[0]
-
-    @property
     def n_vertices(self) -> int:
         return len(self.succ)
 
@@ -112,27 +108,8 @@ class ColoredCostGraph(Record):
         return sum(map(len, self.succ))
 
     @cached_property
-    def edges(self) -> dict:
-        vertices = self.vertices
-        return {
-            v: tuple(vertices[j] for j in out)
-            for v, out in zip(vertices, self.succ)
-        }
-
-    @cached_property
-    def accepting(self) -> frozenset:
-        return frozenset(v for v, ok in zip(self.vertices, self.accept) if ok)
-
-    @cached_property
     def index(self) -> dict:
         return {v: i for i, v in enumerate(self.vertices)}
-
-    def step(self, v, w) -> tuple:
-        """Cost vector of the edge v -> w."""
-        return self.system_cost[(v[0], w[0])]
-
-    def color_bit(self, vertex, coord: int) -> bool:
-        return self.colors[coord - 1] in vertex[2]
 
 
 def _color_sets(colors: tuple) -> list:
@@ -351,19 +328,6 @@ def _pump_capability(graph: ColoredCostGraph) -> tuple:
     return cap, components
 
 
-def _distances(start, adj: Callable) -> dict:
-    """Edge count of a shortest path from start to each reachable node."""
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for w in adj(u):
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
 def _pump_cycle(
     graph: ColoredCostGraph,
     components: dict,
@@ -372,12 +336,17 @@ def _pump_cycle(
     constant: bool,
 ) -> Optional[list]:
     """Shortest cycle through vertex id v with a positive step in the
-    coordinate of `bit`, staying on vertices that agree with v on that
-    coordinate's color (or on all colors when `constant`).  Ties go to the
-    first positive edge in vertex order.  Returns the cycle as ids
-    [v, ...] with an implicit wrap edge, or None.
+    coordinate of `bit`, inside v's component of the subgraph that keeps
+    that coordinate's color (all colors when `constant`).  Returns the
+    cycle as ids [v, ...] with an implicit wrap edge, or None when the
+    component has no positive edge.
 
-    `components` caches `_components` per color mask.
+    One breadth-first search (`_shortest_path`) over (id, pumped) pairs,
+    where pumped tells whether the path has taken a positive step yet,
+    from (v, False) to (v, True): such paths are exactly the cycles through
+    v with a positive step.  Ties go to the path the search meets first,
+    following each vertex's successors in edge order.  `components` caches
+    `_components` per color mask.
     """
     succ, place, bits = graph.succ, graph.place, graph.positive_bits
     n_states = len(graph.states)
@@ -387,48 +356,46 @@ def _pump_cycle(
         comp = components[mask] = _components(graph, mask)
     label = comp[v]
 
-    def inside(u) -> list:
-        return [w for w in succ[u] if comp[w] == label]
+    def successors(node) -> list:
+        u, pumped = node
+        row = place[u] * n_states
+        return [
+            (w, pumped or bits[row + place[w]] & bit != 0)
+            for w in succ[u]
+            if comp[w] == label
+        ]
 
-    members = [u for u in range(graph.n_vertices) if comp[u] == label]
-    pred: dict = {u: [] for u in members}
-    candidates = []
-    for a in members:
-        row = place[a] * n_states
-        for b in inside(a):
-            pred[b].append(a)
-            if bits[row + place[b]] & bit:
-                candidates.append((a, b))
-    if not candidates:
+    try:
+        path = _shortest_path(((v, False),), successors, {(v, True)})
+    except AutomatonError:
         return None
-    dist_v = _distances(v, inside)
-    dist_to_v = _distances(v, pred.__getitem__)
-    best = None
-    for a, b in candidates:
-        length = dist_v[a] + 1 + dist_to_v[b]
-        if best is None or length < best[0]:
-            best = (length, a, b)
-    _, a, b = best
-    there = _shortest_path((v,), inside, {a})
-    return there + _shortest_path((b,), inside, {v})[:-1]
+    return [u for u, _ in path[:-1]]
 
 
-def _block_pumped(graph, run: Lasso, coord: int, start: int, end: int) -> bool:
-    """True when some vertex repeats inside the block with positive
-    `coord`-cost between its occurrences."""
-    first: dict = {}
-    acc = [0]
-    for pos in range(start, end):
-        v = run.letter(pos)
-        if pos > start:
-            step = graph.step(run.letter(pos - 1), v)[coord - 1]
-            acc.append(acc[-1] + step)
-        if v in first:
-            if acc[pos - start] - acc[first[v]] > 0:
-                return True
-        else:
-            first[v] = pos - start
-    return False
+def _unpumped_blocks(graph: ColoredCostGraph, run: Lasso) -> list:
+    """(coordinate, start, end) of each completed color block of `run`, a
+    lasso of vertex ids, in which no vertex repeats with a positive step
+    in that coordinate between its occurrences.  Costs are never
+    negative, so such a step is what makes a repetition positive."""
+    place, bits, color = graph.place, graph.positive_bits, graph.color
+    n_states = len(graph.states)
+    out = []
+    for coord in range(1, graph.d + 1):
+        bit = 1 << (coord - 1)
+        cut = changepoints_of(run, lambda v: color[v] & bit)
+        for start, end in cut.blocks()[0]:
+            first: dict = {}
+            pumped = -1  # the position the latest positive step entered
+            for pos in range(start, end):
+                v = run.letter(pos)
+                if pos > start and bits[place[u] * n_states + place[v]] & bit:
+                    pumped = pos
+                if first.setdefault(v, pos) < pumped:
+                    break
+                u = v
+            else:
+                out.append((coord, start, end))
+    return out
 
 
 def pumpable_fair_path(graph: ColoredCostGraph) -> Optional[tuple]:
@@ -444,8 +411,9 @@ def pumpable_fair_path(graph: ColoredCostGraph) -> Optional[tuple]:
     decides emptiness over these nodes in one SCC pass and builds a lasso
     only from the fair component it stops at.  The lasso is spliced with
     explicit pump cycles so that every completed block contains a repeated
-    vertex with positive cost in between, then re-verified.  Returns
-    (prefix, loop) of product vertices, or None if no such path exists.
+    vertex with positive cost in between, all on vertex ids; the result is
+    decoded once and re-verified.  Returns (prefix, loop) of product
+    vertices, or None if no such path exists.
     """
     cap, components = _pump_capability(graph)
     d = graph.d
@@ -469,87 +437,74 @@ def pumpable_fair_path(graph: ColoredCostGraph) -> Optional[tuple]:
     found = find_accepting_lasso(cap[0], successors, accepting, 1)
     if found is None:
         return None
+    run = Lasso(*(tuple(node >> d for node in part) for part in found))
     vertices = graph.vertices
-    raw_prefix = [vertices[node >> d] for node in found[0]]
-    raw_loop = [vertices[node >> d] for node in found[1]]
-    prefix, loop = _splice_pumps(graph, cap, components, raw_prefix, raw_loop)
+    prefix, loop = (
+        tuple(vertices[u] for u in part)
+        for part in _splice_pumps(graph, cap, components, run)
+    )
     problems = verify_pumpable(graph, prefix, loop)
     if problems:
         raise ModelCheckError(
             "could not certify a pumpable path: " + "; ".join(problems)
         )
-    return tuple(prefix), tuple(loop)
+    return prefix, loop
 
 
-def _splice_pumps(graph, cap, components, prefix, loop) -> tuple:
-    """Insert pump cycles into blocks that lack a positive repetition."""
-    index = graph.index
-    run = Lasso(tuple(prefix), tuple(loop))
-    p, n = len(prefix), len(loop)
-    pre_ins: dict = {}
-    loop_ins: dict = {}
-    for coord in range(1, graph.d + 1):
+def _splice_pumps(graph, cap, components, run: Lasso) -> tuple:
+    """Insert a pump cycle into each block of the id lasso `run` that lacks
+    a positive repetition, in front of the block's first pump-capable
+    vertex: the shortest positive cycle through it that keeps every
+    color, or failing that its block's color.  Returns [prefix, loop]."""
+    p, n = len(run.prefix), len(run.loop)
+    inserts: dict = {}  # (0 for the prefix or 1 for the loop, spot) -> cycles
+    for coord, start, end in _unpumped_blocks(graph, run):
         bit = 1 << (coord - 1)
-        cut = changepoints_of(run, lambda v: graph.color_bit(v, coord))
-        for start, end in cut.blocks()[0]:
-            if _block_pumped(graph, run, coord, start, end):
-                continue
-            spot = None
-            for pos in range(start, end):
-                if cap[index[run.letter(pos)]] & bit:
-                    spot = pos
-                    break
-            if spot is None:
-                raise ModelCheckError(
-                    "block without a pump-capable vertex slipped through"
-                )
-            v = index[run.letter(spot)]
-            cycle = _pump_cycle(graph, components, bit, v, constant=True)
-            if cycle is None:
-                cycle = _pump_cycle(graph, components, bit, v, constant=False)
-            if cycle is None:
-                raise ModelCheckError(
-                    "pump-capable vertex has no positive cycle"
-                )
-            cycle = tuple(graph.vertices[u] for u in cycle)
-            if spot < p:
-                pre_ins.setdefault(spot, []).append(cycle)
-            else:
-                loop_ins.setdefault((spot - p) % n, []).append(cycle)
-    new_prefix = list(prefix)
-    for spot in sorted(pre_ins, reverse=True):
-        for cycle in dict.fromkeys(pre_ins[spot]):
-            new_prefix[spot : spot + 1] = list(cycle) + [new_prefix[spot]]
-    new_loop = list(loop)
-    for spot in sorted(loop_ins, reverse=True):
-        for cycle in dict.fromkeys(loop_ins[spot]):
-            new_loop[spot : spot + 1] = list(cycle) + [new_loop[spot]]
-    return new_prefix, new_loop
+        spot = next(
+            (pos for pos in range(start, end) if cap[run.letter(pos)] & bit),
+            None,
+        )
+        if spot is None:
+            raise ModelCheckError(
+                "block without a pump-capable vertex slipped through"
+            )
+        v = run.letter(spot)
+        cycle = _pump_cycle(graph, components, bit, v, constant=True)
+        if cycle is None:
+            cycle = _pump_cycle(graph, components, bit, v, constant=False)
+        if cycle is None:
+            raise ModelCheckError("pump-capable vertex has no positive cycle")
+        key = (0, spot) if spot < p else (1, (spot - p) % n)
+        inserts.setdefault(key, {})[tuple(cycle)] = None
+    parts = [list(run.prefix), list(run.loop)]
+    for (k, spot), cycles in sorted(inserts.items(), reverse=True):
+        for cycle in cycles:
+            parts[k][spot:spot] = cycle
+    return parts
 
 
 def verify_pumpable(graph: ColoredCostGraph, prefix, loop) -> list:
-    """Check a candidate witness explicitly. Returns a list of problems,
-    empty when the lasso is a valid fair path whose completed color blocks
-    all contain a positive repetition."""
+    """Check a candidate witness, a lasso of product vertices, explicitly.
+    Returns a list of problems, empty when the lasso is a valid fair path
+    whose completed color blocks all contain a positive repetition."""
+    if not loop:
+        return ["loop is empty"]
+    index, succ = graph.index, graph.succ
+    run = Lasso(*(tuple(index.get(v, -1) for v in x) for x in (prefix, loop)))
     problems = []
-    run = Lasso(tuple(prefix), tuple(loop))
-    if run.letter(0) != graph.initial:
+    if run.letter(0) != 0:
         problems.append("path does not start at the initial vertex")
-    index = graph.index
-    for i, (v, w) in enumerate(run.steps()):
-        if v not in index or index.get(w) not in graph.succ[index[v]]:
+    for i, (u, w) in enumerate(run.steps()):
+        if u < 0 or w not in succ[u]:
             problems.append(f"missing edge at step {i}")
             return problems
-    if not any(graph.accept[index[v]] for v in loop):
+    if not any(graph.accept[u] for u in run.loop):
         problems.append("loop never visits an accepting vertex")
-    for coord in range(1, graph.d + 1):
-        cut = changepoints_of(run, lambda v: graph.color_bit(v, coord))
-        for start, end in cut.blocks()[0]:
-            if not _block_pumped(graph, run, coord, start, end):
-                problems.append(
-                    f"coordinate {coord} block [{start},{end}) has no "
-                    "positive repetition"
-                )
+    for coord, start, end in _unpumped_blocks(graph, run):
+        problems.append(
+            f"coordinate {coord} block [{start},{end}) has no "
+            "positive repetition"
+        )
     return problems
 
 
@@ -648,7 +603,9 @@ def _negated_relativized(phi: Formula, d: int) -> Formula:
     return negate(relativize(eliminate_parametric_always(phi), d))
 
 
-def _exists_automaton(phi: Formula, d: int) -> BuchiAutomaton:
+def exists_automaton(phi: Formula, d: int) -> BuchiAutomaton:
+    """The automaton check_exists composes with a system of dimension d:
+    one for !phi_rel & chi_d, kept in the table."""
     return _pipeline_nba(And(_negated_relativized(phi, d), chi_formula(d)))
 
 
@@ -710,7 +667,7 @@ def check_exists(system: TransitionSystem, phi: Formula) -> ExistsResult:
     """
     require_well_formed(phi)
     validate_coords(phi, system.d)
-    auto = _exists_automaton(phi, system.d)
+    auto = exists_automaton(phi, system.d)
     graph = build_product(system, auto)
     witness = pumpable_fair_path(graph)
     bound = bound_value(

@@ -18,7 +18,6 @@ from conftest import (
     random_formula,
     random_trace,
 )
-from cpltl.automata import ltl_to_nba
 from cpltl.formula import (
     And,
     Atom,
@@ -29,10 +28,8 @@ from cpltl.formula import (
     Or,
     Release,
     Until,
-    chi_formula,
     closure,
     color_name,
-    eliminate_parametric_always,
     negate,
     parse,
     pretty_print,
@@ -43,6 +40,7 @@ from cpltl.modelcheck import (
     build_product,
     check_exists,
     check_fixed,
+    exists_automaton,
     verify_pumpable,
 )
 from cpltl.optimize import Objective, optimize_mc
@@ -70,19 +68,9 @@ def exists_sweep(system_pool, formula_pool):
     ]
 
 
-def exists_product(system, phi, nbas):
-    """The colored product graph behind the existence check.
-
-    `nbas` memoizes the translation per target: a sweep pairs each formula
-    with every system, and the automaton does not depend on the system.
-    """
-    target = And(
-        negate(relativize(eliminate_parametric_always(phi), system.d)),
-        chi_formula(system.d),
-    )
-    if target not in nbas:
-        nbas[target] = ltl_to_nba(target)
-    return build_product(system, nbas[target])
+def exists_product(system, phi):
+    """The colored product graph behind the existence check."""
+    return build_product(system, exists_automaton(phi, system.d))
 
 
 # --- criterion 1 --------------------------------------------------------------
@@ -374,12 +362,11 @@ def test_criterion_06_unit_costs_reduce_to_step_bounds():
 def test_criterion_07_witnesses_verify_and_stay_short(exists_sweep):
     """Every refutation witness re-verifies and fits the pumping bound."""
     verified = 0
-    nbas = {}
     for system, phi, result in exists_sweep:
         if result.holds:
             continue
         prefix, loop = result.witness
-        graph = exists_product(system, phi, nbas)
+        graph = exists_product(system, phi)
         problems = verify_pumpable(graph, prefix, loop)
         assert problems == [], (pretty_print(phi), problems[:2])
         assert len(prefix) + len(loop) <= 4 * graph.n_vertices ** 2

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import deque
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -37,12 +38,9 @@ from cpltl.formula import (
     Until,
     always,
     eventually,
-    chi_formula,
     color_name,
-    eliminate_parametric_always,
     negate,
     parse,
-    relativize,
     var_profile,
 )
 from cpltl import modelcheck, optimize
@@ -59,6 +57,7 @@ from cpltl.modelcheck import (
     check_exists,
     check_fixed,
     check_forall,
+    exists_automaton,
     pumpable_fair_path,
     valuation_upper_bound,
     verify_pumpable,
@@ -77,11 +76,7 @@ def sys_a():
 
 def exists_product(system, phi):
     """The colored product graph the existence check searches."""
-    target = And(
-        negate(relativize(eliminate_parametric_always(phi), system.d)),
-        chi_formula(system.d),
-    )
-    return build_product(system, ltl_to_nba(target))
+    return build_product(system, exists_automaton(phi, system.d))
 
 
 def test_bound_value_frozen():
@@ -460,6 +455,7 @@ def test_check_exists_negative_witness_verifies(sys_a):
     assert verify_pumpable(graph, prefix, loop[:-1])
     assert verify_pumpable(graph, prefix, loop[1:] + loop[:1])
     assert verify_pumpable(graph, (), loop)
+    assert verify_pumpable(graph, prefix, ()) == ["loop is empty"]
 
 
 def test_check_exists_bounded_always(sys_a):
@@ -765,14 +761,14 @@ def test_product_structure(sys_a):
     graph = build_product(sys_a, ltl_to_nba(parse("tt")))
     assert graph.n_vertices == 4
     assert graph.n_edges() == 12
-    assert len(graph.accepting) == 4
-    state, auto_state, colors = graph.initial
+    assert sum(graph.accept) == 4
+    state, auto_state, colors = graph.vertices[0]
     assert state == "s0"
     assert colors == frozenset()
-    assert not graph.color_bit(graph.initial, 1)
+    assert not graph.color[0] & 1
     flipped = (state, auto_state, frozenset(["p@1"]))
     assert flipped in graph.vertices
-    assert graph.color_bit(flipped, 1)
+    assert graph.color[graph.index[flipped]] & 1
 
 
 def test_exists_matches_fixed_search_smoke():
@@ -809,7 +805,7 @@ def test_exists_at_d2_agrees_with_oracle():
             assert result.holds == oracle_holds(system, phi, {"y": 0}), (text, system)
             verdicts.add(result.holds)
             if not result.holds:
-                auto = modelcheck._exists_automaton(phi, 2)
+                auto = exists_automaton(phi, 2)
                 graph = build_product(system, auto)
                 assert verify_pumpable(graph, *result.witness) == []
         assert verdicts == {True, False}
@@ -874,7 +870,7 @@ def _one_state(cost):
 def _has_fair_cycle(graph) -> bool:
     """An accepting cycle in the product itself, ignoring the pump flags."""
     found = find_accepting_lasso(
-        graph.initial, graph.edges.__getitem__, graph.accepting.__contains__, 1
+        0, graph.succ.__getitem__, graph.accept.__getitem__, 1
     )
     return found is not None
 
@@ -886,7 +882,7 @@ def test_accepting_singleton_without_self_loop_holds():
         {"q0": [((), "q1")], "q1": [((), "q2")], "q2": [((), "q2")]}, {"q1"}
     )
     graph = build_product(_one_state(0), auto)
-    assert graph.accepting
+    assert any(graph.accept)
     assert pumpable_fair_path(graph) is None
 
 
@@ -920,6 +916,44 @@ def test_accepting_cycle_behind_a_forbidden_flip_holds():
     assert verify_pumpable(pumped, *witness) == []
 
 
+def test_verify_names_the_coordinate_of_an_unpumped_block():
+    # The colors (c1, c2) must go round 00 -> 10 -> 11 -> 01 -> 00, each
+    # but 01 held as long as wanted on a self-loop that costs 1 in both
+    # coordinates.  Each block gets a self-loop copy at its first vertex
+    # with a self-loop: the copy at 11, where c2 turns on, serves
+    # coordinate 2 alone.
+    c1, c2 = color_name(1), color_name(2)
+    guards = [
+        ((c1, False), (c2, False)),
+        ((c1, True), (c2, False)),
+        ((c1, True), (c2, True)),
+    ]
+    transitions = {
+        f"q{k}": [(guard, f"q{k}"), (guard, f"q{k + 1}")]
+        for k, guard in enumerate(guards)
+    }
+    transitions["q3"] = [(((c1, False), (c2, True)), "q0")]
+    auto = _nba(transitions, {"q3"}, d=2)
+    system = build_system([{"kappa1", "kappa2"}], {(0, 0): (1, 1)}, d=2)
+    graph = build_product(system, auto)
+    prefix, loop = pumpable_fair_path(graph)
+    assert verify_pumpable(graph, prefix, loop) == []
+    both = ("s0", "q2", frozenset((c1, c2)))
+    at = loop.index(both)
+    assert loop[at + 1] == both  # the spliced pump
+    # coordinate 1 flips too, and its blocks keep their pumps
+    assert verify_pumpable(graph, prefix, loop[:at] + loop[at + 1 :]) == [
+        "coordinate 2 block [11,13) has no positive repetition"
+    ]
+    # where the self-loop costs nothing in coordinate 2, its copies pump
+    # coordinate 1 alone
+    free = build_system([{"kappa1"}], {(0, 0): (1, 0)}, d=2)
+    assert verify_pumpable(build_product(free, auto), prefix, loop) == [
+        f"coordinate 2 block [{start},{end}) has no positive repetition"
+        for start, end in ((0, 4), (4, 7), (7, 11), (11, 14))
+    ]
+
+
 # --- pump capability ----------------------------------------------------------
 
 
@@ -944,47 +978,92 @@ def _random_nba(rng, d) -> BuchiAutomaton:
     return _nba(transitions, rng.sample(names, rng.randint(1, len(names))), d)
 
 
+def _positive(graph, u, w, coord) -> bool:
+    """Whether the edge u -> w has positive coord-cost, read off the
+    system's costs."""
+    vertices = graph.vertices
+    return graph.system_cost[vertices[u][0], vertices[w][0]][coord - 1] > 0
+
+
+def _reference_components(graph, mask) -> tuple:
+    """In the subgraph of the edges that keep the colors in `mask`: per
+    vertex id, the edge count of a shortest path to each vertex it
+    reaches, and its component (the vertices it reaches and is reached
+    from); by plain breadth-first search from every vertex."""
+    succ, color = graph.succ, graph.color
+    dist = []
+    for start in range(graph.n_vertices):
+        seen, queue = {start: 0}, deque([start])
+        while queue:
+            u = queue.popleft()
+            for w in succ[u]:
+                if w not in seen and not (color[u] ^ color[w]) & mask:
+                    seen[w] = seen[u] + 1
+                    queue.append(w)
+        dist.append(seen)
+    around = [{u for u in reach if v in dist[u]} for v, reach in enumerate(dist)]
+    return dist, around
+
+
 def _reference_capability(graph) -> list:
     """Per vertex id, bit c-1 set when some edge u -> w with positive
     c-cost has u and w mutually reachable with the vertex in the subgraph
     that keeps coordinate c's color; by plain reachability sets."""
-    vertices, succ, color = graph.vertices, graph.succ, graph.color
-    n = graph.n_vertices
-    cap = [0] * n
+    succ = graph.succ
+    cap = [0] * graph.n_vertices
     for coord in range(1, graph.d + 1):
         bit = 1 << (coord - 1)
-        kept = [
-            [w for w in succ[u] if not (color[u] ^ color[w]) & bit]
-            for u in range(n)
-        ]
-        reach = []
-        for start in range(n):
-            seen, todo = {start}, [start]
-            while todo:
-                for w in kept[todo.pop()]:
-                    if w not in seen:
-                        seen.add(w)
-                        todo.append(w)
-            reach.append(seen)
-        for v in range(n):
-            around = {u for u in reach[v] if v in reach[u]}
+        _, around = _reference_components(graph, bit)
+        for v, inside in enumerate(around):
             if any(
-                w in around and graph.step(vertices[u], vertices[w])[coord - 1] > 0
-                for u in around
-                for w in kept[u]
+                w in inside and _positive(graph, u, w, coord)
+                for u in inside
+                for w in succ[u]
             ):
                 cap[v] |= bit
     return cap
 
 
+def _assert_pump_cycles(graph, components) -> None:
+    """Check `_pump_cycle` at every vertex and coordinate, keeping all
+    colors and the coordinate's color only: None exactly when the
+    vertex's component has no positive edge, and otherwise a cycle from
+    the vertex along product edges inside the component, with a positive
+    step, as short as the best path v -> a, positive edge a -> b, path
+    b -> v found by plain reachability."""
+    succ = graph.succ
+    full = (1 << graph.d) - 1
+    for constant in (True, False):
+        for coord in range(1, graph.d + 1):
+            bit = 1 << (coord - 1)
+            dist, around = _reference_components(graph, full if constant else bit)
+            for v, inside in enumerate(around):
+                lengths = [
+                    dist[v][a] + 1 + dist[b][v]
+                    for a in inside
+                    for b in succ[a]
+                    if b in inside and _positive(graph, a, b, coord)
+                ]
+                cycle = modelcheck._pump_cycle(graph, components, bit, v, constant)
+                if not lengths:
+                    assert cycle is None
+                    continue
+                assert cycle[0] == v
+                steps = list(zip(cycle, cycle[1:] + cycle[:1]))
+                assert all(w in succ[u] and w in inside for u, w in steps)
+                assert any(_positive(graph, u, w, coord) for u, w in steps)
+                assert len(cycle) == min(lengths)
+
+
 def _assert_capability_matches(system, auto) -> tuple:
-    """Check the product's dead-end-free layout and the capability of
-    every vertex; returns how many (vertex, coordinate) bits are set and
-    clear."""
+    """Check the product's dead-end-free layout, the capability of every
+    vertex and its pump cycles; returns how many (vertex, coordinate) bits
+    are set and clear."""
     graph = build_product(system, auto)
     _assert_live_layout(graph, system, auto)
-    cap, _ = modelcheck._pump_capability(graph)
+    cap, components = modelcheck._pump_capability(graph)
     assert cap == _reference_capability(graph)
+    _assert_pump_cycles(graph, components)
     set_bits = sum(bin(c).count("1") for c in cap)
     return set_bits, graph.d * graph.n_vertices - set_bits
 
@@ -992,7 +1071,7 @@ def _assert_capability_matches(system, auto) -> tuple:
 def test_pump_capability_matches_reference_d1():
     rng = random.Random(1501)
     exists_autos = [
-        modelcheck._exists_automaton(parse(text), 1)
+        exists_automaton(parse(text), 1)
         for text in ("F[<=x] p", "G[<=y] q", "F[<=x] (p & q)")
     ]
     seen = [0, 0]
@@ -1088,12 +1167,14 @@ def _assert_live_layout(graph, system, auto) -> ColoredCostGraph:
         return any(guard_holds(guard, props) for guard, _ in auto.transitions[q])
 
     ref = _unpruned_product(system, auto)
-    assert all(moves(v) for v in graph.vertices[1:])
-    assert graph.vertices == (ref.initial,) + tuple(
-        v for v in ref.vertices[1:] if moves(v)
+    vertices, ref_vertices = graph.vertices, ref.vertices
+    assert all(moves(v) for v in vertices[1:])
+    assert vertices == (ref_vertices[0],) + tuple(
+        v for v in ref_vertices[1:] if moves(v)
     )
-    for v, out in graph.edges.items():
-        assert out == tuple(w for w in ref.edges[v] if moves(w))
+    for v, out in zip(vertices, graph.succ):
+        ref_out = (ref_vertices[w] for w in ref.succ[ref.index[v]])
+        assert [vertices[w] for w in out] == [w for w in ref_out if moves(w)]
     return ref
 
 
@@ -1108,7 +1189,7 @@ def test_product_drops_exactly_the_dead_ends(d, texts, draws):
     # pruning only deletes successors, so the capability and the witness
     # are those of the unpruned product
     rng = random.Random(2500 + d)
-    exists_autos = [modelcheck._exists_automaton(parse(t), d) for t in texts]
+    exists_autos = [exists_automaton(parse(t), d) for t in texts]
     dropped = 0
     verdicts = set()
     for _ in range(draws):
