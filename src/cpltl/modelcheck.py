@@ -5,7 +5,10 @@ formula hold on every run of the system.  It works on a colored product:
 the system is composed with an automaton for the negated, color-relativized
 formula, with the color propositions chosen freely at each step.  The
 formula fails for every valuation exactly when this product contains a fair
-path whose color blocks can all be pumped to arbitrarily high cost.
+path whose color blocks can all be pumped to arbitrarily high cost.  A
+holding answer is decided on the product with the negated relativized
+formula alone; a witness is a path of the product with that formula
+conjoined with the consistency formula chi_d.
 
 check_fixed decides a single valuation directly with a budget automaton and
 returns a lasso counterexample when the formula fails.  check_forall decides
@@ -82,8 +85,9 @@ class ColoredCostGraph(Record):
     place[w]]` is the bitmask of the coordinates in which it is positive
     (keyed by the system's edges only, so its size does not grow with the
     square of the state count).  The searches work on ids alone; the only
-    decoded views are the vertex tuples, `vertices`, and `index` (vertex
-    -> id), both built on first use and cached in the instance `__dict__`.
+    decoded views are `decode` (the tuples of some ids) and, built on
+    first use and cached in the instance `__dict__`, the vertex tuples,
+    `vertices`, and `index` (vertex -> id).
     """
 
     __match_args__ = (
@@ -93,11 +97,16 @@ class ColoredCostGraph(Record):
 
     @cached_property
     def vertices(self) -> tuple:
+        return self.decode(range(self.n_vertices))
+
+    def decode(self, ids) -> tuple:
+        """The vertex tuples of `ids`."""
         states, auto_states = self.states, self.auto_states
+        place, auto, color = self.place, self.auto, self.color
         subsets = _color_sets(self.colors)
         return tuple(
-            (states[p], auto_states[k], subsets[mask])
-            for p, k, mask in zip(self.place, self.auto, self.color)
+            (states[place[u]], auto_states[auto[u]], subsets[color[u]])
+            for u in ids
         )
 
     @property
@@ -398,23 +407,11 @@ def _unpumped_blocks(graph: ColoredCostGraph, run: Lasso) -> list:
     return out
 
 
-def pumpable_fair_path(graph: ColoredCostGraph) -> Optional[tuple]:
-    """Fair path whose completed color blocks can all be pumped.
-
-    Searches the graph augmented with one flag per coordinate recording
-    whether the current block has seen a pump-capable vertex; a color flip
-    is only allowed with the flag set.  A flagged node is the integer
-    `id << d | flags` over the graph's vertex ids: a step to w changes the
-    colors in `diff = color[v] ^ color[w]`, is allowed iff
-    `diff & ~flags == 0`, and leads to flags `(flags & ~diff) | cap[w]`,
-    where `cap` is the pump capability of each id.  find_accepting_lasso
-    decides emptiness over these nodes in one SCC pass and builds a lasso
-    only from the fair component it stops at.  The lasso is spliced with
-    explicit pump cycles so that every completed block contains a repeated
-    vertex with positive cost in between, all on vertex ids; the result is
-    decoded once and re-verified.  Returns (prefix, loop) of product
-    vertices, or None if no such path exists.
-    """
+def _pumpable_lasso(graph: ColoredCostGraph) -> Optional[tuple]:
+    """The emptiness decision of pumpable_fair_path: (run, cap, components),
+    where run is the unspliced id lasso, cap the pump capability of each id
+    and components `_pump_capability`'s components; None when the graph
+    has no pumpable fair path."""
     cap, components = _pump_capability(graph)
     d = graph.d
     full = (1 << d) - 1
@@ -438,20 +435,39 @@ def pumpable_fair_path(graph: ColoredCostGraph) -> Optional[tuple]:
     if found is None:
         return None
     run = Lasso(*(tuple(node >> d for node in part) for part in found))
-    vertices = graph.vertices
-    prefix, loop = (
-        tuple(vertices[u] for u in part)
-        for part in _splice_pumps(graph, cap, components, run)
-    )
-    problems = verify_pumpable(graph, prefix, loop)
+    return run, cap, components
+
+
+def pumpable_fair_path(graph: ColoredCostGraph) -> Optional[tuple]:
+    """Fair path whose completed color blocks can all be pumped.
+
+    Searches the graph augmented with one flag per coordinate recording
+    whether the current block has seen a pump-capable vertex; a color flip
+    is only allowed with the flag set.  A flagged node is the integer
+    `id << d | flags` over the graph's vertex ids: a step to w changes the
+    colors in `diff = color[v] ^ color[w]`, is allowed iff
+    `diff & ~flags == 0`, and leads to flags `(flags & ~diff) | cap[w]`,
+    where `cap` is the pump capability of each id.  find_accepting_lasso
+    decides emptiness over these nodes in one SCC pass and builds a lasso
+    only from the fair component it stops at.  The lasso is spliced with
+    explicit pump cycles so that every completed block contains a repeated
+    vertex with positive cost in between, and re-verified, all on vertex
+    ids; only the witness's vertices are decoded.  Returns (prefix, loop)
+    of product vertices, or None if no such path exists.
+    """
+    found = _pumpable_lasso(graph)
+    if found is None:
+        return None
+    run = Lasso(*_splice_pumps(graph, *found))
+    problems = _lasso_problems(graph, run)
     if problems:
         raise ModelCheckError(
             "could not certify a pumpable path: " + "; ".join(problems)
         )
-    return prefix, loop
+    return graph.decode(run.prefix), graph.decode(run.loop)
 
 
-def _splice_pumps(graph, cap, components, run: Lasso) -> tuple:
+def _splice_pumps(graph, run: Lasso, cap, components) -> tuple:
     """Insert a pump cycle into each block of the id lasso `run` that lacks
     a positive repetition, in front of the block's first pump-capable
     vertex: the shortest positive cycle through it that keeps every
@@ -489,8 +505,15 @@ def verify_pumpable(graph: ColoredCostGraph, prefix, loop) -> list:
     whose completed color blocks all contain a positive repetition."""
     if not loop:
         return ["loop is empty"]
-    index, succ = graph.index, graph.succ
+    index = graph.index
     run = Lasso(*(tuple(index.get(v, -1) for v in x) for x in (prefix, loop)))
+    return _lasso_problems(graph, run)
+
+
+def _lasso_problems(graph: ColoredCostGraph, run: Lasso) -> list:
+    """verify_pumpable's checks on a lasso of vertex ids, where -1 stands
+    for a vertex that is not in the graph."""
+    succ = graph.succ
     problems = []
     if run.letter(0) != 0:
         problems.append("path does not start at the initial vertex")
@@ -535,11 +558,9 @@ def bound_value(n_states: int, n_auto: int, d: int, max_cost: int) -> int:
     whose completed blocks cost at least k.  On them a position past the
     first one of the block after next lies beyond a whole block, so for
     k > x F[<=x] implies its relativization, and !phi_rel implies !phi at
-    x.  The greedy coloring satisfies chi_d, so an NBA for !phi_rel &
-    chi_d serves as A too: check_exists reports the bound of the
-    automaton it searches.  At d >= 2 this is no proof, since a pump cycle
-    of a c-block may flip another coordinate's color, and its copies then
-    add short blocks there; the tests cross-check the bound at d = 2.
+    x.  At d >= 2 this is no proof, since a pump cycle of a c-block may
+    flip another coordinate's color, and its copies then add short blocks
+    there; the tests cross-check the bound at d = 2.
 
     G-cap (check_forall's ladder, the max objectives' line cap).  For a
     formula with G-parameters only, phi_rel is phi at G-budgets 0, so A
@@ -604,22 +625,29 @@ def _negated_relativized(phi: Formula, d: int) -> Formula:
 
 
 def exists_automaton(phi: Formula, d: int) -> BuchiAutomaton:
-    """The automaton check_exists composes with a system of dimension d:
-    one for !phi_rel & chi_d, kept in the table."""
+    """The automaton for !phi_rel over d coordinates, kept in the table:
+    check_exists decides a holding answer on its product with a system,
+    and valuation_upper_bound counts its states."""
+    return _pipeline_nba(_negated_relativized(phi, d))
+
+
+def witness_automaton(phi: Formula, d: int) -> BuchiAutomaton:
+    """The automaton for !phi_rel & chi_d, kept in the table: a witness of
+    check_exists is a path of its product with the system."""
     return _pipeline_nba(And(_negated_relativized(phi, d), chi_formula(d)))
 
 
 def valuation_upper_bound(system: TransitionSystem, phi: Formula) -> int:
     """Bound N such that exceeding N in any component cannot change whether
-    the formula holds; searches may stop at N.  It is bound_value over an
-    automaton for the negated relativized formula alone: the argument
-    needs no automaton states for chi_d."""
+    the formula holds; searches may stop at N.  It is bound_value over
+    exists_automaton, the automaton for the negated relativized formula
+    alone: the argument needs no automaton states for chi_d."""
     require_well_formed(phi)
     validate_coords(phi, system.d)
     if system.max_cost == 0:
         # no block ever costs anything, whatever the automaton
         return bound_value(len(system.states), 1, system.d, 0)
-    auto = _pipeline_nba(_negated_relativized(phi, system.d))
+    auto = exists_automaton(phi, system.d)
     return bound_value(
         len(system.states), auto.n_states, system.d, system.max_cost
     )
@@ -629,8 +657,8 @@ def valuation_upper_bound(system: TransitionSystem, phi: Formula) -> int:
 
 
 class ExistsResult(Record):
-    """`witness` is the pumpable fair path (prefix, loop) of product
-    vertices, None when phi holds."""
+    """`witness` is the pumpable fair path (prefix, loop) of vertices of
+    the witness_automaton product, None when phi holds."""
 
     __slots__ = __match_args__ = (
         "holds", "bound", "witness", "product_vertices", "product_edges", "automaton_states",
@@ -664,12 +692,27 @@ def check_exists(system: TransitionSystem, phi: Formula) -> ExistsResult:
     Holds exactly when the colored product with the negated relativized
     formula admits no pumpable fair path; `witness` carries that path when
     one exists.
+
+    The decision searches the product with exists_automaton, the automaton
+    for !phi_rel alone.  Without a pumpable fair path there, phi holds at
+    the F-corner of the bound: were it to fail there, bound_value's
+    F-corner argument would color a violating run into such a path (that
+    half of the argument holds at every d).  So the answer is holds, and
+    chi_d is never translated.  Otherwise the product with
+    witness_automaton, for !phi_rel & chi_d, is searched too; the verdict
+    and the witness come from that search.  `bound`, `automaton_states`
+    and the product sizes are those of the decision, so `bound` equals
+    valuation_upper_bound.
     """
     require_well_formed(phi)
     validate_coords(phi, system.d)
     auto = exists_automaton(phi, system.d)
     graph = build_product(system, auto)
-    witness = pumpable_fair_path(graph)
+    witness = None
+    if _pumpable_lasso(graph) is not None:
+        witness = pumpable_fair_path(
+            build_product(system, witness_automaton(phi, system.d))
+        )
     bound = bound_value(
         len(system.states), auto.n_states, system.d, system.max_cost
     )

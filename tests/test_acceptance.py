@@ -40,8 +40,8 @@ from cpltl.modelcheck import (
     build_product,
     check_exists,
     check_fixed,
-    exists_automaton,
     verify_pumpable,
+    witness_automaton,
 )
 from cpltl.optimize import Objective, optimize_mc
 from cpltl.system import TransitionSystem, canonical_lasso, parse_system, validate
@@ -69,8 +69,8 @@ def exists_sweep(system_pool, formula_pool):
 
 
 def exists_product(system, phi):
-    """The colored product graph behind the existence check."""
-    return build_product(system, exists_automaton(phi, system.d))
+    """The colored product graph an existence witness is a path of."""
+    return build_product(system, witness_automaton(phi, system.d))
 
 
 # --- criterion 1 --------------------------------------------------------------

@@ -61,6 +61,7 @@ from cpltl.modelcheck import (
     pumpable_fair_path,
     valuation_upper_bound,
     verify_pumpable,
+    witness_automaton,
 )
 from cpltl.optimize import Objective, optimize_mc
 from cpltl.system import LassoPath, parse_system, trace_of
@@ -75,8 +76,8 @@ def sys_a():
 
 
 def exists_product(system, phi):
-    """The colored product graph the existence check searches."""
-    return build_product(system, exists_automaton(phi, system.d))
+    """The colored product graph an existence witness is a path of."""
+    return build_product(system, witness_automaton(phi, system.d))
 
 
 def test_bound_value_frozen():
@@ -87,7 +88,7 @@ def test_bound_value_frozen():
 
 def test_zero_cost_bound_needs_no_translation(monkeypatch):
     # with no positive cost the bound is 2 whatever the automaton, so the
-    # exists automaton (chi_2 included at d=2) is never translated
+    # exists automaton is never translated
     def no_translation(target):
         raise AssertionError("translated for a zero-cost bound")
 
@@ -433,11 +434,11 @@ def test_check_exists_positive(sys_a):
     assert result.product_vertices > 0
     assert result.product_edges > 0
     assert result.bound == bound_value(2, result.automaton_states, 1, 3)
-    # valuation_upper_bound counts no chi states, so its bound is smaller;
-    # the corner of either bound decides the query
-    smaller = valuation_upper_bound(sys_a, parse(MC1))
-    assert smaller < result.bound
-    for bound in (smaller, result.bound):
+    # the decision's automaton is the one valuation_upper_bound counts, so
+    # the two bounds agree, and the corner of the bound decides the query
+    upper = valuation_upper_bound(sys_a, parse(MC1))
+    assert upper == result.bound
+    for bound in (upper, result.bound):
         assert check_fixed(sys_a, parse(MC1), {"x": bound}).holds
     # a valuation within the bound indeed works
     assert check_fixed(sys_a, parse(MC1), {"x": 3}).holds
@@ -477,10 +478,11 @@ def test_check_exists_keeps_every_owed_until():
 
 def test_check_exists_of_an_until_chain_is_small(sys_a):
     # The exists automaton of a 6-operator chain had 295 states before the
-    # tableau dropped dominated cores.
+    # tableau dropped dominated cores, and 85 while the decision conjoined
+    # chi_1.
     result = check_exists(sys_a, parse("q U " * 6 + "p"))
     assert result.holds
-    assert result.automaton_states == 85
+    assert result.automaton_states == 2
 
 
 def test_check_forall(sys_a):
@@ -608,9 +610,10 @@ BOUND_PROPERTY = settings(
 )
 seeds = st.integers(0, 2**32 - 1)
 
-# At d = 2 check_exists conjoins chi_2 and translates for seconds, so the
-# d = 2 formulas come from two seeds of random_formula whose translations
-# the cache shares: F[<=x@2] !p and G[<=y@2] G[<=y] !q.
+# At d = 2 a failing check_exists conjoins chi_2 for its witness and
+# translates for seconds, so the d = 2 formulas come from two seeds of
+# random_formula whose translations the cache shares: F[<=x@2] !p and
+# G[<=y@2] G[<=y] !q.
 D2_FORMULA_SEEDS = (6, 11)
 
 
@@ -623,7 +626,7 @@ def _assert_bound_corner_decides(system, phi):
 @settings(BOUND_PROPERTY, max_examples=60)
 @given(seeds, seeds)
 def test_bound_corner_decides_exists_at_d1(system_seed, formula_seed):
-    # depth 3 would nest F[<=] operators whose exists automata, chi_1
+    # depth 3 would nest F[<=] operators whose witness automata, chi_1
     # conjoined, take up to 9 s each.  On random_system a bound of 2
     # decides nearly every draw; on rings the obligations lie behind
     # costly edges, where the budget matters.
@@ -697,7 +700,7 @@ ONE_STATE_D2_FORMULA = "F[<=x] p | F[<=x2@2] q"
 
 
 def _refuse_chi(d):
-    raise AssertionError("translated chi for the valuation bound")
+    raise AssertionError("translated chi")
 
 
 def test_d2_bounds_translate_no_chi(sys_streett, monkeypatch):
@@ -805,10 +808,57 @@ def test_exists_at_d2_agrees_with_oracle():
             assert result.holds == oracle_holds(system, phi, {"y": 0}), (text, system)
             verdicts.add(result.holds)
             if not result.holds:
-                auto = exists_automaton(phi, 2)
+                auto = witness_automaton(phi, 2)
                 graph = build_product(system, auto)
                 assert verify_pumpable(graph, *result.witness) == []
         assert verdicts == {True, False}
+
+
+@settings(BOUND_PROPERTY, max_examples=60)
+@given(st.data())
+def test_exists_decision_agrees_with_the_chi_search(system_pool, data):
+    # check_exists decides a holding answer without chi_1; the product
+    # with chi_1 conjoined, which every query used to search, must agree
+    system = data.draw(st.sampled_from(system_pool))
+    phi = parse(data.draw(st.sampled_from(FORMULA_TEXTS)))
+    chi_product = build_product(system, witness_automaton(phi, 1))
+    assert check_exists(system, phi).holds is (pumpable_fair_path(chi_product) is None)
+
+
+class _ChiAsked(Exception):
+    pass
+
+
+def test_holding_exists_translates_no_chi(system_pool, monkeypatch):
+    # chi_d enters only the witness search, which a holding query skips
+    def refuse(d):
+        raise _ChiAsked
+
+    monkeypatch.setattr(modelcheck, "chi_formula", refuse)
+    asked = []
+    for system in system_pool[::4]:
+        for text in FORMULA_TEXTS:
+            try:
+                assert check_exists(system, parse(text)).holds
+            except _ChiAsked:
+                asked.append((system, text))
+    assert 0 < len(asked) < len(system_pool[::4]) * len(FORMULA_TEXTS)
+    monkeypatch.undo()
+    for system, text in asked:
+        assert not check_exists(system, parse(text)).holds
+
+
+def test_exists_of_the_streett_formula_at_d2(sys_streett, monkeypatch):
+    # With chi_2 conjoined this query ran out of memory; without it the
+    # automaton has 89 states.  The corner of the bound decides it.
+    monkeypatch.setattr(modelcheck, "chi_formula", _refuse_chi)
+    phi = parse(STREETT_FORMULA)
+    result = check_exists(sys_streett, phi)
+    assert result.holds
+    assert result.automaton_states == 89
+    assert result.bound == valuation_upper_bound(sys_streett, phi)
+    corner = corner_valuation(phi, result.bound)
+    assert check_fixed(sys_streett, phi, corner).holds
 
 
 # --- the emptiness decision ---------------------------------------------------
@@ -821,6 +871,7 @@ def test_holding_exists_builds_no_witness(sys_a, monkeypatch):
         raise AssertionError("witness code ran on a holding query")
 
     monkeypatch.setattr(modelcheck, "_splice_pumps", no_witness)
+    monkeypatch.setattr(modelcheck, "_lasso_problems", no_witness)
     monkeypatch.setattr(modelcheck, "verify_pumpable", no_witness)
     searches = []
     search = modelcheck.find_accepting_lasso
@@ -1071,7 +1122,8 @@ def _assert_capability_matches(system, auto) -> tuple:
 def test_pump_capability_matches_reference_d1():
     rng = random.Random(1501)
     exists_autos = [
-        exists_automaton(parse(text), 1)
+        make(parse(text), 1)
+        for make in (witness_automaton, exists_automaton)
         for text in ("F[<=x] p", "G[<=y] q", "F[<=x] (p & q)")
     ]
     seen = [0, 0]
@@ -1189,7 +1241,11 @@ def test_product_drops_exactly_the_dead_ends(d, texts, draws):
     # pruning only deletes successors, so the capability and the witness
     # are those of the unpruned product
     rng = random.Random(2500 + d)
-    exists_autos = [exists_automaton(parse(t), d) for t in texts]
+    exists_autos = [
+        make(parse(t), d)
+        for make in (witness_automaton, exists_automaton)
+        for t in texts
+    ]
     dropped = 0
     verdicts = set()
     for _ in range(draws):
