@@ -32,7 +32,6 @@ from .formula import (
     Or,
     Release,
     Until,
-    atoms,
     fold,
     is_ff,
     is_tt,
@@ -76,7 +75,7 @@ class BuchiAutomaton(Record):
     (guard, destination) pairs.
     """
 
-    __slots__ = __match_args__ = ("states", "initial", "transitions", "accepting", "alphabet")
+    __slots__ = __match_args__ = ("states", "initial", "transitions", "accepting")
 
     @property
     def n_states(self) -> int:
@@ -91,14 +90,9 @@ class BuchiAutomaton(Record):
         return sum(len(self.transitions[q]) for q in self.states)
 
 
-def _single_state_nba(alphabet: frozenset, universal: bool) -> BuchiAutomaton:
-    edges = ((frozenset(), "q0"),) if universal else ()
+def _empty_nba() -> BuchiAutomaton:
     return BuchiAutomaton(
-        states=("q0",),
-        initial="q0",
-        transitions={"q0": edges},
-        accepting=frozenset(("q0",)) if universal else frozenset(),
-        alphabet=alphabet,
+        states=("q0",), initial="q0", transitions={"q0": ()}, accepting=frozenset()
     )
 
 
@@ -269,12 +263,9 @@ def ltl_to_nba(phi: Formula) -> BuchiAutomaton:
             "automaton translation needs a variable-free formula; "
             "substitute a valuation or eliminate bounded operators first"
         )
-    alphabet = atoms(phi)
     phi = simplify_constants(phi)
-    if is_tt(phi):
-        return _single_state_nba(alphabet, universal=True)
     if is_ff(phi):
-        return _single_state_nba(alphabet, universal=False)
+        return _empty_nba()
     # Closure nodes are numbered in `repr` order, so sorting a set of
     # indices orders its formulas by their `repr` text.
     phi, nodes = _interned(phi)
@@ -282,8 +273,8 @@ def ltl_to_nba(phi: Formula) -> BuchiAutomaton:
     rules, literals = _rules(nodes, index)
     layered = _layered(1 << index[phi], rules, literals)
     if layered is None:
-        return _single_state_nba(alphabet, universal=False)
-    return _merge(*layered, alphabet)
+        return _empty_nba()
+    return _merge(*layered)
 
 
 def _tableau(start: int, rules: Sequence, literals: dict, untils: list) -> tuple:
@@ -448,7 +439,7 @@ def _layered(start: int, rules: Sequence, literals: dict) -> Optional[tuple]:
     return tuple(names.values()), "q0", transitions, accepting
 
 
-def _merge(states, initial, transitions, accepting, alphabet) -> BuchiAutomaton:
+def _merge(states, initial, transitions, accepting) -> BuchiAutomaton:
     """Merge states with identical acceptance and outgoing edges, keeping
     the first of each class; this preserves the language."""
     rename = {q: q for q in states}
@@ -485,7 +476,6 @@ def _merge(states, initial, transitions, accepting, alphabet) -> BuchiAutomaton:
         initial=rename[initial],
         transitions=final_trans,
         accepting=frozenset(q for q in accepting if rename[q] == q),
-        alphabet=alphabet,
     )
 
 

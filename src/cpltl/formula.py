@@ -272,11 +272,6 @@ def closure(phi: Formula) -> frozenset[Formula]:
     return frozenset(subformulas(phi))
 
 
-def size(phi: Formula) -> int:
-    """Formula size measure: number of distinct subformulas."""
-    return len(closure(phi))
-
-
 class VarProfile(ValueRecord):
     __slots__ = __match_args__ = ("var_f", "var_g")
 
@@ -318,11 +313,6 @@ def atoms(phi: Formula) -> frozenset[str]:
         if isinstance(node, (Atom, NegAtom)) and node.name != TRUTH_PROP
     }
     return frozenset(names)
-
-
-def max_coord(phi: Formula) -> int:
-    coords = [node.coord for node in subformulas(phi) if isinstance(node, (FLe, GLe))]
-    return max(coords, default=0)
 
 
 def validate_coords(phi: Formula, d: int) -> None:

@@ -19,7 +19,7 @@ for a counterexample, at budgets 0, 1, 2, 4, ... up to a computable bound.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator, Mapping, Optional
 
 from .automata import (
@@ -59,15 +59,16 @@ class ModelCheckError(RuntimeError):
 class ColoredCostGraph(Record):
     """Product of a system with an automaton, with free color choices.
 
-    A vertex is (system state, automaton state, color set); the automaton
-    reads the state label extended by the colors, and every subset of colors
-    may be picked for the successor.  Vertex ids number the vertices in
-    breadth-first order from the initial vertex, id 0, and the graph is kept
-    as flat arrays over them: `place` holds the index of the vertex's system
-    state in `states`, `auto` that of its automaton state in `auto_states`,
-    `color` a bitmask with bit c-1 set when coordinate c's color is chosen,
-    `accept` whether the automaton state is accepting, and `succ` the
-    successor ids in edge order.
+    A vertex is (system state, automaton state, colors), the chosen color
+    names in coordinate order; the automaton reads the state label extended
+    by the colors, and every subset of colors may be picked for the
+    successor.  Vertex ids number the vertices in breadth-first order from
+    the initial vertex, id 0, and the graph is kept as flat arrays over
+    them: `place` holds the index of the vertex's system state in `states`,
+    `auto` that of its automaton state in `auto_states`, `color` a bitmask
+    with bit c-1 set when coordinate c's color is chosen, `accept` whether
+    the automaton state is accepting, and `succ` the successor ids in edge
+    order.
 
     The graph has no dead ends past the initial vertex: a successor (t, q',
     c') is kept only when q' has a move on t's label extended by c', since
@@ -122,9 +123,9 @@ class ColoredCostGraph(Record):
 
 
 def _color_sets(colors: tuple) -> list:
-    """Per color mask, the set of the colors whose bits it sets."""
+    """Per color mask, the colors whose bits it sets, in coordinate order."""
     return [
-        frozenset(c for i, c in enumerate(colors) if mask >> i & 1)
+        tuple(c for i, c in enumerate(colors) if mask >> i & 1)
         for mask in range(1 << len(colors))
     ]
 
@@ -152,7 +153,7 @@ def build_product(
     label_id: dict = {}
     for state in states:
         label_id.setdefault(system.labels[state], len(label_id))
-    letter_sets = [label | chosen for label in label_id for chosen in subsets]
+    letter_sets = [label.union(chosen) for label in label_id for chosen in subsets]
     first_letter = [label_id[system.labels[s]] * width for s in states]
     bases = [
         tuple(
@@ -586,38 +587,25 @@ def bound_value(n_states: int, n_auto: int, d: int, max_cost: int) -> int:
     return 2 * n_states * max(1, n_auto) * (1 << d) * max_cost + 2
 
 
-# Automata are kept across queries in one table: the Buchi automata of
-# _pipeline_nba, keyed by their target formula, and cost_nba's budget
-# automata, keyed by (formula, dimension); a formula never equals a pair.
-# The optimizer's probes and check_forall's ladder ask for one budget
-# automaton at each valuation: a pass of the budget-heavy benchmark
-# workload runs 86 checks on 28 budget automata.  The test suite asks for the
-# same few targets again and again: without this table it runs about five
-# times longer.  Past _NBA_CACHE_SIZE entries the oldest one is dropped, so
-# a long-lived process keeps a bounded number of automata.
-_NBA_CACHE: dict = {}
-_NBA_CACHE_SIZE = 128
-
-
-def _cached(key, build: Callable):
-    auto = _NBA_CACHE.get(key)
-    if auto is None:
-        auto = build()
-        if len(_NBA_CACHE) >= _NBA_CACHE_SIZE:
-            del _NBA_CACHE[next(iter(_NBA_CACHE))]
-        _NBA_CACHE[key] = auto
-    return auto
-
-
+# Automata are kept across queries, at most 128 of each kind, least
+# recently used dropped first: the Buchi automata of _pipeline_nba, keyed by
+# their target formula, and cost_nba's budget automata, keyed by (formula,
+# dimension).  The optimizer's probes and check_forall's ladder ask for one
+# budget automaton at each valuation: a pass of the budget-heavy benchmark
+# workload runs 86 checks on 28 budget automata.  The test suite asks for
+# the same few targets again and again: without the tables it runs about
+# twice as long.
+@lru_cache(maxsize=128)
 def _pipeline_nba(target: Formula) -> BuchiAutomaton:
-    return _cached(target, lambda: ltl_to_nba(target))
+    return ltl_to_nba(target)
 
 
+@lru_cache(maxsize=128)
 def cost_nba(phi: Formula, d: int) -> CostBuchiAutomaton:
-    """The budget automaton of !phi over d coordinates, kept in the table
-    under (phi, d), so checks of phi at other valuations neither negate it
-    again nor expand its templates again."""
-    return _cached((phi, d), lambda: CostBuchiAutomaton(negate(phi), d))
+    """The budget automaton of !phi over d coordinates, kept under (phi, d),
+    so checks of phi at other valuations neither negate it again nor
+    expand its templates again."""
+    return CostBuchiAutomaton(negate(phi), d)
 
 
 def _negated_relativized(phi: Formula, d: int) -> Formula:
@@ -625,14 +613,14 @@ def _negated_relativized(phi: Formula, d: int) -> Formula:
 
 
 def exists_automaton(phi: Formula, d: int) -> BuchiAutomaton:
-    """The automaton for !phi_rel over d coordinates, kept in the table:
+    """The automaton for !phi_rel over d coordinates, kept across queries:
     check_exists decides a holding answer on its product with a system,
     and valuation_upper_bound counts its states."""
     return _pipeline_nba(_negated_relativized(phi, d))
 
 
 def witness_automaton(phi: Formula, d: int) -> BuchiAutomaton:
-    """The automaton for !phi_rel & chi_d, kept in the table: a witness of
+    """The automaton for !phi_rel & chi_d, kept across queries: a witness of
     check_exists is a path of its product with the system."""
     return _pipeline_nba(And(_negated_relativized(phi, d), chi_formula(d)))
 

@@ -25,6 +25,7 @@ more translation than one.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from typing import Callable, Mapping, Optional
 
 from .formula import (
@@ -80,23 +81,11 @@ def binary_search_threshold(
     if find == "least":
         if not predicate(hi):
             return None
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if predicate(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return lo + bisect_left(range(lo, hi), True, key=predicate)
     if find == "greatest":
         if not predicate(lo):
             return None
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if predicate(mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        return hi - bisect_left(range(hi, lo, -1), True, key=predicate)
     raise ValueError(f"find must be 'least' or 'greatest', got {find!r}")
 
 

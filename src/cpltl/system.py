@@ -168,19 +168,6 @@ def parse_system(text: str) -> TransitionSystem:
     return system
 
 
-def format_system(system: TransitionSystem) -> str:
-    lines = [f"dim {system.d}"]
-    for state in system.states:
-        marker = " init" if state == system.initial else ""
-        props = " ".join(sorted(system.labels[state]))
-        lines.append(f"state {state}{marker} : {props}".rstrip())
-    for src in system.states:
-        for dst in system.successors(src):
-            vec = " ".join(str(c) for c in system.cost[(src, dst)])
-            lines.append(f"edge {src} {dst} : {vec}")
-    return "\n".join(lines) + "\n"
-
-
 class LassoPath(Lasso[str]):
     """Ultimately periodic path through a system: prefix then loop."""
 

@@ -16,14 +16,13 @@ position (position 0 itself is unconstrained).
 from __future__ import annotations
 
 import math
-from typing import Callable, ClassVar, Generic, Iterable, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, ClassVar, Generic, Iterable, Mapping, Optional, TypeVar
 
 from .formula import (
     And,
     Atom,
     FLe,
     Formula,
-    GLe,
     NegAtom,
     Next,
     Or,
@@ -137,18 +136,6 @@ class CostTrace(Lasso[CostLetter]):
         for problem in kappa_violations(self):
             raise TraceError(problem)
 
-    @classmethod
-    def of(
-        cls,
-        prefix: Sequence[CostLetter],
-        loop: Sequence[CostLetter],
-        d: Optional[int] = None,
-    ) -> "CostTrace":
-        if d is None:
-            pool = list(prefix) + list(loop)
-            d = len(pool[0].cost) if pool else 0
-        return cls(tuple(prefix), tuple(loop), d)
-
     def props_at(self, position: int) -> frozenset[str]:
         return self.letter(position).props
 
@@ -179,61 +166,48 @@ def kappa_violations(trace: CostTrace) -> list[str]:
 # --- semantics ------------------------------------------------------------
 
 
-class TraceEvaluator:
-    """Reference evaluator over a lasso for a fixed valuation.
+def evaluate(
+    trace: CostTrace,
+    position: int,
+    valuation: Valuation,
+    phi: Formula,
+    strict: bool = False,
+) -> bool:
+    """Does the trace satisfy the formula at the position, under the valuation?
 
-    Truth at a position depends only on the position's slot, so `holds`
-    folds the formula into one truth vector over the slots per distinct
-    subformula.  U, R, F[<=] and G[<=] take their value at the first slot,
-    at or after each slot, where their arguments settle them; one settled
-    nowhere on the loop is false for U and F[<=] and true for R and G[<=].
-    Evaluation takes time linear in the closure size times the number of
-    slots, whatever the bounds.
+    This is the reference semantics.  Truth at a position depends only on
+    the position's slot, so the formula is folded into one truth vector
+    over the slots per distinct subformula.  U, R, F[<=] and G[<=] take
+    their value at the first slot, at or after each slot, where their
+    arguments settle them; one settled nowhere on the loop is false for U
+    and F[<=] and true for R and G[<=].  Evaluation takes time linear in
+    the closure size times the number of slots, whatever the bounds.  A
+    variable missing from the valuation bounds at 0, or raises TraceError
+    when `strict`.
     """
+    letters = trace.prefix + trace.loop
+    props = [lt.props for lt in letters]
+    n, p = len(letters), len(trace.prefix)
+    succ = [*range(1, n), p]
+    # U, R, F[<=] and G[<=] are computed backward over the slots: twice
+    # round the loop, so that its last slots see the values at its start,
+    # then once over the prefix.  Slots are first set to the value they
+    # keep if nothing on the loop settles them.
+    backward = [*range(n - 1, p - 1, -1)] * 2 + [*range(p - 1, -1, -1)]
 
-    def __init__(self, trace: CostTrace, valuation: Valuation, strict: bool = False):
-        self.trace = trace
-        self.valuation = dict(valuation)
-        self.strict = strict
-        self._letters = trace.prefix + trace.loop
-        self._props = [lt.props for lt in self._letters]
-        n, p = len(self._letters), len(trace.prefix)
-        self._succ = [*range(1, n), p]
-        # U, R, F[<=] and G[<=] are computed backward over the slots:
-        # twice round the loop, so that its last slots see the values at
-        # its start, then once over the prefix.  Slots are first set to
-        # the value they keep if nothing on the loop settles them.
-        self._backward = [*range(n - 1, p - 1, -1)] * 2 + [*range(p - 1, -1, -1)]
-
-    def _bound(self, var: str) -> int:
-        if var in self.valuation:
-            value = self.valuation[var]
-            if value < 0:
-                msg = f"negative bound for variable {var!r}"
-                raise TraceError(msg)
-            return value
-        if self.strict:
-            msg = f"unbound variable {var!r} in strict mode"
-            raise TraceError(msg)
-        return 0
-
-    def holds(self, phi: Formula, position: int = 0) -> bool:
-        return fold(phi, self._truth)[self.trace.slot(position)]
-
-    def _truth(self, phi: Formula, kids: list) -> list[bool]:
+    def truth(phi: Formula, kids: list) -> list[bool]:
         """The truth vector of `phi` over the slots, from its children's."""
         if isinstance(phi, Atom):
-            return [phi.name in props for props in self._props]
+            return [phi.name in here for here in props]
         if isinstance(phi, NegAtom):
-            return [phi.name not in props for props in self._props]
+            return [phi.name not in here for here in props]
         if isinstance(phi, And):
             return [a and b for a, b in zip(*kids)]
         if isinstance(phi, Or):
             return [a or b for a, b in zip(*kids)]
         if isinstance(phi, Next):
             (child,) = kids
-            return [child[t] for t in self._succ]
-        succ, n = self._succ, len(self._letters)
+            return [child[t] for t in succ]
         if isinstance(phi, (Until, Release)):
             # U waits for its successor's value where its left argument
             # holds and its right one fails, R where its left one fails and
@@ -241,7 +215,7 @@ class TraceEvaluator:
             left, right = kids
             until = isinstance(phi, Until)
             value = [not until] * n
-            for s in self._backward:
+            for s in backward:
                 if left[s] == until and right[s] != until:
                     value[s] = value[succ[s]]
                 else:
@@ -250,28 +224,27 @@ class TraceEvaluator:
         # The cost of reaching the first slot where the child holds
         # (F[<=]) or fails (G[<=]), infinite if it never does, compared
         # with the bound.
-        if phi.coord > self.trace.d:
-            msg = f"formula uses coordinate {phi.coord}, trace has dimension {self.trace.d}"
+        if phi.coord > trace.d:
+            msg = f"formula uses coordinate {phi.coord}, trace has dimension {trace.d}"
             raise TraceError(msg)
         eventually = isinstance(phi, FLe)
         (child,) = kids
-        step = [lt.cost[phi.coord - 1] for lt in self._letters]
+        step = [lt.cost[phi.coord - 1] for lt in letters]
         cost = [math.inf] * n
-        for s in self._backward:
+        for s in backward:
             cost[s] = 0 if child[s] == eventually else step[s] + cost[succ[s]]
-        bound = self._bound(phi.var)
-        return [(c <= bound) == eventually for c in cost]
+        var = phi.var
+        if var in valuation:
+            limit = valuation[var]
+            if limit < 0:
+                raise TraceError(f"negative bound for variable {var!r}")
+        elif strict:
+            raise TraceError(f"unbound variable {var!r} in strict mode")
+        else:
+            limit = 0
+        return [(c <= limit) == eventually for c in cost]
 
-
-def evaluate(
-    trace: CostTrace,
-    position: int,
-    valuation: Valuation,
-    phi: Formula,
-    strict: bool = False,
-) -> bool:
-    """Does the trace satisfy the formula at the position, under the valuation?"""
-    return TraceEvaluator(trace, valuation, strict=strict).holds(phi, position)
+    return fold(phi, truth)[trace.slot(position)]
 
 
 # --- colorings ------------------------------------------------------------

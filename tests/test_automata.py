@@ -264,7 +264,6 @@ def test_unreachable_accepting_state_is_empty():
         initial="a",
         transitions={"a": ((frozenset(), "a"),), "b": ((frozenset(), "b"),)},
         accepting=frozenset(["b"]),
-        alphabet=frozenset(["p"]),
     )
     assert buchi_empty(auto) is None
 

@@ -29,8 +29,8 @@ from cpltl.formula import (
     eventually,
     is_ff,
     is_tt,
-    max_coord,
     parse,
+    subformulas,
 )
 
 
@@ -258,7 +258,7 @@ automaton = lru_cache(maxsize=None)(CostBuchiAutomaton)
     st.randoms(use_true_random=False),
 )
 def test_template_expansion_matches_reference(phi, d, valuation, rng):
-    d = max(d, max_coord(phi))
+    d = max([d] + [f.coord for f in subformulas(phi) if isinstance(f, (FLe, GLe))])
     auto = automaton(phi, d)
     budgets = auto.budgets(valuation)
     frontier = [auto.initial_state()[:2]]

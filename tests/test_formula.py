@@ -33,7 +33,6 @@ from cpltl.formula import (
     relativize,
     require_well_formed,
     simplify_constants,
-    size,
     subformulas,
     tt,
     var_profile,
@@ -139,7 +138,7 @@ def test_pool_formulas_small_and_well_formed():
     for text in FORMULA_TEXTS:
         phi = parse(text)
         require_well_formed(phi)
-        assert size(phi) <= 8
+        assert len(closure(phi)) <= 8
 
 
 def test_var_profile():

@@ -61,6 +61,53 @@ def test_binary_search_edges():
         binary_search_threshold(lambda v: True, 0, 3, find="middle")
 
 
+def _loop_threshold(predicate, lo, hi, find):
+    """binary_search_threshold as two hand-written bisection loops, the
+    reference for its probe sequence."""
+    if lo > hi:
+        return None
+    if find == "least":
+        if not predicate(hi):
+            return None
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if predicate(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+    if not predicate(lo):
+        return None
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if predicate(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def test_binary_search_probes_like_the_loop_version():
+    # every threshold on and just outside each range, both directions
+    for lo in range(6):
+        for hi in range(lo - 1, 40):
+            for threshold in range(lo - 1, hi + 2):
+                for find, holds in (
+                    ("least", lambda v: v >= threshold),
+                    ("greatest", lambda v: v <= threshold),
+                ):
+                    probes = ([], [])
+
+                    def probe(k):
+                        return lambda v: probes[k].append(v) or holds(v)
+
+                    got = binary_search_threshold(probe(0), lo, hi, find)
+                    want = _loop_threshold(probe(1), lo, hi, find)
+                    assert (got, probes[0]) == (want, probes[1]), (
+                        lo, hi, threshold, find,
+                    )
+
+
 def test_gallop_threshold():
     for threshold in (0, 1, 2, 3, 5, 8, 13, 26):
         calls = []

@@ -15,7 +15,6 @@ from cpltl.system import (
     canonical_lasso,
     check_path,
     enumerate_lassos,
-    format_system,
     parse_system,
     trace_of,
     validate,
@@ -40,16 +39,6 @@ def test_streett_fixture_valid():
     sys_b = parse_system(SYS_STREETT_TEXT)
     assert sys_b.d == 2
     assert validate(sys_b) == []
-
-
-def test_format_round_trip():
-    rng = random.Random(408)
-    for text in (SYS_A_TEXT, SYS_STREETT_TEXT):
-        system = parse_system(text)
-        assert parse_system(format_system(system)) == system
-    for _ in range(40):
-        system = random_system(rng, d=rng.choice((1, 2)))
-        assert parse_system(format_system(system)) == system
 
 
 @pytest.mark.parametrize("label", ["p@1", "p@2", "$true", "p-q", "1p"])
