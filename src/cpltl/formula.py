@@ -495,22 +495,24 @@ def _simplify_step(node: Formula, kids: list) -> Formula:
 
 _PREC_ATOM = 100
 _PREC_UNARY = 80
-_PREC_UNTIL = 60
-_PREC_AND = 40
-_PREC_OR = 20
+
+# The binary operators: strength (the higher binds tighter), whether a
+# chain of equal strength groups to the right, and the node built (None
+# for `->`, which `expand_derived` writes as `!a | b`).  `parse` and `_pp`
+# both read it.
+_BINARY = {
+    "->": (10, True, None),
+    "|": (20, False, Or),
+    "&": (40, False, And),
+    "U": (60, True, Until),
+    "R": (60, True, Release),
+}
+_SYMBOL = {node: symbol for symbol, (_, _, node) in _BINARY.items() if node}
 
 
 def pretty_print(phi: Formula) -> str:
     """Concrete syntax that parses back to the same tree."""
     return _operand(fold(phi, _pp), 0)
-
-
-_INFIX = {
-    Until: ("U", _PREC_UNTIL),
-    Release: ("R", _PREC_UNTIL),
-    And: ("&", _PREC_AND),
-    Or: ("|", _PREC_OR),
-}
 
 
 def _pp(node: Formula, kids: list) -> Optional[tuple[str, int]]:
@@ -536,10 +538,10 @@ def _pp(node: Formula, kids: list) -> Optional[tuple[str, int]]:
         op = "F" if isinstance(node, FLe) else "G"
         at = "" if node.coord == 1 else f"@{node.coord}"
         return f"{op}[<={node.var}{at}] {_operand(kids[0], _PREC_UNARY)}", _PREC_UNARY
-    symbol, prec = _INFIX[type(node)]
-    # U and R associate to the right, & and | to the left: an operand of
-    # the same precedence on the other side needs parentheses.
-    right_assoc = prec == _PREC_UNTIL
+    symbol = _SYMBOL[type(node)]
+    prec, right_assoc, _ = _BINARY[symbol]
+    # An operand of the same strength needs parentheses on the side the
+    # operator does not group to.
     left = _operand(kids[0], prec + right_assoc)
     right = _operand(kids[1], prec + (not right_assoc))
     return f"{left} {symbol} {right}", prec
@@ -606,164 +608,129 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 def is_identifier(text: str) -> bool:
-    """Does a formula read `text` as one proposition name?  The reserved
-    atoms, the coloring propositions p@i and $true, are not read so."""
+    """Does a formula read `text` as one proposition name?  The keywords
+    and the reserved atoms, the coloring propositions p@i and $true, are
+    not read so."""
     try:
         tokens = _tokenize(text)
     except ParseError:
         return False
-    return len(tokens) == 2 and tokens[0].kind == "ident"
+    return len(tokens) == 2 and tokens[0].kind == "ident" and tokens[0].text not in _KEYWORDS
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.index = 0
+def _expected(what: str, token: _Token) -> ParseError:
+    return ParseError(f"expected {what}, found {token.text or 'end of input'!r}", token.pos)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
 
-    def advance(self) -> _Token:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
+def _bracket(tokens: list[_Token], i: int) -> tuple[Optional[tuple[str, str, int]], int]:
+    """The bound `[<=x@2]` or `[>y]` that may start at `tokens[i]`, as
+    (relation, variable, coordinate) or None, and the index after it."""
+    if tokens[i].kind != "[":
+        return None, i
+    rel = tokens[i + 1]
+    if rel.kind not in ("<=", ">"):
+        raise ParseError("expected '<=' or '>' inside brackets", rel.pos)
+    var = tokens[i + 2]
+    if var.kind != "ident" or var.text in _KEYWORDS:
+        raise ParseError("expected a variable name inside brackets", var.pos)
+    i += 3
+    coord = 1
+    if tokens[i].kind == "@":
+        if tokens[i + 1].kind != "int":
+            raise _expected("'int'", tokens[i + 1])
+        coord = int(tokens[i + 1].text)
+        if coord < 1:
+            raise ParseError("coordinate index must be >= 1", tokens[i + 1].pos)
+        i += 2
+    if tokens[i].kind != "]":
+        raise _expected("']'", tokens[i])
+    return (rel.kind, var.text, coord), i + 1
 
-    def expect(self, kind: str) -> _Token:
-        token = self.peek()
-        if token.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {token.text or 'end of input'!r}", token.pos)
-        return self.advance()
 
-    def parse(self) -> Formula:
-        phi = self.implication()
-        token = self.peek()
-        if token.kind != "eof":
-            raise ParseError(f"unexpected trailing input {token.text!r}", token.pos)
-        return phi
-
-    def implication(self) -> Formula:
-        operands = [self.disjunction()]
-        while self.peek().kind == "->":
-            self.advance()
-            operands.append(self.disjunction())
-        phi = operands.pop()
-        while operands:
-            phi = expand_derived("->", (operands.pop(), phi))
-        return phi
-
-    def disjunction(self) -> Formula:
-        phi = self.conjunction()
-        while self.peek().kind == "|":
-            self.advance()
-            phi = Or(phi, self.conjunction())
-        return phi
-
-    def conjunction(self) -> Formula:
-        phi = self.until_chain()
-        while self.peek().kind == "&":
-            self.advance()
-            phi = And(phi, self.until_chain())
-        return phi
-
-    def until_chain(self) -> Formula:
-        operands = [self.unary()]
-        operators = []
-        while self.peek().kind == "ident" and self.peek().text in ("U", "R"):
-            operators.append((self.advance().text, self.maybe_bracket()))
-            operands.append(self.unary())
-        # U and R associate to the right: combine from the last operand.
-        phi = operands.pop()
-        while operators:
-            op, param = operators.pop()
-            left = operands.pop()
-            if param is None:
-                phi = (Until if op == "U" else Release)(left, phi)
-            else:
-                phi = expand_derived(op + param[0], (left, phi), var=param[1], coord=param[2])
-        return phi
-
-    def unary(self) -> Formula:
-        # A chain of prefix operators is read in a loop and applied
-        # innermost first, so it may be any length.
-        prefix = []
-        token = self.peek()
-        while token.kind == "!" or (token.kind == "ident" and token.text in ("X", "F", "G")):
-            self.advance()
-            prefix.append((token.text, self.maybe_bracket() if token.text in ("F", "G") else None))
-            token = self.peek()
-        phi = self.atom()
-        for op, param in reversed(prefix):
-            if op == "!":
-                phi = negate(phi)
-            elif op == "X":
-                phi = Next(phi)
-            elif param is None:
-                phi = expand_derived(op, (phi,))
-            elif param[0] == "<=":
-                phi = (FLe if op == "F" else GLe)(param[1], param[2], phi)
-            else:
-                phi = expand_derived(op + ">", (phi,), var=param[1], coord=param[2])
-        return phi
-
-    def maybe_bracket(self) -> Optional[tuple[str, str, int]]:
-        if self.peek().kind != "[":
-            return None
-        self.advance()
-        rel_token = self.peek()
-        if rel_token.kind not in ("<=", ">"):
-            raise ParseError("expected '<=' or '>' inside brackets", rel_token.pos)
-        self.advance()
-        var_token = self.peek()
-        if var_token.kind != "ident" or var_token.text in _KEYWORDS:
-            raise ParseError("expected a variable name inside brackets", var_token.pos)
-        self.advance()
-        coord = 1
-        if self.peek().kind == "@":
-            self.advance()
-            coord_token = self.expect("int")
-            coord = int(coord_token.text)
-            if coord < 1:
-                raise ParseError("coordinate index must be >= 1", coord_token.pos)
-        self.expect("]")
-        return rel_token.kind, var_token.text, coord
-
-    def atom(self) -> Formula:
-        token = self.peek()
-        if token.kind == "(":
-            self.advance()
-            phi = self.implication()
-            self.expect(")")
-            return phi
-        if token.kind == "ident":
-            name = token.text
-            if name == "tt":
-                self.advance()
-                return tt()
-            if name == "ff":
-                self.advance()
-                return ff()
-            if name in _KEYWORDS:
-                raise ParseError(f"{name!r} is an operator, not a proposition", token.pos)
-            self.advance()
-            if name == KAPPA_PREFIX:
-                name = kappa_name(1)
-            return Atom(name)
-        raise ParseError(
-            f"expected a formula, found {token.text or 'end of input'!r}", token.pos
-        )
+def _apply(op: str, bound: Optional[tuple[str, str, int]], operands: list[Formula]) -> None:
+    """Replace the operands of a pending operator, on top of `operands`,
+    by the formula it builds from them."""
+    phi = operands.pop()
+    if op in _BINARY:
+        left = operands.pop()
+        node = _BINARY[op][2]
+        if bound is not None:
+            phi = expand_derived(op + bound[0], (left, phi), var=bound[1], coord=bound[2])
+        elif node is None:
+            phi = expand_derived(op, (left, phi))
+        else:
+            phi = node(left, phi)
+    elif op == "!":
+        phi = negate(phi)
+    elif op == "X":
+        phi = Next(phi)
+    elif bound is None:
+        phi = expand_derived(op, (phi,))
+    elif bound[0] == "<=":
+        phi = (FLe if op == "F" else GLe)(bound[1], bound[2], phi)
+    else:
+        phi = expand_derived(op + ">", (phi,), var=bound[1], coord=bound[2])
+    operands.append(phi)
 
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into an NNF tree.
 
-    Grammar, loosest to tightest: ->, |, &, U/R (right-associative),
-    unary (! X F G and the bracketed cost-bounded forms), atoms.
-    `kappa` abbreviates `kappa1`.  Operator chains may be any length;
-    parentheses nest by recursive descent, so their depth is bounded by
-    Python's recursion limit, and deeper nesting is a ParseError.
+    Grammar, loosest to tightest: ->, |, &, U/R (-> and U/R group to the
+    right), unary (! X F G and the bracketed cost-bounded forms), atoms.
+    `kappa` abbreviates `kappa1`.  One operator-precedence loop reads the
+    input, with its operands, pending operators and open parentheses on
+    explicit stacks, so operator chains may be any length and parentheses
+    may nest to any depth.
     """
-    parser = _Parser(text)
-    try:
-        return parser.parse()
-    except RecursionError:
-        raise ParseError("parentheses nested too deeply", parser.peek().pos) from None
+    tokens = _tokenize(text)
+    operands: list[Formula] = []
+    # (strength, operator, bound), innermost last; an open parenthesis is
+    # (0, "(", None), weaker than every operator, so it stops a reduction.
+    pending: list[tuple[int, str, Optional[tuple[str, str, int]]]] = []
+    depth = 0  # open parentheses on `pending`
+    i = 0
+    while True:
+        # An operand: prefix operators and open parentheses, then a name.
+        token = tokens[i]
+        while token.text in ("(", "!", "X", "F", "G"):
+            bound, i = _bracket(tokens, i + 1) if token.text in ("F", "G") else (None, i + 1)
+            depth += token.text == "("
+            pending.append((0 if token.text == "(" else _PREC_UNARY, token.text, bound))
+            token = tokens[i]
+        if token.kind != "ident":
+            raise _expected("a formula", token)
+        if token.text == "tt":
+            operands.append(tt())
+        elif token.text == "ff":
+            operands.append(ff())
+        elif token.text in _KEYWORDS:
+            raise ParseError(f"{token.text!r} is an operator, not a proposition", token.pos)
+        else:
+            operands.append(Atom(kappa_name(1) if token.text == KAPPA_PREFIX else token.text))
+        i += 1
+        # Closing parentheses, then a binary operator or the end.
+        token = tokens[i]
+        while token.kind == ")" and depth:
+            while pending[-1][1] != "(":
+                _apply(*pending.pop()[1:], operands)
+            pending.pop()
+            depth -= 1
+            i += 1
+            token = tokens[i]
+        if token.text not in _BINARY:
+            break
+        strength, right_assoc, _ = _BINARY[token.text]
+        while pending and (
+            pending[-1][0] > strength or pending[-1][0] == strength and not right_assoc
+        ):
+            _apply(*pending.pop()[1:], operands)
+        bound, i = _bracket(tokens, i + 1) if token.text in ("U", "R") else (None, i + 1)
+        pending.append((strength, token.text, bound))
+    if depth:
+        raise _expected("')'", token)
+    if token.kind != "eof":
+        raise ParseError(f"unexpected trailing input {token.text!r}", token.pos)
+    while pending:
+        _apply(*pending.pop()[1:], operands)
+    return operands[0]

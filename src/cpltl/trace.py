@@ -264,10 +264,6 @@ class Changepoints(ValueRecord):
     def finite(self) -> bool:
         return not self.repeating
 
-    @property
-    def tail_start(self) -> Optional[int]:
-        return max(self.initial) if self.finite else None
-
     def blocks(self) -> tuple[list[tuple[int, int]], Optional[int]]:
         """Completed blocks as (start, next changepoint) pairs, plus the
         tail start (None with infinitely many changepoints).

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import SYS_A_TEXT, SYS_STREETT_TEXT, T1_TEXT
+from conftest import FORMULA_TEXTS, SYS_A_TEXT, SYS_STREETT_TEXT, T1_TEXT
 from cpltl import cli
 from cpltl.cli import main
 
@@ -523,12 +523,47 @@ def test_malformed_input_keeps_the_exit_code_contract(formula, system, mode):
         assert "error:" in err.getvalue(), (formula, system, mode)
 
 
-def test_deep_formula_exits_with_error_not_verdict(capsys, sys_file):
-    # parentheses nest by recursive descent, so 3000 of them are a parse
+def test_deep_parenthesized_formula_answers_like_unwrapped(capsys, sys_file):
+    # one loop reads parentheses at any depth, so 20,000 of them around the
+    # lift query leave its answer as it is
+    code, pairs, captured = run(capsys, "check", sys_file, MC1)
+    assert (code, pairs["holds"]) == (0, "true")
+    deep = run(capsys, "check", sys_file, "(" * 20_000 + MC1 + ")" * 20_000)
+    assert (deep[0], deep[2].out, deep[2].err) == (code, captured.out, captured.err)
+
+
+@settings(
+    deadline=None,
+    max_examples=40,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    st.sampled_from(FORMULA_TEXTS),
+    st.integers(161, 5000),
+    st.sampled_from((0, 0, -1, 1, -7, 7)),
+)
+def test_deep_parentheses_keep_the_exit_code_contract(text, depth, surplus):
+    # nested deeper than recursive descent could read, a balanced formula
+    # gets the answer of the unwrapped one, and an unbalanced one is an
     # error, never a verdict
-    code, _, captured = run(capsys, "check", sys_file, "(" * 3000 + "p" + ")" * 3000)
-    assert code == 2
-    assert captured.err.startswith("error: parentheses nested too deeply")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sys.txt")
+        with open(path, "w") as handle:
+            handle.write(SYS_A_TEXT)
+        answers = []
+        for formula in (text, "(" * depth + text + ")" * (depth + surplus)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["check", path, formula, "--fixed"])
+            answers.append((code, out.getvalue(), err.getvalue()))
+    plain, deep = answers
+    assert plain[0] in (0, 1), plain
+    if surplus == 0:
+        assert deep == plain
+    else:
+        assert deep[0] == 2
+        assert deep[2].startswith("error:")
 
 
 def test_deep_fixed_query_answers_at_3000(capsys, sys_file):

@@ -88,17 +88,33 @@ def test_parse_constants():
     assert not is_tt(ff()) and not is_ff(tt())
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "", "p &", "& p", "(p", "p)", "F[<=] p", "F[<=x p", "p q", "U p", "F[<=x@0] p",
-        "F[<=x@\u00b2] p",  # a superscript digit, which int() does not read
-    ],
-)
+PARSE_ERRORS = {
+    "": "expected a formula, found 'end of input' (column 1)",
+    "p &": "expected a formula, found 'end of input' (column 4)",
+    "& p": "expected a formula, found '&' (column 1)",
+    "(p": "expected ')', found 'end of input' (column 3)",
+    "p)": "unexpected trailing input ')' (column 2)",
+    "F[<=] p": "expected a variable name inside brackets (column 5)",
+    "F[<=x p": "expected ']', found 'p' (column 7)",
+    "p q": "unexpected trailing input 'q' (column 3)",
+    "U p": "'U' is an operator, not a proposition (column 1)",
+    "F[<=x@0] p": "coordinate index must be >= 1 (column 7)",
+    # a superscript digit, which int() does not read
+    "F[<=x@\u00b2] p": "unexpected character '\u00b2' (column 7)",
+    "(p q)": "expected ')', found 'q' (column 4)",
+    "((p)": "expected ')', found 'end of input' (column 5)",
+    "!(": "expected a formula, found 'end of input' (column 3)",
+    "p U": "expected a formula, found 'end of input' (column 4)",
+    "F[x] p": "expected '<=' or '>' inside brackets (column 3)",
+}
+
+
+@pytest.mark.parametrize("text", list(PARSE_ERRORS))
 def test_parse_errors(text):
     with pytest.raises(ParseError) as info:
         parse(text)
-    assert info.value.position >= 0
+    assert str(info.value) == PARSE_ERRORS[text]
+    assert f"(column {info.value.position + 1})" in PARSE_ERRORS[text]
 
 
 def test_negate_involution_and_closure_size():
@@ -209,10 +225,12 @@ def test_prefix_chains_apply_innermost_first():
     assert parse("! ! ! p") == NegAtom("p")
 
 
-def test_parenthesis_depth_is_a_parse_error():
-    assert parse("(" * 100 + "p" + ")" * 100) == Atom("p")
-    with pytest.raises(ParseError, match="nested too deeply"):
-        parse("(" * 3000 + "p" + ")" * 3000)
+def test_parentheses_nest_to_any_depth():
+    # parentheses are read by the same loop as operator chains
+    assert parse("(" * 100_000 + "p" + ")" * 100_000) == Atom("p")
+    assert parse("X (" * 3000 + "p" + ")" * 3000) == parse("X " * 3000 + "p")
+    with pytest.raises(ParseError, match=r"expected '\)', found 'end of input' \(column 100002\)"):
+        parse("(" * 100_000 + "p")
 
 
 def test_rewrites_visit_shared_subterms_once():

@@ -1,10 +1,14 @@
 """Property tests: printing, negation and evaluation on generated formulas,
 including formulas nested more than 2000 deep."""
 
+import itertools
+import random
+import re
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_trace
+from conftest import FORMULA_TEXTS, random_trace
 from cpltl.formula import (
     And,
     Atom,
@@ -107,6 +111,30 @@ def deep_formulas(draw, min_depth=2000):
 @given(small_formulas)
 def test_print_parse_round_trip(phi):
     assert parse(pretty_print(phi)) == phi
+
+
+@PROPERTY
+@given(st.sampled_from(FORMULA_TEXTS), st.integers(0, 3000), st.integers(161, 3000), st.data())
+def test_deep_parentheses_leave_the_tree_unchanged(text, outer, inner, data):
+    # wrap the whole formula, and one of its atoms, deeper than recursive
+    # descent could read
+    atom = data.draw(st.sampled_from(list(re.finditer(r"\b[pq]\b", text))))
+    wrapped = text[: atom.start()] + "(" * inner + atom[0] + ")" * inner + text[atom.end() :]
+    assert parse("(" * outer + wrapped + ")" * outer) == parse(text)
+
+
+@PROPERTY
+@given(small_formulas, st.integers(900, 1100), st.integers(0, 2**32))
+def test_print_parse_round_trip_alternating_chain(phi, depth, seed):
+    # & and | alternate, so every second level prints a parenthesis
+    rng = random.Random(seed)
+    for level in range(depth):
+        node = And if level % 2 else Or
+        phi = node(phi, _P) if rng.random() < 0.5 else node(_Q, phi)
+    text = pretty_print(phi)
+    nesting = max(itertools.accumulate((c == "(") - (c == ")") for c in text))
+    assert nesting > 400
+    assert parse(text) == phi
 
 
 @settings(PROPERTY, max_examples=25)

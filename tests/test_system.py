@@ -52,6 +52,15 @@ def test_parse_system_rejects_labels_a_formula_cannot_name(label):
         parse_system(text)
 
 
+@pytest.mark.parametrize("label", ["X", "F", "G", "U", "R", "tt", "ff"])
+def test_parse_system_rejects_keyword_labels(label):
+    # no formula reads a keyword as a proposition: parse("X") is an error
+    # and parse("tt") the constant
+    text = SYS_A_TEXT.replace("state s0 init : q", f"state s0 init : q {label}")
+    with pytest.raises(SystemFormatError, match=re.escape(repr(label))):
+        parse_system(text)
+
+
 def test_validate_rejects_kappa_mutations():
     sys_a = parse_system(SYS_A_TEXT)
     # positive-cost edge into a state lacking the corresponding flag
