@@ -621,7 +621,9 @@ def exists_automaton(phi: Formula, d: int) -> BuchiAutomaton:
 
 def witness_automaton(phi: Formula, d: int) -> BuchiAutomaton:
     """The automaton for !phi_rel & chi_d, kept across queries: a witness of
-    check_exists is a path of its product with the system."""
+    check_exists is a path of its product with the system.  chi_d comes in
+    disjunctive form, which the tableau translates to few states (see
+    chi_formula): 72 for the README lift query."""
     return _pipeline_nba(And(_negated_relativized(phi, d), chi_formula(d)))
 
 
@@ -688,8 +690,10 @@ def check_exists(system: TransitionSystem, phi: Formula) -> ExistsResult:
     half of the argument holds at every d).  So the answer is holds, and
     chi_d is never translated.  Otherwise the product with
     witness_automaton, for !phi_rel & chi_d, is searched too; the verdict
-    and the witness come from that search.  `bound`, `automaton_states`
-    and the product sizes are those of the decision, so `bound` equals
+    and the witness come from that search.  chi_d is conjoined in
+    disjunctive form (see chi_formula), which keeps that automaton and
+    its product small.  `bound`, `automaton_states` and the product
+    sizes are those of the decision, so `bound` equals
     valuation_upper_bound.
     """
     require_well_formed(phi)

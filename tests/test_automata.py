@@ -433,7 +433,8 @@ def test_prop_lasso_needs_loop():
 
 
 def exists_target(text: str):
-    """The formula check_exists translates for `text` over one coordinate."""
+    """The formula a refuting check_exists translates for its witness,
+    for `text` over one coordinate."""
     phi = eliminate_parametric_always(parse(text))
     return And(negate(relativize(phi, 1)), chi_formula(1))
 
@@ -450,24 +451,24 @@ def pin(auto: BuchiAutomaton) -> tuple:
     "make, expected",
     [
         (lambda: exists_target("G (q -> F[<=x] p)"),
-         (180, 710, 20, "56ece21ffca7b523")),
+         (72, 264, 12, "3bde420fd0b2c8d9")),
         (lambda: exists_target("X G (q -> F[<=x] p)"),
-         (207, 888, 20, "0020fdcab824da73")),
+         (88, 352, 15, "3e2b6a5e6b0a4cbb")),
         (lambda: exists_target("G[<=y] q"),
-         (97, 358, 18, "4ff3f63b7cef2e0c")),
+         (37, 132, 8, "4a2b301020f2b7dd")),
         (lambda: exists_target("F G (q -> F[<=x] p)"),
-         (245, 1810, 18, "d1366e8e2c9cb478")),
+         (91, 610, 10, "28cd3395ff44ea46")),
         (lambda: exists_target("F[<=x] p | F[<=x] q"),
-         (138, 524, 21, "38311ec9df652293")),
-        (lambda: chi_formula(1), (43, 128, 9, "a85715eb63a63973")),
-        (lambda: chi_formula(2), (679, 5072, 81, "b66814c07a3deae2")),
+         (56, 201, 13, "d685e96e4f9499cc")),
+        (lambda: chi_formula(1), (17, 56, 4, "61ed8ae71d85e0ba")),
+        (lambda: chi_formula(2), (123, 1043, 16, "66bc11c0bf506a97")),
     ],
     ids=["lift", "next-lift", "g-bounded", "fg-lift", "two-f", "chi1", "chi2"],
 )
 def test_translation_is_pinned(make, expected):
-    # The exists automata, state names included, as the tableau builds them
-    # from the undominated cores of each next-set; the README's bound=4322
-    # rests on lift's 180 states.
+    # The witness automata, state names included, as the tableau builds them
+    # from the undominated cores of each next-set, with chi in disjunctive
+    # form.
     assert pin(ltl_to_nba(make())) == expected
 
 
@@ -556,14 +557,14 @@ def test_translation_is_independent_of_hash_seed():
         )
         outputs.add(proc.stdout)
     assert outputs == {
-        "(180, 710, 20, '56ece21ffca7b523')\n"
-        "(679, 5072, 81, 'b66814c07a3deae2')\n"
+        "(72, 264, 12, '3bde420fd0b2c8d9')\n"
+        "(123, 1043, 16, '66bc11c0bf506a97')\n"
     }
 
 
 def test_translation_frees_each_stage():
     # Each stage's tables are freed once the next stage is built, so the
-    # peak stays within a few times the automaton returned: 3.6x for this
+    # peak stays within a few times the automaton returned: 3.1x for this
     # target, where keeping every table until the end peaks at 8x.
     target = exists_target("X " * 100 + "p")
     tracemalloc.start()
@@ -572,5 +573,5 @@ def test_translation_frees_each_stage():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert auto.n_states == 2450
+    assert auto.n_states == 1381
     assert peak < 6 * held

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from conftest import FORMULA_TEXTS, random_formula, random_trace
+from cpltl.automata import ltl_to_nba
 from cpltl.formula import (
     And,
     Atom,
@@ -18,15 +19,19 @@ from cpltl.formula import (
     ParseError,
     Release,
     Until,
+    always,
     atoms,
     chi_formula,
     closure,
+    color_name,
     drop_cost_bounds,
     eliminate_parametric_always,
+    eventually,
     expand_derived,
     ff,
     is_ff,
     is_tt,
+    kappa_name,
     negate,
     parse,
     pretty_print,
@@ -298,6 +303,71 @@ def _colored(costs, flags, kappas):
     return CostTrace((), tuple(letters), 1)
 
 
+def _chi_biconditional_at(i):
+    """Coordinate i's consistency conjunct as the biconditional
+    changes <-> inf: the reference chi_formula's disjunctive form must
+    equal."""
+    color = Atom(color_name(i))
+    changes = And(always(eventually(color)), always(eventually(negate(color))))
+    infinite_cost = always(eventually(Atom(kappa_name(i))))
+    return And(
+        Or(negate(changes), infinite_cost),
+        Or(negate(infinite_cost), changes),
+    )
+
+
+def _chi_biconditional(d):
+    result = _chi_biconditional_at(1)
+    for i in range(2, d + 1):
+        result = And(result, _chi_biconditional_at(i))
+    return result
+
+
+def test_chi_equals_the_biconditional():
+    # Each coordinate's disjunctive conjunct and the biconditional accept
+    # the same words: neither is satisfiable with the other negated.  The
+    # second coordinate's conjunct is checked on its own, over p@2 and
+    # kappa2; the whole d = 2 converse takes seconds to translate.
+    pairs = [
+        (chi_formula(1), _chi_biconditional(1)),
+        (chi_formula(2).right, _chi_biconditional_at(2)),
+    ]
+    for new, old in pairs:
+        assert not ltl_to_nba(And(new, negate(old))).accepting
+        assert not ltl_to_nba(And(old, negate(new))).accepting
+
+
+def test_chi_agrees_with_the_biconditional_on_lassos():
+    rng = random.Random(417)
+    for d in (1, 2):
+        colors = tuple(color_name(i) for i in range(1, d + 1))
+        new, old = chi_formula(d), _chi_biconditional(d)
+        verdicts = set()
+        for _ in range(300):
+            trace = random_trace(rng, d=d, props=colors)
+            got = evaluate(trace, 0, {}, new)
+            assert got == evaluate(trace, 0, {}, old), trace
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+
+def _colored2(letters):
+    """A loop of d = 2 letters (color 1, kappa 1, color 2, kappa 2), with
+    cost 1 wherever the coordinate's kappa holds."""
+    names = ("p@1", "kappa1", "p@2", "kappa2")
+    return CostTrace(
+        (),
+        tuple(
+            CostLetter(
+                frozenset(n for n, on in zip(names, flags) if on),
+                (int(flags[1]), int(flags[3])),
+            )
+            for flags in letters
+        ),
+        2,
+    )
+
+
 def test_chi_semantics():
     chi = chi_formula(1)
     # infinitely many changepoints and infinite cost: both sides hold
@@ -312,6 +382,15 @@ def test_chi_semantics():
     # constant coloring and zero cost: both sides fail, so chi holds
     w = _colored([0, 0], [False, False], [False, False])
     assert evaluate(w, 0, {}, chi)
+    # d = 2: coordinate 1 alternates and pays.  Coordinate 2 frozen while
+    # it still pays breaks chi, whichever color it freezes at; frozen and
+    # free it keeps chi.
+    chi = chi_formula(2)
+    for frozen in (True, False):
+        paying = _colored2([(True, True, frozen, True), (False, True, frozen, True)])
+        assert not evaluate(paying, 0, {}, chi)
+        free = _colored2([(True, True, frozen, False), (False, True, frozen, False)])
+        assert evaluate(free, 0, {}, chi)
 
 
 def test_simplify_constants():

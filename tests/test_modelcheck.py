@@ -852,6 +852,36 @@ def test_exists_at_d2_agrees_with_oracle():
         assert verdicts == {True, False}
 
 
+def test_exists_with_f_parameters_at_d2_agrees_with_the_corner():
+    # bound_value's F-corner argument is no proof at d = 2, so d = 2
+    # existence on formulas with F-parameters, on rings and random
+    # systems, is checked against the fixed check at the corner of the
+    # bound.
+    # Each refutation's witness is certified on the chi_2 product.
+    # Ten draws: the refutations translate chi_2 with formulas such as
+    # F[<=x2] G[<=y] !p, about 1-2 s each.
+    rng = random.Random(2089)
+    verdicts = []
+    for _ in range(10):
+        if rng.random() < 0.5:
+            system = random_ring(rng, rng.randint(3, 5), d=2)
+        else:
+            system = random_system(rng, d=2)
+        phi = Atom("p")
+        while not var_profile(phi).var_f:
+            phi = random_formula(
+                rng, rng.randint(1, 2), d=2, f_vars=("x", "x2"), g_vars=("y",)
+            )
+        result = check_exists(system, phi)
+        corner = corner_valuation(phi, valuation_upper_bound(system, phi))
+        assert result.holds == check_fixed(system, phi, corner).holds, (phi, system)
+        if not result.holds:
+            graph = exists_product(system, phi)
+            assert verify_pumpable(graph, *result.witness) == [], (phi, system)
+        verdicts.append(result.holds)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 @settings(BOUND_PROPERTY, max_examples=60)
 @given(st.data())
 def test_exists_decision_agrees_with_the_chi_search(system_pool, data):
