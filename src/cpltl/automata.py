@@ -484,6 +484,7 @@ def find_accepting_lasso(
     successors: Callable,
     acceptance: Callable,
     full: int,
+    low=None,
 ) -> Optional[tuple]:
     """Find a reachable cycle that visits every acceptance set.
 
@@ -500,9 +501,9 @@ def find_accepting_lasso(
     set is not yet covered, the loop takes a shortest path inside the
     component to a member holding the lowest such set, and it closes with a
     shortest path back (the wrap edge loop[-1] -> loop[0] is implicit).
-    `acceptance` is asked only by the decision pass.
+    `acceptance` is asked only by the decision pass; `low` is _sccs's.
     """
-    for members, cyclic in _sccs((initial,), successors):
+    for members, cyclic in _sccs((initial,), successors, low):
         if cyclic:
             masks = [acceptance(v) for v in members]
             cover = 0
@@ -563,7 +564,7 @@ def _shortest_path(sources, successors: Callable, goal, inside=None) -> list:
 _FINISHED = sys.maxsize
 
 
-def _sccs(roots: Iterable, successors: Callable) -> Iterator:
+def _sccs(roots: Iterable, successors: Callable, low=None) -> Iterator:
     """Iterative Tarjan SCC over the nodes reachable from `roots`.
 
     Yields (members, cyclic) as each component completes, in reverse
@@ -574,14 +575,18 @@ def _sccs(roots: Iterable, successors: Callable) -> Iterator:
     Each DFS frame holds its node, its successors, an iterator over them
     and the node's index.  A finished node's low value is set past every
     index, so it never lowers another's and no on-stack set is needed.
+    The low values live in `low`, a dict keyed by node unless a list of
+    None is given, indexed by nodes numbered below its length.
     """
-    low: dict = {}
-    lookup = low.get
+    low = {} if low is None else low
+    lookup = low.get if isinstance(low, dict) else low.__getitem__
+    counter = 0
     stack: list = []
     for root in roots:
-        if root in low:
+        if lookup(root) is not None:
             continue
-        low[root] = len(low)
+        low[root] = counter
+        counter += 1
         stack.append(root)
         out = successors(root)
         work = [(root, out, iter(out), low[root])]
@@ -592,7 +597,8 @@ def _sccs(roots: Iterable, successors: Callable) -> Iterator:
                 reach = lookup(w)
                 if reach is None:
                     low[node] = here
-                    low[w] = reach = len(low)
+                    low[w] = reach = counter
+                    counter += 1
                     stack.append(w)
                     out = successors(w)
                     work.append((w, out, iter(out), reach))

@@ -212,23 +212,20 @@ def build_product(
         step = moves.get(pair)
         if step is None:
             step = moves[pair] = shared.setdefault(targets_of(pair), {})
-        try:
-            codes = [base + move for base, first in bases[p] for move in step[first]]
-        except KeyError:  # a successor label the table has not met yet
-            for _, first in bases[p]:
-                if first not in step:
-                    step[first] = moves_of(pair, first)
-            codes = [base + move for base, first in bases[p] for move in step[first]]
-        out = list(map(lookup, codes))
-        if None in out:
-            for pos, j in enumerate(out):
+        out = []
+        for base, first in bases[p]:
+            here = step.get(first)
+            if here is None:  # a successor label the table has not met yet
+                here = step[first] = moves_of(pair, first)
+            for move in here:
+                code = base + move
+                j = lookup(code)
                 if j is None:
-                    code = codes[pos]
-                    out[pos] = ids[code] = len(place)
-                    k, mask = divmod(code % stride, width)
-                    place.append(code // stride)
-                    auto_of.append(k)
-                    color.append(mask)
+                    j = ids[code] = len(place)
+                    place.append(base // stride)
+                    auto_of.append(move // width)
+                    color.append(move % width)
+                out.append(j)
         succ.append(out)
     accepting = [q in auto.accepting for q in auto_states]
     accept = [accepting[k] for k in auto_of]
@@ -281,7 +278,10 @@ def _components(graph: ColoredCostGraph, mask: int) -> list:
                 low[w] = counter
                 stack.append(w)
                 side = color[w] & mask
-                out = [x for x in succ[w] if color[x] & mask == side]
+                out = []
+                for x in succ[w]:
+                    if color[x] & mask == side:
+                        out.append(x)
                 work.append((w, iter(out), counter))
                 counter += 1
             node, children, number = work[-1]
@@ -332,18 +332,12 @@ def _pump_capability(graph: ColoredCostGraph) -> tuple:
                 if comp[w] == label and bits[row + place[w]] & bit:
                     pumped[label] = 1
                     break
-        for u, label in enumerate(comp):
-            if pumped[label]:
-                cap[u] |= bit
+        cap = [c | bit if pumped[label] else c for c, label in zip(cap, comp)]
     return cap, components
 
 
 def _pump_cycle(
-    graph: ColoredCostGraph,
-    components: dict,
-    bit: int,
-    v: int,
-    constant: bool,
+    graph: ColoredCostGraph, components: dict, bit: int, v: int, constant: bool
 ) -> Optional[list]:
     """Shortest cycle through vertex id v with a positive step in the
     coordinate of `bit`, inside v's component of the subgraph that keeps
@@ -409,10 +403,10 @@ def _unpumped_blocks(graph: ColoredCostGraph, run: Lasso) -> list:
 
 
 def _pumpable_lasso(graph: ColoredCostGraph) -> Optional[tuple]:
-    """The emptiness decision of pumpable_fair_path: (run, cap, components),
-    where run is the unspliced id lasso, cap the pump capability of each id
-    and components `_pump_capability`'s components; None when the graph
-    has no pumpable fair path."""
+    """The emptiness decision of pumpable_fair_path, one find_accepting_lasso
+    pass with its low values in a list indexed by flagged node: (run, cap,
+    components), run the unspliced id lasso, cap each id's pump capability
+    and components _pump_capability's; None without a pumpable fair path."""
     cap, components = _pump_capability(graph)
     d = graph.d
     full = (1 << d) - 1
@@ -432,7 +426,8 @@ def _pumpable_lasso(graph: ColoredCostGraph) -> Optional[tuple]:
     def accepting(node) -> bool:
         return accept[node >> d]
 
-    found = find_accepting_lasso(cap[0], successors, accepting, 1)
+    low = [None] * (len(succ) << d)
+    found = find_accepting_lasso(cap[0], successors, accepting, 1, low)
     if found is None:
         return None
     run = Lasso(*(tuple(node >> d for node in part) for part in found))
@@ -449,12 +444,13 @@ def pumpable_fair_path(graph: ColoredCostGraph) -> Optional[tuple]:
     colors in `diff = color[v] ^ color[w]`, is allowed iff
     `diff & ~flags == 0`, and leads to flags `(flags & ~diff) | cap[w]`,
     where `cap` is the pump capability of each id.  find_accepting_lasso
-    decides emptiness over these nodes in one SCC pass and builds a lasso
-    only from the fair component it stops at.  The lasso is spliced with
-    explicit pump cycles so that every completed block contains a repeated
-    vertex with positive cost in between, and re-verified, all on vertex
-    ids; only the witness's vertices are decoded.  Returns (prefix, loop)
-    of product vertices, or None if no such path exists.
+    decides emptiness over these nodes in one SCC pass, keeping its low
+    values in a list indexed by flagged node, and builds a lasso only from
+    the fair component it stops at.  The lasso is spliced with explicit
+    pump cycles so that every completed block contains a repeated vertex
+    with positive cost in between, and re-verified, all on vertex ids;
+    only the witness's vertices are decoded.  Returns (prefix, loop) of
+    product vertices, or None if no such path exists.
     """
     found = _pumpable_lasso(graph)
     if found is None:
@@ -808,9 +804,7 @@ def check_fixed(
     )
 
 
-def _decide(
-    start, successors: Callable, acceptance: Callable, full: int
-) -> tuple:
+def _decide(start, successors: Callable, acceptance: Callable, full: int) -> tuple:
     """find_accepting_lasso from `start`, and the number of nodes its
     decision pass expanded: every reachable node when there is no lasso,
     those up to the first fair component when there is one (the

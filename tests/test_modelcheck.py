@@ -9,7 +9,7 @@ import sys
 from collections import deque
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -65,7 +65,7 @@ from cpltl.modelcheck import (
 )
 from cpltl.optimize import Objective, optimize_mc
 from cpltl.system import LassoPath, parse_system, trace_of
-from cpltl.trace import evaluate
+from cpltl.trace import Lasso, evaluate
 
 MC1 = "G (q -> F[<=x] p)"
 
@@ -944,7 +944,7 @@ def test_holding_exists_builds_no_witness(sys_a, monkeypatch):
     searches = []
     search = modelcheck.find_accepting_lasso
 
-    def counted(initial, successors, acceptance, full):
+    def counted(initial, successors, acceptance, full, low=None):
         calls = []
 
         def expand(node):
@@ -952,7 +952,7 @@ def test_holding_exists_builds_no_witness(sys_a, monkeypatch):
             return successors(node)
 
         searches.append((initial, successors, calls))
-        return search(initial, expand, acceptance, full)
+        return search(initial, expand, acceptance, full, low)
 
     monkeypatch.setattr(modelcheck, "find_accepting_lasso", counted)
     assert check_exists(sys_a, parse(MC1)).holds
@@ -1381,3 +1381,131 @@ def test_exists_witness_is_independent_of_hash_seed():
         assert len(outputs) == 1, text
         assert outputs.pop().startswith("((")
     assert "('p@1', 'p@2')" in proc.stdout
+
+
+# --- the exists kernels against their earlier forms -------------------------
+
+
+def _reference_product_arrays(system, auto) -> tuple:
+    """(succ, place, auto, color, accept) of build_product as it was built
+    with one move-code list per vertex, looked up in bulk and rescanned
+    for the codes not numbered yet."""
+    d = system.d
+    width = 1 << d
+    subsets = modelcheck._color_sets(tuple(color_name(i) for i in range(1, d + 1)))
+    auto_states = auto.states
+    n_auto = len(auto_states)
+    auto_index = {q: k for k, q in enumerate(auto_states)}
+    stride = n_auto * width
+    states = system.states
+    state_index = {s: k for k, s in enumerate(states)}
+    label_id = {}
+    for state in states:
+        label_id.setdefault(system.labels[state], len(label_id))
+    letter_sets = [label.union(chosen) for label in label_id for chosen in subsets]
+    first_letter = [label_id[system.labels[s]] * width for s in states]
+    bases = [
+        tuple(
+            (state_index[t] * stride, first_letter[state_index[t]])
+            for t in dict.fromkeys(system.successors(state))
+        )
+        for state in states
+    ]
+
+    def targets_of(pair) -> tuple:
+        letter, k = divmod(pair, n_auto)
+        found = {}
+        for guard, dst in auto.transitions[auto_states[k]]:
+            if guard_holds(guard, letter_sets[letter]):
+                found[auto_index[dst]] = None
+        return tuple(found)
+
+    def moves_of(pair, first) -> tuple:
+        return tuple(
+            k * width + m
+            for k in targets_of(pair)
+            for m in range(width)
+            if targets_of((first + m) * n_auto + k)
+        )
+
+    start = auto_index[auto.initial]
+    place, auto_of, color = [state_index[system.initial]], [start], [0]
+    ids = {place[0] * stride + start * width: 0}
+    succ = []
+    for p in place:
+        v = len(succ)
+        pair = (first_letter[p] + color[v]) * n_auto + auto_of[v]
+        codes = [
+            base + move for base, first in bases[p] for move in moves_of(pair, first)
+        ]
+        out = list(map(ids.get, codes))
+        if None in out:
+            for pos, j in enumerate(out):
+                if j is None:
+                    code = codes[pos]
+                    out[pos] = ids[code] = len(place)
+                    k, mask = divmod(code % stride, width)
+                    place.append(code // stride)
+                    auto_of.append(k)
+                    color.append(mask)
+        succ.append(out)
+    accept = [auto_states[k] in auto.accepting for k in auto_of]
+    return succ, place, auto_of, color, accept
+
+
+def _reference_pumpable_lasso(graph) -> tuple:
+    """(run, cap) of the emptiness decision as it was made, by the
+    dict-based find_accepting_lasso over the flagged nodes, with the
+    capability by plain reachability; run is None when there is no
+    pumpable fair path."""
+    cap = _reference_capability(graph)
+    d = graph.d
+    full = (1 << d) - 1
+
+    def successors(node) -> list:
+        v, flags = node >> d, node & full
+        out = []
+        for w in graph.succ[v]:
+            diff = graph.color[v] ^ graph.color[w]
+            if not diff & ~flags:
+                out.append(w << d | (flags & ~diff) | cap[w])
+        return out
+
+    found = find_accepting_lasso(
+        cap[0], successors, lambda node: graph.accept[node >> d], 1
+    )
+    if found is None:
+        return None, cap
+    return Lasso(*(tuple(node >> d for node in part) for part in found)), cap
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
+@example(5222, 2)  # its random automaton's witness cannot be certified
+def test_exists_kernels_match_their_reference_forms(seed, d):
+    # the one-loop product numbering and the list-backed decision pass give
+    # the arrays, the run, the capability and the witness of their old forms
+    rng = random.Random(seed)
+    system = random_system(rng, d=d)
+    phi = random_formula(rng, rng.randint(1, 2), d=d, g_vars=("y",))
+    for auto in (exists_automaton(phi, d), _random_nba(rng, d)):
+        graph = build_product(system, auto)
+        arrays = (graph.succ, graph.place, graph.auto, graph.color, graph.accept)
+        assert arrays == _reference_product_arrays(system, auto)
+        run, cap = _reference_pumpable_lasso(graph)
+        found = modelcheck._pumpable_lasso(graph)
+        if run is None:
+            assert found is None
+            assert pumpable_fair_path(graph) is None
+            continue
+        assert (found[0].prefix, found[0].loop) == (run.prefix, run.loop)
+        assert found[1] == cap
+        spliced = Lasso(*modelcheck._splice_pumps(graph, run, cap, {}))
+        if modelcheck._lasso_problems(graph, spliced):
+            # at d = 2 a pump cycle may flip another coordinate's color and
+            # leave blocks there unpumped; both forms then refuse to certify
+            with pytest.raises(modelcheck.ModelCheckError, match="certify"):
+                pumpable_fair_path(graph)
+            continue
+        witness = (graph.decode(spliced.prefix), graph.decode(spliced.loop))
+        assert pumpable_fair_path(graph) == witness
