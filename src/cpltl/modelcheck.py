@@ -617,7 +617,8 @@ def exists_automaton(phi: Formula, d: int) -> BuchiAutomaton:
 
 def witness_automaton(phi: Formula, d: int) -> BuchiAutomaton:
     """The automaton for !phi_rel & chi_d, kept across queries: a witness of
-    check_exists is a path of its product with the system.  chi_d comes in
+    check_exists is a path of its product with the system, searched for on
+    the subsystem of the decision's spliced lasso first.  chi_d comes in
     disjunctive form, which the tableau translates to few states (see
     chi_formula): 72 for the README lift query."""
     return _pipeline_nba(And(_negated_relativized(phi, d), chi_formula(d)))
@@ -644,7 +645,8 @@ def valuation_upper_bound(system: TransitionSystem, phi: Formula) -> int:
 
 class ExistsResult(Record):
     """`witness` is the pumpable fair path (prefix, loop) of vertices of
-    the witness_automaton product, None when phi holds."""
+    the witness_automaton product, None when phi holds, searched for on
+    the subsystem of the decision's spliced lasso first (check_exists)."""
 
     __slots__ = __match_args__ = (
         "holds", "bound", "witness", "product_vertices", "product_edges", "automaton_states",
@@ -684,33 +686,55 @@ def check_exists(system: TransitionSystem, phi: Formula) -> ExistsResult:
     the F-corner of the bound: were it to fail there, bound_value's
     F-corner argument would color a violating run into such a path (that
     half of the argument holds at every d).  So the answer is holds, and
-    chi_d is never translated.  Otherwise the product with
-    witness_automaton, for !phi_rel & chi_d, is searched too; the verdict
-    and the witness come from that search.  chi_d is conjoined in
-    disjunctive form (see chi_formula), which keeps that automaton and
-    its product small.  `bound`, `automaton_states` and the product
-    sizes are those of the decision, so `bound` equals
-    valuation_upper_bound.
+    chi_d is never translated.  Otherwise the decision's lasso is spliced
+    (_splice_pumps), its product released, and the product with
+    witness_automaton, for !phi_rel & chi_d, searched on the subsystem the
+    spliced lasso steps through.  That lasso shows phi failing at every
+    valuation on the subsystem, so by the characterization its product
+    has a pumpable fair path, and each path of it is one of the whole
+    system's product with the same vertices.  The pumping half of that
+    argument is no proof at d >= 2 (bound_value), so when the subsystem
+    yields nothing, the whole system's product is searched and gives the
+    verdict.  `bound`, `automaton_states` and the product sizes are the
+    decision's, so `bound` equals valuation_upper_bound.
     """
     require_well_formed(phi)
     validate_coords(phi, system.d)
     auto = exists_automaton(phi, system.d)
     graph = build_product(system, auto)
+    vertices, edges = graph.n_vertices, graph.n_edges()
+    found = _pumpable_lasso(graph)
     witness = None
-    if _pumpable_lasso(graph) is not None:
-        witness = pumpable_fair_path(
-            build_product(system, witness_automaton(phi, system.d))
-        )
-    bound = bound_value(
-        len(system.states), auto.n_states, system.d, system.max_cost
-    )
+    if found is not None:
+        part = _subsystem(system, graph, _splice_pumps(graph, *found))
+        del graph, found
+        target = witness_automaton(phi, system.d)
+        witness = pumpable_fair_path(build_product(part, target))
+        if witness is None:
+            witness = pumpable_fair_path(build_product(system, target))
+    bound = bound_value(len(system.states), auto.n_states, system.d, system.max_cost)
     return ExistsResult(
         holds=witness is None,
         bound=bound,
         witness=witness,
-        product_vertices=graph.n_vertices,
-        product_edges=graph.n_edges(),
+        product_vertices=vertices,
+        product_edges=edges,
         automaton_states=auto.n_states,
+    )
+
+
+def _subsystem(system: TransitionSystem, graph, parts) -> TransitionSystem:
+    """The states and edges of `system` that the id lasso [prefix, loop] of
+    `graph`, its product, steps through, in the system's order."""
+    place, names = graph.place, graph.states
+    used = set(Lasso(*(tuple(names[place[v]] for v in x) for x in parts)).steps())
+    edges = {s: tuple(t for t in system.successors(s) if (s, t) in used) for s in system.states}
+    states = tuple(s for s in system.states if edges[s])
+    labels, cost = system.labels, system.cost
+    return TransitionSystem(
+        states, system.initial, {s: edges[s] for s in states},
+        {s: labels[s] for s in states},
+        {(s, t): cost[s, t] for s in states for t in edges[s]}, system.d,
     )
 
 

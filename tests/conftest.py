@@ -357,10 +357,11 @@ def random_formula(rng, depth, d=1, f_vars=("x",), g_vars=(), props=("p", "q")):
     return GLe(rng.choice(g_vars), coord, sub())
 
 
-def random_ring(rng, n, d=1):
+def random_ring(rng, n, d=1, self_loops=False):
     """Ring s0 -> s1 -> ... -> s0 plus one random edge, with random labels
     and costs up to 3 in every coordinate, so that obligations lie behind
-    costly edges."""
+    costly edges; with `self_loops`, every state also has an edge to
+    itself."""
     labels = []
     for _ in range(n):
         label = {a for a in "pq" if rng.random() < 0.35}
@@ -368,6 +369,8 @@ def random_ring(rng, n, d=1):
         labels.append(label)
     pairs = {(i, (i + 1) % n) for i in range(n)}
     pairs.add((rng.randrange(n), rng.randrange(n)))
+    if self_loops:
+        pairs.update((i, i) for i in range(n))
     edges = {
         (i, j): tuple(
             rng.randint(1, 3) if kappa_name(k) in labels[j] else 0

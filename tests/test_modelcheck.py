@@ -966,6 +966,59 @@ def test_holding_exists_builds_no_witness(sys_a, monkeypatch):
     assert sorted(calls) == sorted(reachable)
 
 
+
+def _recorded_products(monkeypatch) -> list:
+    """Wrap build_product so that each call appends the system it got."""
+    systems = []
+    build = modelcheck.build_product
+
+    def recorded(system, auto):
+        systems.append(system)
+        return build(system, auto)
+
+    monkeypatch.setattr(modelcheck, "build_product", recorded)
+    return systems
+
+
+def test_refutation_searches_its_witness_on_the_decision_lasso(monkeypatch):
+    # On a 200-state ring with a self-loop on every state the decision's
+    # spliced lasso visits 13 states, the initial one only in its prefix;
+    # the chi search runs on those states alone
+    system = random_ring(random.Random(3), 200, self_loops=True)
+    phi = parse(MC1)
+    graph = build_product(system, exists_automaton(phi, 1))
+    parts = modelcheck._splice_pumps(graph, *modelcheck._pumpable_lasso(graph))
+    on_lasso = {graph.states[graph.place[v]] for part in parts for v in part}
+    assert system.initial not in {graph.states[graph.place[v]] for v in parts[1]}
+    systems = _recorded_products(monkeypatch)
+    result = check_exists(system, phi)
+    assert not result.holds
+    assert [len(s.states) for s in systems] == [200, len(on_lasso)]
+    part = systems[1]
+    assert set(part.states) == on_lasso and part.initial == system.initial
+    assert verify_pumpable(exists_product(system, phi), *result.witness) == []
+
+
+def test_refutation_falls_back_to_the_whole_system(monkeypatch):
+    # when the subsystem's chi product has no pumpable fair path, the whole
+    # system's product is searched and gives the same verdict
+    system = random_ring(random.Random(3), 200, self_loops=True)
+    phi = parse(MC1)
+    search = modelcheck.pumpable_fair_path
+    calls = []
+
+    def first_finds_nothing(graph):
+        calls.append(graph)
+        return None if len(calls) == 1 else search(graph)
+
+    systems = _recorded_products(monkeypatch)
+    monkeypatch.setattr(modelcheck, "pumpable_fair_path", first_finds_nothing)
+    result = check_exists(system, phi)
+    assert not result.holds and len(calls) == 2
+    assert [len(s.states) for s in systems] == [200, 13, 200]
+    assert systems[2] is system
+    assert verify_pumpable(exists_product(system, phi), *result.witness) == []
+
 def _nba(transitions, accepting) -> BuchiAutomaton:
     """Automaton from {state: [(literals, dst)]} with initial state q0; a
     literal is (name, polarity)."""
