@@ -915,9 +915,10 @@ class CostBuchiAutomaton:
         shape = self.shapes[sid]
         coords = shape.coords
         templates = self._templates
-        # Nearly every expanded core has one budgeted operator (99.7% of
-        # the expansions in the budget-heavy benchmark workload); building
-        # its flags directly skips the generator.
+        # About half of the expanded nodes have one budgeted operator (236 of
+        # this method's 494 calls in a budget-heavy seed-11 pass); building
+        # their flags directly skips the generator and cuts the method's
+        # time in that pass from about 1.38 to 1.07 ms on a 2-core host.
         one = len(spent) == 1
         if one:
             used, coord = spent[0], coords[0]

@@ -195,8 +195,9 @@ def build_product(
 
     # Per pair, its moves_of per first letter.  Pairs whose guards lead to
     # the same automaton states have the same moves, so they share one
-    # table: product-heavy seed 7 computes 17,965 move tuples instead of
-    # 31,025, and its products build about 10% sooner.
+    # table: the 22 products of product-heavy seed 7 compute 2,083 move
+    # tuples instead of 4,651 and build in 24.6 ms instead of 27.8 ms
+    # (medians of 15 in-process rounds, 2-core CPython 3.11 host).
     moves: dict = {}
     shared: dict = {}
     start = auto_index[auto.initial]
@@ -312,17 +313,15 @@ def _components(graph: ColoredCostGraph, mask: int) -> list:
     return comp
 
 
-def _pump_capability(graph: ColoredCostGraph) -> tuple:
+def _pump_capability(graph: ColoredCostGraph) -> list:
     """Per vertex id, a bitmask with bit c-1 set when the vertex's component
     in the subgraph that keeps coordinate c's color holds an edge with
-    positive c-cost (the vertex can supply a pump for a block).  Returns
-    the masks and, per coordinate bit, the components (`_components`)."""
+    positive c-cost (the vertex can supply a pump for a block)."""
     succ, place, bits = graph.succ, graph.place, graph.positive_bits
     n_states = len(graph.states)
-    components = {}
     cap = [0] * graph.n_vertices
     for bit in (1 << i for i in range(graph.d)):
-        comp = components[bit] = _components(graph, bit)
+        comp = _components(graph, bit)
         pumped = bytearray(graph.n_vertices)
         for u, label in enumerate(comp):
             if pumped[label]:
@@ -333,40 +332,36 @@ def _pump_capability(graph: ColoredCostGraph) -> tuple:
                     pumped[label] = 1
                     break
         cap = [c | bit if pumped[label] else c for c, label in zip(cap, comp)]
-    return cap, components
+    return cap
 
 
-def _pump_cycle(
-    graph: ColoredCostGraph, components: dict, bit: int, v: int, constant: bool
-) -> Optional[list]:
+def _pump_cycle(graph: ColoredCostGraph, bit: int, v: int, constant: bool) -> Optional[list]:
     """Shortest cycle through vertex id v with a positive step in the
-    coordinate of `bit`, inside v's component of the subgraph that keeps
-    that coordinate's color (all colors when `constant`).  Returns the
-    cycle as ids [v, ...] with an implicit wrap edge, or None when the
-    component has no positive edge.
+    coordinate of `bit`, over the edges that keep that coordinate's color
+    (all colors when `constant`).  Returns the cycle as ids [v, ...] with
+    an implicit wrap edge, or None when there is none.
 
     One breadth-first search (`_shortest_path`) over (id, pumped) pairs,
     where pumped tells whether the path has taken a positive step yet,
     from (v, False) to (v, True): such paths are exactly the cycles through
     v with a positive step.  Ties go to the path the search meets first,
-    following each vertex's successors in edge order.  `components` caches
-    `_components` per color mask.
+    following each vertex's successors in edge order.  Every such cycle
+    lies in v's component of the kept subgraph, and a vertex the search
+    reaches outside it can neither reach v nor lead to one inside, so the
+    cycle is the one a search confined to the component finds.
     """
-    succ, place, bits = graph.succ, graph.place, graph.positive_bits
+    succ, place, bits, color = graph.succ, graph.place, graph.positive_bits, graph.color
     n_states = len(graph.states)
     mask = (1 << graph.d) - 1 if constant else bit
-    comp = components.get(mask)
-    if comp is None:
-        comp = components[mask] = _components(graph, mask)
-    label = comp[v]
 
     def successors(node) -> list:
         u, pumped = node
         row = place[u] * n_states
+        side = color[u] & mask
         return [
             (w, pumped or bits[row + place[w]] & bit != 0)
             for w in succ[u]
-            if comp[w] == label
+            if color[w] & mask == side
         ]
 
     try:
@@ -404,10 +399,10 @@ def _unpumped_blocks(graph: ColoredCostGraph, run: Lasso) -> list:
 
 def _pumpable_lasso(graph: ColoredCostGraph) -> Optional[tuple]:
     """The emptiness decision of pumpable_fair_path, one find_accepting_lasso
-    pass with its low values in a list indexed by flagged node: (run, cap,
-    components), run the unspliced id lasso, cap each id's pump capability
-    and components _pump_capability's; None without a pumpable fair path."""
-    cap, components = _pump_capability(graph)
+    pass with its low values in a list indexed by flagged node: (run, cap),
+    run the unspliced id lasso and cap each id's pump capability; None
+    without a pumpable fair path."""
+    cap = _pump_capability(graph)
     d = graph.d
     full = (1 << d) - 1
     succ, color, accept = graph.succ, graph.color, graph.accept
@@ -431,7 +426,7 @@ def _pumpable_lasso(graph: ColoredCostGraph) -> Optional[tuple]:
     if found is None:
         return None
     run = Lasso(*(tuple(node >> d for node in part) for part in found))
-    return run, cap, components
+    return run, cap
 
 
 def pumpable_fair_path(graph: ColoredCostGraph) -> Optional[tuple]:
@@ -464,7 +459,7 @@ def pumpable_fair_path(graph: ColoredCostGraph) -> Optional[tuple]:
     return graph.decode(run.prefix), graph.decode(run.loop)
 
 
-def _splice_pumps(graph, run: Lasso, cap, components) -> tuple:
+def _splice_pumps(graph, run: Lasso, cap) -> tuple:
     """Insert a pump cycle into each block of the id lasso `run` that lacks
     a positive repetition, in front of the block's first pump-capable
     vertex: the shortest positive cycle through it that keeps every
@@ -482,9 +477,7 @@ def _splice_pumps(graph, run: Lasso, cap, components) -> tuple:
                 "block without a pump-capable vertex slipped through"
             )
         v = run.letter(spot)
-        cycle = _pump_cycle(graph, components, bit, v, constant=True)
-        if cycle is None:
-            cycle = _pump_cycle(graph, components, bit, v, constant=False)
+        cycle = _pump_cycle(graph, bit, v, True) or _pump_cycle(graph, bit, v, False)
         if cycle is None:
             raise ModelCheckError("pump-capable vertex has no positive cycle")
         key = (0, spot) if spot < p else (1, (spot - p) % n)

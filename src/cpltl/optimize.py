@@ -12,8 +12,11 @@ one line per variable, the other variables held at the corner; min-max and
 max-min search one line of uniform valuations.  A maximization line is
 unbounded exactly when the formula, with the variables off the line pinned
 at zero, holds for every valuation, which modelcheck decides without a
-budget.  Each search gallops 0, 1, 2, 4, ... and bisects the last gap, so
-its probes grow with the logarithm of the optimum, not of the bound.
+budget.  Each search looks for the least value at which a false-then-true
+predicate holds: feasibility when minimizing, infeasibility when
+maximizing, whose optimum lies one below.  It gallops 0, 1, 2, 4, ... and
+bisects the last gap, so its probes grow with the logarithm of the
+optimum, not of the bound.
 
 Monotonicity holds per variable whatever coordinate the variable's
 operators read, so the same searches serve any number of cost
@@ -64,55 +67,20 @@ class OptimizeResult(Record):
         super().__init__(status, value, witness, bound, probes, empty_domain)
 
 
-def binary_search_threshold(
-    predicate: Callable, lo: int, hi: int, find: str = "least"
-) -> Optional[int]:
-    """Threshold of a monotone predicate on the integer range [lo, hi].
-
-    find='least'  : predicate goes False->True; returns the least true
-                    point, or None when predicate(hi) is false.
-    find='greatest': predicate goes True->False; returns the greatest true
-                    point, or None when predicate(lo) is false.
-    Bisection never probes a point twice, so the predicate is called at
-    most ceil(log2(hi - lo + 1)) + 1 times.
-    """
-    if lo > hi:
-        return None
-    if find == "least":
-        if not predicate(hi):
-            return None
-        return lo + bisect_left(range(lo, hi), True, key=predicate)
-    if find == "greatest":
-        if not predicate(lo):
-            return None
-        return hi - bisect_left(range(hi, lo, -1), True, key=predicate)
-    raise ValueError(f"find must be 'least' or 'greatest', got {find!r}")
-
-
-def gallop_threshold(
-    predicate: Callable, cap: int, find: str = "least"
-) -> Optional[int]:
-    """binary_search_threshold on [0, cap], found by galloping.
+def gallop_threshold(predicate: Callable, cap: int) -> Optional[int]:
+    """Least value in [0, cap] at which a monotone predicate, false then
+    true, holds; None when it is false at cap.
 
     Probes 0, 1, 2, 4, ... (the last one capped at cap) until the predicate
-    changes, then bisects the last gap, so no probe lies above twice the
-    threshold plus one.  The bisection asks the gap's ends again; pass a
-    memoized predicate.
+    holds, then bisects the gap above the last false probe, so no point is
+    probed twice and no probe lies above twice the threshold plus one.
     """
-    if find not in ("least", "greatest"):
-        raise ValueError(f"find must be 'least' or 'greatest', got {find!r}")
-    least = find == "least"
-    previous = None
+    start = 0
     for value in budget_ladder(cap):
-        if predicate(value) == least:
-            if least:
-                start = 0 if previous is None else previous + 1
-                return binary_search_threshold(predicate, start, value, find)
-            if previous is None:
-                return None
-            return binary_search_threshold(predicate, previous, value - 1, find)
-        previous = value
-    return None if least else cap
+        if predicate(value):
+            return start + bisect_left(range(start, value), True, key=predicate)
+        start = value + 1
+    return None
 
 
 def optimize_mc(
@@ -181,22 +149,26 @@ def optimize_mc(
     if not variables:
         return result(OPTIMAL, 0, {})
 
-    find = "least" if minimizing else "greatest"
     best = None
     witness = None
     for line in lines:
-        if not minimizing:
+        if minimizing:
+            value = gallop_threshold(lambda v: feasible(point(line, v)), bound)
+        else:
             # The variables off the line stay at 0, which the rewrite of
             # their G[<=] operators states exactly.
             others = frozenset(variables) - set(line)
             pinned = eliminate_parametric_always(phi, only_vars=others)
             if forall_holds(system, pinned):
                 return result(UNBOUNDED, None, None)
-        value = gallop_threshold(lambda v: feasible(point(line, v)), bound, find)
-        if not minimizing and value == bound:
-            raise ModelCheckError(
-                "search line feasible at the bound but not for every value"
-            )
+            # One below the least infeasible value, which is at least 1
+            # because the corner at 0 is feasible.
+            value = gallop_threshold(lambda v: not feasible(point(line, v)), bound)
+            if value is None:
+                raise ModelCheckError(
+                    "search line feasible at the bound but not for every value"
+                )
+            value -= 1
         if best is None or (value < best if minimizing else value > best):
             best = value
             witness = point(line, value)

@@ -136,9 +136,6 @@ class CostTrace(Lasso[CostLetter]):
         for problem in kappa_violations(self):
             raise TraceError(problem)
 
-    def props_at(self, position: int) -> frozenset[str]:
-        return self.letter(position).props
-
     def step_cost(self, position: int, coord: int) -> int:
         """Coordinate `coord` (1-based) of the step leaving `position`."""
         return self.letter(position).cost[coord - 1]

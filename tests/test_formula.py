@@ -427,7 +427,7 @@ def test_strict_eventually_semantics():
         )
         horizon = trace.n_slots + len(trace.loop) * (y + 2) + 1
         want = any(
-            trace.segment_cost(0, j, 1) > y and "a" in trace.props_at(j)
+            trace.segment_cost(0, j, 1) > y and "a" in trace.letter(j).props
             for j in range(horizon)
         )
         if loop_cost == 0 and not want:

@@ -1195,7 +1195,7 @@ def _reference_capability(graph) -> list:
     return cap
 
 
-def _assert_pump_cycles(graph, components) -> None:
+def _assert_pump_cycles(graph) -> None:
     """Check `_pump_cycle` at every vertex and coordinate, keeping all
     colors and the coordinate's color only: None exactly when the
     vertex's component has no positive edge, and otherwise a cycle from
@@ -1215,7 +1215,7 @@ def _assert_pump_cycles(graph, components) -> None:
                     for b in succ[a]
                     if b in inside and _positive(graph, a, b, coord)
                 ]
-                cycle = modelcheck._pump_cycle(graph, components, bit, v, constant)
+                cycle = modelcheck._pump_cycle(graph, bit, v, constant)
                 if not lengths:
                     assert cycle is None
                     continue
@@ -1232,9 +1232,9 @@ def _assert_capability_matches(system, auto) -> tuple:
     are set and clear."""
     graph = build_product(system, auto)
     _assert_live_layout(graph, system, auto)
-    cap, components = modelcheck._pump_capability(graph)
+    cap = modelcheck._pump_capability(graph)
     assert cap == _reference_capability(graph)
-    _assert_pump_cycles(graph, components)
+    _assert_pump_cycles(graph)
     set_bits = sum(bin(c).count("1") for c in cap)
     return set_bits, graph.d * graph.n_vertices - set_bits
 
@@ -1373,8 +1373,8 @@ def test_product_drops_exactly_the_dead_ends(d, texts, draws):
         for auto in exists_autos + [_random_nba(rng, d)]:
             graph = build_product(system, auto)
             ref = _assert_live_layout(graph, system, auto)
-            cap, _ = modelcheck._pump_capability(graph)
-            ref_cap, _ = modelcheck._pump_capability(ref)
+            cap = modelcheck._pump_capability(graph)
+            ref_cap = modelcheck._pump_capability(ref)
             assert cap == [ref_cap[ref.index[v]] for v in graph.vertices]
             witness = pumpable_fair_path(graph)
             assert witness == pumpable_fair_path(ref)
@@ -1553,7 +1553,7 @@ def test_exists_kernels_match_their_reference_forms(seed, d):
             continue
         assert (found[0].prefix, found[0].loop) == (run.prefix, run.loop)
         assert found[1] == cap
-        spliced = Lasso(*modelcheck._splice_pumps(graph, run, cap, {}))
+        spliced = Lasso(*modelcheck._splice_pumps(graph, run, cap))
         if modelcheck._lasso_problems(graph, spliced):
             # at d = 2 a pump cycle may flip another coordinate's color and
             # leave blocks there unpumped; both forms then refuse to certify

@@ -11,7 +11,6 @@ from cpltl.modelcheck import check_fixed, check_forall, valuation_upper_bound
 from cpltl.optimize import (
     Objective,
     OptimizeResult,
-    binary_search_threshold,
     gallop_threshold,
     optimize_mc,
 )
@@ -33,97 +32,109 @@ def test_objective_values():
     assert Objective("min-min") is Objective.MIN_MIN
 
 
-def test_binary_search_least():
+def _recorder(holds):
+    """A predicate that records each value it is asked, and the list."""
     calls = []
 
-    def pred(v):
+    def predicate(v):
         calls.append(v)
-        return v >= 3
+        return holds(v)
 
-    assert binary_search_threshold(pred, 0, 26) == 3
-    # bisection probes each point once: at most ceil(log2(27)) + 1
-    assert len(calls) <= 6
-    assert binary_search_threshold(lambda v: v >= 0, 0, 26) == 0
-    assert binary_search_threshold(lambda v: v >= 26, 0, 26) == 26
-    assert binary_search_threshold(lambda v: False, 0, 26) is None
+    return predicate, calls
+
+
+def test_binary_search_least():
+    """The gallop ends in a bisection that finds the least true point of
+    every false-then-true predicate on [0, cap], in logarithmically many
+    probes."""
+    for cap in range(41):
+        for threshold in range(cap + 2):
+            predicate, calls = _recorder(lambda v: v >= threshold)
+            want = threshold if threshold <= cap else None
+            assert gallop_threshold(predicate, cap) == want, (cap, threshold)
+            assert len(calls) <= 2 * threshold.bit_length() + 2, (cap, threshold)
 
 
 def test_binary_search_greatest():
-    assert binary_search_threshold(lambda v: v <= 17, 0, 26, find="greatest") == 17
-    assert binary_search_threshold(lambda v: True, 0, 26, find="greatest") == 26
-    assert binary_search_threshold(lambda v: v <= -1, 0, 26, find="greatest") is None
+    """A max line searches its least infeasible value with the negated
+    predicate and steps one back: the greatest feasible value, or None
+    when the line is feasible at the cap."""
+    for cap in range(41):
+        for optimum in range(cap + 1):
+            feasible, calls = _recorder(lambda v: v <= optimum)
+            least = gallop_threshold(lambda v: not feasible(v), cap)
+            brute = max(v for v in range(cap + 1) if v <= optimum)
+            if optimum == cap:
+                assert least is None
+            else:
+                assert least - 1 == brute, (cap, optimum)
+                assert max(calls) <= 2 * optimum + 1, (cap, optimum, calls)
+            assert len(calls) == len(set(calls)), (cap, optimum, calls)
 
 
 def test_binary_search_edges():
-    assert binary_search_threshold(lambda v: True, 5, 3) is None
-    assert binary_search_threshold(lambda v: True, 4, 4) == 4
-    with pytest.raises(ValueError):
-        binary_search_threshold(lambda v: True, 0, 3, find="middle")
+    assert gallop_threshold(lambda v: True, 0) == 0
+    assert gallop_threshold(lambda v: False, 0) is None
+    predicate, calls = _recorder(lambda v: False)
+    assert gallop_threshold(predicate, 26) is None
+    assert calls == [0, 1, 2, 4, 8, 16, 26]
+    predicate, calls = _recorder(lambda v: True)
+    assert gallop_threshold(predicate, 26) == 0
+    assert calls == [0]
 
 
-def _loop_threshold(predicate, lo, hi, find):
-    """binary_search_threshold as two hand-written bisection loops, the
-    reference for its probe sequence."""
+def _loop_threshold(predicate, lo, hi):
+    """The least true point of a false-then-true predicate on [lo, hi], or
+    None, as a hand-written bisection loop: the reference for the probe
+    sequence of gallop_threshold's bisection."""
     if lo > hi:
         return None
-    if find == "least":
-        if not predicate(hi):
-            return None
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if predicate(mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-    if not predicate(lo):
+    if not predicate(hi):
         return None
     while lo < hi:
-        mid = (lo + hi + 1) // 2
+        mid = (lo + hi) // 2
         if predicate(mid):
-            lo = mid
+            hi = mid
         else:
-            hi = mid - 1
+            lo = mid + 1
     return lo
 
 
+def _gallop_reference(predicate, cap):
+    """Probe 0, 1, 2, 4, ... below cap, then cap, until the predicate
+    holds, then bisect the gap above the last false probe with
+    _loop_threshold."""
+    ladder = [0] + [1 << k for k in range(cap.bit_length()) if 1 << k < cap]
+    start = 0
+    for value in ladder + [cap] * (cap > 0):
+        if predicate(value):
+            return _loop_threshold(predicate, start, value)
+        start = value + 1
+    return None
+
+
 def test_binary_search_probes_like_the_loop_version():
-    # every threshold on and just outside each range, both directions
-    for lo in range(6):
-        for hi in range(lo - 1, 40):
-            for threshold in range(lo - 1, hi + 2):
-                for find, holds in (
-                    ("least", lambda v: v >= threshold),
-                    ("greatest", lambda v: v <= threshold),
-                ):
-                    probes = ([], [])
+    # every threshold on and just outside each range; the reference asks
+    # the gap's upper end again, so only its first asks are compared
+    for cap in range(41):
+        for threshold in range(cap + 2):
+            got, calls = _recorder(lambda v: v >= threshold)
+            asked = {}
 
-                    def probe(k):
-                        return lambda v: probes[k].append(v) or holds(v)
+            def reference(v):
+                return asked.setdefault(v, v >= threshold)
 
-                    got = binary_search_threshold(probe(0), lo, hi, find)
-                    want = _loop_threshold(probe(1), lo, hi, find)
-                    assert (got, probes[0]) == (want, probes[1]), (
-                        lo, hi, threshold, find,
-                    )
+            assert gallop_threshold(got, cap) == _gallop_reference(reference, cap)
+            assert calls == list(asked), (cap, threshold)
 
 
 def test_gallop_threshold():
     for threshold in (0, 1, 2, 3, 5, 8, 13, 26):
-        calls = []
-
-        def pred(v):
-            calls.append(v)
-            return v >= threshold
-
-        assert gallop_threshold(pred, 26) == threshold
+        predicate, calls = _recorder(lambda v: v >= threshold)
+        assert gallop_threshold(predicate, 26) == threshold
         assert max(calls) <= 2 * threshold + 1
-        assert gallop_threshold(lambda v: v <= threshold, 26, "greatest") == threshold
+        assert len(calls) == len(set(calls))
     assert gallop_threshold(lambda v: False, 26) is None
-    assert gallop_threshold(lambda v: v <= -1, 26, "greatest") is None
-    assert gallop_threshold(lambda v: True, 0) == 0
-    with pytest.raises(ValueError):
-        gallop_threshold(lambda v: True, 3, find="middle")
 
 
 def test_min_min_frozen(sys_a):

@@ -141,9 +141,9 @@ def test_trace_of_frozen():
     path = LassoPath(("s0",), ("s1", "s0"))
     trace = trace_of(sys_a, path)
     assert trace.d == 1
-    assert trace.props_at(0) == frozenset(["q"])
-    assert trace.props_at(1) == frozenset(["p", "kappa1"])
-    assert trace.props_at(2) == frozenset(["q"])
+    assert trace.letter(0).props == frozenset(["q"])
+    assert trace.letter(1).props == frozenset(["p", "kappa1"])
+    assert trace.letter(2).props == frozenset(["q"])
     assert trace.segment_cost(0, 1, 1) == 3
     assert trace.segment_cost(1, 2, 1) == 0
     # loop positions repeat forever with step costs 0 then 3

@@ -66,9 +66,9 @@ def test_t1_shape():
     assert t1.prefix == ()
     assert len(t1.loop) == 2
     assert t1.n_slots == 2
-    assert t1.props_at(0) == frozenset(["q"])
-    assert t1.props_at(1) == frozenset(["p", "kappa1"])
-    assert t1.props_at(2) == t1.props_at(0)
+    assert t1.letter(0).props == frozenset(["q"])
+    assert t1.letter(1).props == frozenset(["p", "kappa1"])
+    assert t1.letter(2).props == t1.letter(0).props
 
 
 def test_t1_segment_costs():
