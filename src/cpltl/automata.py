@@ -36,9 +36,7 @@ from .formula import (
     is_ff,
     is_tt,
     rebuild,
-    repr_step,
     simplify_constants,
-    subformulas,
     validate_coords,
     var_profile,
 )
@@ -99,17 +97,14 @@ def _empty_nba() -> BuchiAutomaton:
 def _interned(phi: Formula) -> tuple:
     """phi with equal subformulas shared as one object, so that set and dict
     lookups hit on identity, and its closure: the distinct nodes in the
-    order of their `repr` text."""
+    order `fold` completes them, children before parents."""
     canon: dict = {}
 
-    def step(node: Formula, kids: list) -> tuple:
-        key = repr_step(node, [text for _, text in kids])
-        if key not in canon:
-            canon[key] = rebuild(node, [shared for shared, _ in kids])
-        return canon[key], key
+    def step(node: Formula, kids: list) -> Formula:
+        node = rebuild(node, kids)
+        return canon.setdefault(node, node)
 
-    phi, _ = fold(phi, step)
-    return phi, [canon[key] for key in sorted(canon)]
+    return fold(phi, step), list(canon)
 
 
 # Expansion rules of the tableau.  The budget automaton adds three kinds: a
@@ -266,8 +261,6 @@ def ltl_to_nba(phi: Formula) -> BuchiAutomaton:
     phi = simplify_constants(phi)
     if is_ff(phi):
         return _empty_nba()
-    # Closure nodes are numbered in `repr` order, so sorting a set of
-    # indices orders its formulas by their `repr` text.
     phi, nodes = _interned(phi)
     index = {f: i for i, f in enumerate(nodes)}
     rules, literals = _rules(nodes, index)
@@ -630,18 +623,17 @@ def _sccs(roots: Iterable, successors: Callable, low=None) -> Iterator:
 class _Shape:
     """A core without its spent costs: the closure indices of its plain
     obligations (`seed`) and of its budgeted operators holding a token,
-    F[<=] before G[<=] (`slots`), each group by closure rank.  `heads`
-    and `tail` make the core's sort key, and the kinds in `heads` give
+    F[<=] before G[<=] (`slots`), each group ascending.  `heads` and
+    `tail` make the core's sort key, and the kinds in `heads` give
     `dominates` its order.  `coords` holds the cost coordinate each
     operator reads."""
 
     __slots__ = ("coords", "heads", "tail", "seed", "slots")
 
-    def __init__(self, seed: tuple, slots: tuple, auto: "CostBuchiAutomaton"):
-        ops, ranks = auto._ops, auto._ranks
+    def __init__(self, seed: tuple, slots: tuple, ops: Mapping):
         self.coords = tuple(ops[i][1] for i in slots)
-        self.heads = tuple(("G" if ops[i][0] else "F", ranks[i]) for i in slots)
-        self.tail = [("f", ranks[i]) for i in seed]
+        self.heads = tuple(("G" if ops[i][0] else "F", i) for i in slots)
+        self.tail = [("f", i) for i in seed]
         self.seed = seed
         self.slots = slots
 
@@ -679,16 +671,17 @@ class CostBuchiAutomaton:
     templates depends on the valuation: a valuation is only the budgets
     that `successors` reads, which `budgets` computes once per search.
 
-    Shapes are expanded by `_expand`, over the closure of n nodes in
-    `repr` order.  A budgeted operator at index i has two token slots:
-    its fresh token at i + n, which has spent nothing, and its carried
-    token at i + 2n, which has spent what the current core's token has;
-    the bare operator forwards to its fresh token.  A core token that has
-    spent nothing is seeded as the fresh one, so the expansion meets the
-    two once.  The letter fixes each literal to true or false and, with
-    the budgets' comparisons, which tokens' costs fit their budgets.  A
-    branch that delays the Until or F[<=] node at index i sets bit i + 3n
-    of its next-set, from which `_settle` reads the move's `ok` mask.
+    Shapes are expanded by `_expand`, over the closure of n nodes,
+    children before parents.  A budgeted operator at index i has two
+    token slots: its fresh token at i + n, which has spent nothing, and
+    its carried token at i + 2n, which has spent what the current core's
+    token has; the bare operator forwards to its fresh token.  A core
+    token that has spent nothing is seeded as the fresh one, so the
+    expansion meets the two once.  The letter fixes each literal to true
+    or false and, with the budgets' comparisons, which tokens' costs fit
+    their budgets.  A branch that delays the Until or F[<=] node at index
+    i sets bit i + 3n of its next-set, from which `_settle` reads the
+    move's `ok` mask.
 
     A template holds the moves of every core of one shape under one
     letter, as (next shape id, spent recipe, ok) triples from one
@@ -754,12 +747,8 @@ class CostBuchiAutomaton:
         self._rules, self._literals = _rules(nodes, index)
         # `_settle` works on closure indices: `ok` sets are bitmasks over
         # the tracked obligations, by index, and each budgeted operator's
-        # index gives (is G, cost coordinate).  Successors are ordered by
-        # closure rank: a repr key would walk every formula again on each
-        # expansion, recursing with its depth.
+        # index gives (is G, cost coordinate).
         self._bit = {index[f]: 1 << j for j, f in enumerate(self.tracked)}
-        rank = {f: i for i, f in enumerate(subformulas(phi))}
-        self._ranks = [rank[f] for f in nodes]
         self._ops = {
             i: (isinstance(f, GLe), f.coord - 1)
             for i, f in enumerate(nodes)
@@ -818,7 +807,6 @@ class CostBuchiAutomaton:
         holds the tracked obligations whose delay marker is not set."""
         n = len(self._nodes)
         ops_of = self._ops
-        ranks = self._ranks
         plain = []
         slot_of: dict = {}
         ok = self.full
@@ -832,7 +820,7 @@ class CostBuchiAutomaton:
                     slot_of[i] = slot
             else:
                 plain.append(i)
-        ops = sorted(slot_of, key=lambda i: (ops_of[i][0], ranks[i]))
+        ops = sorted(slot_of, key=lambda i: (ops_of[i][0], i))
         recipe = tuple(
             (
                 slots.index(i) if slot_of[i] == 2 else None,
@@ -840,12 +828,11 @@ class CostBuchiAutomaton:
             )
             for i in ops
         )
-        plain.sort(key=ranks.__getitem__)
         key = (tuple(plain), tuple(ops))
         sid = self._shape_ids.get(key)
         if sid is None:
             sid = self._shape_ids[key] = len(self.shapes)
-            self.shapes.append(_Shape(key[0], key[1], self))
+            self.shapes.append(_Shape(key[0], key[1], ops_of))
         return sid, recipe, ok
 
     def template(
@@ -885,7 +872,7 @@ class CostBuchiAutomaton:
 
     def _order(self, node) -> tuple:
         """Sort key of the successors along one edge: the core's
-        obligations as (kind, closure rank[, minus spent]) tuples in sorted
+        obligations as (kind, closure index[, minus spent]) tuples in sorted
         order, then the indices of the move's tracked obligations that were
         not delayed."""
         _, sid, spent, ok = node

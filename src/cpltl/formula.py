@@ -73,7 +73,7 @@ class Formula(Record):
         return True
 
     def __repr__(self) -> str:
-        return fold(self, repr_step)
+        return fold(self, _repr_step)
 
 
 class Atom(Formula):
@@ -244,7 +244,7 @@ def rebuild(node: Formula, kids: list) -> Formula:
     return type(node)(*kids)
 
 
-def repr_step(node: Formula, kids: list) -> str:
+def _repr_step(node: Formula, kids: list) -> str:
     """The `repr` of a node, `Name(field=value, ...)`, given its children's:
     the step that `Formula.__repr__` folds."""
     kid_text = iter(kids)
@@ -399,8 +399,8 @@ def chi_formula(d: int) -> Formula:
     (changes & inf) | (!changes & !inf), and a color that eventually stops
     changing while cost eventually stops being paid is F G (c & !kappa) or
     F G (!c & !kappa).  The tableau translates this form to far fewer
-    states than the biconditional: 17 against 43 at d = 1 and 123 against
-    679 at d = 2, which is what a refuting check_exists pays for."""
+    states than the biconditional: 15 against 37 at d = 1 and 93 against
+    436 at d = 2, which is what a refuting check_exists pays for."""
     if d < 1:
         msg = f"dimension must be >= 1, got {d}"
         raise FormulaError(msg)

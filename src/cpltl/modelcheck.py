@@ -613,7 +613,7 @@ def witness_automaton(phi: Formula, d: int) -> BuchiAutomaton:
     check_exists is a path of its product with the system, searched for on
     the subsystem of the decision's spliced lasso first.  chi_d comes in
     disjunctive form, which the tableau translates to few states (see
-    chi_formula): 72 for the README lift query."""
+    chi_formula): 76 for the README lift query."""
     return _pipeline_nba(And(_negated_relativized(phi, d), chi_formula(d)))
 
 

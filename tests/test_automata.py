@@ -17,6 +17,7 @@ from cpltl.automata import (
     AutomatonError,
     BuchiAutomaton,
     CostBuchiAutomaton,
+    _interned,
     find_accepting_lasso,
     guard_holds,
     ltl_to_nba,
@@ -32,11 +33,13 @@ from cpltl.formula import (
     Until,
     always,
     chi_formula,
+    children,
     eliminate_parametric_always,
     eventually,
     negate,
     parse,
     relativize,
+    subformulas,
 )
 from cpltl.trace import CostTrace, Lasso, evaluate, letter
 
@@ -451,17 +454,17 @@ def pin(auto: BuchiAutomaton) -> tuple:
     "make, expected",
     [
         (lambda: exists_target("G (q -> F[<=x] p)"),
-         (72, 264, 12, "3bde420fd0b2c8d9")),
+         (76, 297, 14, "4433ba25f09502ea")),
         (lambda: exists_target("X G (q -> F[<=x] p)"),
-         (88, 352, 15, "3e2b6a5e6b0a4cbb")),
+         (76, 289, 14, "b3ee8d0d661e37a2")),
         (lambda: exists_target("G[<=y] q"),
-         (37, 132, 8, "4a2b301020f2b7dd")),
+         (29, 101, 6, "71800fca2e3bde17")),
         (lambda: exists_target("F G (q -> F[<=x] p)"),
-         (91, 610, 10, "28cd3395ff44ea46")),
+         (78, 488, 15, "9bd745132c65c9c3")),
         (lambda: exists_target("F[<=x] p | F[<=x] q"),
-         (56, 201, 13, "d685e96e4f9499cc")),
-        (lambda: chi_formula(1), (17, 56, 4, "61ed8ae71d85e0ba")),
-        (lambda: chi_formula(2), (123, 1043, 16, "66bc11c0bf506a97")),
+         (49, 167, 10, "2bf56f4da9a8361c")),
+        (lambda: chi_formula(1), (15, 50, 3, "3ec057cf80c43263")),
+        (lambda: chi_formula(2), (93, 788, 12, "1a724abcc3e94561")),
     ],
     ids=["lift", "next-lift", "g-bounded", "fg-lift", "two-f", "chi1", "chi2"],
 )
@@ -529,7 +532,7 @@ def test_random_translations_are_pinned_and_live():
         assert _states_on_accepting_cycles(auto) == set(auto.states), phi
     assert empty == 22
     assert digest.hexdigest() == (
-        "ca6110b7eb047b01074f115c141b7b8557248c686129c635abce4ce719a4b9c6"
+        "ff1a17b7b709137d030ba7f84d254bd2ac6d3b58120f04f84f39a1ca2b596c9d"
     )
 
 
@@ -557,8 +560,8 @@ def test_translation_is_independent_of_hash_seed():
         )
         outputs.add(proc.stdout)
     assert outputs == {
-        "(72, 264, 12, '3bde420fd0b2c8d9')\n"
-        "(123, 1043, 16, '66bc11c0bf506a97')\n"
+        "(76, 297, 14, '4433ba25f09502ea')\n"
+        "(93, 788, 12, '1a724abcc3e94561')\n"
     }
 
 
@@ -573,5 +576,51 @@ def test_translation_frees_each_stage():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert auto.n_states == 1381
+    assert auto.n_states == 1393
     assert peak < 6 * held
+
+
+def assert_children_first(shared, nodes: list) -> None:
+    """Each closure node's children are closure nodes listed before it,
+    as the same objects, and the interned formula is one of them."""
+    position = {id(f): i for i, f in enumerate(nodes)}
+    assert len(position) == len(nodes)
+    assert id(shared) in position
+    for i, f in enumerate(nodes):
+        for c in children(f):
+            assert position[id(c)] < i, (f, c)
+
+
+def test_interning_a_deep_formula_stays_small():
+    # Interning builds no key text per node: `repr` keys, which embed each
+    # node's whole subtree, would peak at about 55 MB here.
+    phi = negate(parse("X " * 3000 + "p"))
+    tracemalloc.start()
+    try:
+        shared, nodes = _interned(phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(nodes) == 3001
+    assert nodes[0] == NegAtom("p") and nodes[-1] is shared
+    assert_children_first(shared, nodes)
+    assert peak < 5_000_000
+
+
+def test_interning_shares_equal_subformulas():
+    # One subtree occurs twice in each formula, as two separate objects.
+    rng = random.Random(34)
+    for _ in range(200):
+        seed, depth = rng.random(), rng.randint(0, 3)
+        twins = [random_formula(random.Random(seed), depth) for _ in range(2)]
+        assert twins[0] == twins[1] and twins[0] is not twins[1]
+        phi = Until(
+            And(twins[0], random_formula(rng, rng.randint(0, 2))),
+            Or(random_formula(rng, rng.randint(0, 2)), twins[1]),
+        )
+        shared, nodes = _interned(phi)
+        assert shared == phi
+        assert set(nodes) == set(subformulas(phi))
+        assert len(set(nodes)) == len(nodes)
+        assert shared.left.left is shared.right.right
+        assert_children_first(shared, nodes)

@@ -179,11 +179,11 @@ def reference_mask(auto, ok: frozenset) -> int:
 
 
 def reference_order(auto, move) -> tuple:
-    """Successor order: the core's items as (kind, closure rank[,
+    """Successor order: the core's items as (kind, closure index[,
     remainder]) in sorted order, ties broken by the indices of `ok`."""
     core, ok = move
-    rank = dict(zip(auto._nodes, auto._ranks))
-    items = sorted((item[0], rank[item[1]]) + item[2:] for item in core)
+    index = {f: i for i, f in enumerate(auto._nodes)}
+    items = sorted((item[0], index[item[1]]) + item[2:] for item in core)
     return items, sorted(auto.tracked.index(f) for f in ok)
 
 

@@ -169,18 +169,18 @@ def test_check_fixed_frozen(sys_a, sys_streett, system_pool):
             "F G[<=y] G[<=y] X !p",
             {"y": 50},
             LassoPath(("s0",), ("s1",)),
-            27,
+            29,
         ),
         (
             sys_a,
             "F G[<=y] G[<=y] X !p",
             {"y": 400},
             LassoPath(("s0",), ("s1",)),
-            27,
+            29,
         ),
         # the exact search explores 1,598 nodes at y=400, 39,998 at 10,000
-        (sys_a, "G[<=y] G[<=y] (p | q)", {"y": 400}, None, 6),
-        (sys_a, "G[<=y] G[<=y] (p | q)", {"y": 10_000}, None, 6),
+        (sys_a, "G[<=y] G[<=y] (p | q)", {"y": 400}, None, 7),
+        (sys_a, "G[<=y] G[<=y] (p | q)", {"y": 10_000}, None, 7),
         (
             f_order,
             "G[<=y] !bad",
@@ -254,7 +254,7 @@ def test_check_fixed_outcomes_are_pinned(system_pool, sys_streett):
         "4434a13e4b96de5232414ed418054019398ecf073d04b421cdd2af8c4a247803"
     )
     assert outcomes.hexdigest() == (
-        "3a0837915e924591c7996d22a696aae55aaa10dc009b3f3e0f3713d4278cd48b"
+        "9090e7ac4b8d44c6fc3f408521c8cadb08fbd1437b7ea8c3a6559dde1988ce57"
     )
 
 
